@@ -1,15 +1,17 @@
 """frobgrow benchmark: one workload of CLI jobs, closed loop, one process.
 
-    python3 perfbench/run.py --workload certified --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload certified --seed 1 --seconds 35 --trace 0
 
 Run from the root of a checkout; frobgrow is imported from ./src.  Each
 job is the `frobgrow` CLI entry point called in-process with the
 arguments a user would type.  Jobs run one at a time; a round is every
-job of the workload once, and rounds repeat until --seconds have passed
-(a started round always finishes).  With --trace 0 every round runs the
-program untouched and the end-to-end metrics are printed.  With
---trace 1 untraced and traced rounds alternate and the per-layer metrics
-are printed (see layertrace.py and README.md).
+job of the workload once.  Rounds repeat until the round boundary
+nearest to --seconds (at least two rounds).  Times are CPU times of this
+one-thread process, scaled by calibration passes (calibrate.py).  With
+--trace 0 every round runs the program untouched and the end-to-end
+metrics are printed.  With --trace 1 untraced and traced rounds
+alternate and the per-layer metrics are printed (see layertrace.py and
+README.md).
 
 After the timed rounds every case's output is checked against values
 computed apart from frobgrow (checks.py).  The last line of standard
@@ -24,6 +26,7 @@ import gc
 import hashlib
 import io
 import json
+import operator
 import os
 import platform
 import resource
@@ -82,16 +85,17 @@ def invoke(entry, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_round(entry, jobs, loop_times):
-    """[(seconds, exit code, stdout, stderr)] per job; runs the calibration
-    loop after each job and appends its time to loop_times."""
+def run_round(entry, jobs, calib):
+    """[(CPU seconds, exit code, stdout, stderr, start, wall seconds)] per
+    job; runs the calibration passes after each job."""
     gc.collect()
     results = []
     for job in jobs:
-        s = time.perf_counter()
+        s, c = time.perf_counter(), time.process_time()
         code, out, err = invoke(entry, job.argv(OUT))
-        results.append((time.perf_counter() - s, code, out, err))
-        loop_times.append(calibrate.loop())
+        cpu = time.process_time() - c
+        results.append((cpu, code, out, err, s, time.perf_counter() - s))
+        calib.sample()
     return results
 
 
@@ -264,12 +268,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, SRC)
     log = []  # report lines printed before the result
 
-    setup_times, setup_loops = [], []
+    calib = calibrate.Calibration()
+    setups = []  # (CPU seconds, start, wall seconds)
     for _ in range(SETUPS):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         cli, cases = setup(args.workload, args.seed)
-        setup_times.append(time.perf_counter() - t0)
-        setup_loops.append(calibrate.loop())
+        setups.append((time.process_time() - c0, t0, time.perf_counter() - t0))
+        calib.sample(1)
 
     def cli_main(argv):
         return cli.main.main(argv, standalone_mode=False)
@@ -280,27 +285,31 @@ def main(argv=None) -> int:
 
         tracer = Tracer(cli_main, HOOKS)
 
-    # timed rounds, at least two; with tracing they alternate untraced,
-    # traced, ...
+    # timed rounds, at least two, ending at the round boundary nearest to
+    # --seconds; with tracing they alternate untraced, traced, ...
     rounds = []  # (traced, jobs, results)
-    traced_metrics = []
+    traced_metrics = []  # (layer metrics, round start, round seconds)
     spans = None
-    loop_times = [calibrate.loop()]
+    calib.sample()
     start = time.perf_counter()
-    while len(rounds) < 2 or time.perf_counter() - start < args.seconds:
+    while True:
+        elapsed = time.perf_counter() - start
+        if len(rounds) >= 2 and elapsed + elapsed / len(rounds) / 2 >= args.seconds:
+            break
         traced = tracer is not None and len(rounds) % 2 == 1
         jobs = round_jobs(cases, args.seed, len(rounds))
+        r0 = time.perf_counter()
         if traced:
             tracer.install()
             try:
-                results = run_round(tracer.entry, jobs, loop_times)
+                results = run_round(tracer.entry, jobs, calib)
             finally:
                 tracer.uninstall()
-            traced_metrics.append(layer_metrics(tracer))
+            traced_metrics.append((layer_metrics(tracer), r0, time.perf_counter() - r0))
             if spans is None:
                 spans = tracer.span_dump()
         else:
-            results = run_round(cli_main, jobs, loop_times)
+            results = run_round(cli_main, jobs, calib)
         rounds.append((traced, jobs, results))
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -353,7 +362,7 @@ def main(argv=None) -> int:
         seeds = ",".join(str(r[1][i].seed) for r in rounds)
         log.append(
             f"job: {case.label} --seed {seeds}: median "
-            f"{statistics.median(times):.4f} s raw, exit {first[1]}, "
+            f"{statistics.median(times):.4f} s raw CPU, exit {first[1]}, "
             f"digest {','.join(sorted(digs))}, failed {nfail}/{len(times)}"
             + (f" [{'; '.join(flags)}]" if flags else "")
         )
@@ -363,14 +372,19 @@ def main(argv=None) -> int:
             log.append(f"  stderr: {first[3].strip().splitlines()[-1]}")
 
     # times in reference seconds (see calibrate.py); each job is timed by
-    # its median over the rounds, and wall_s is the sum over the jobs
-    scale = calibrate.REFERENCE_S / statistics.median(loop_times)
-    log.append(f"calibration: loop median {statistics.median(loop_times):.5f} s over "
-               f"{len(loop_times)} passes; times below are raw x {scale:.4f}")
+    # the median over the rounds of its scaled times, and wall_s is the sum
+    # over the jobs
+    log.append(f"calibration: loop median {calib.median():.5f} s over "
+               f"{len(calib.passes)} passes; each time below is scaled by "
+               f"{calibrate.REFERENCE_S} s / the median pass within "
+               f"{calibrate.WINDOW_S:g} s of it")
 
     def job_times(traced):
         return [
-            scale * statistics.median(r[2][i][0] for r in rounds if r[0] == traced)
+            statistics.median(
+                r[2][i][0] * calib.scale(r[2][i][4], r[2][i][5])
+                for r in rounds if r[0] == traced
+            )
             for i in range(len(cases))
         ]
 
@@ -382,34 +396,38 @@ def main(argv=None) -> int:
             "slowest_job_s": (max(untraced), "s"),
             "median_job_s": (statistics.median(untraced), "s"),
             "peak_rss_mb": (peak_rss_mb, "MB"),
-            "setup_s": (
-                calibrate.REFERENCE_S / statistics.median(setup_loops)
-                * statistics.median(setup_times),
-                "s",
-            ),
+            "setup_s": (statistics.median(c * calib.scale(t, w) for c, t, w in setups), "s"),
         }
     else:
         from kernels_ref import format_rows, reference
 
         # counts from the first traced round, whose job seeds depend only on
         # the benchmark seed; times are medians over the traced rounds
-        metrics = dict(traced_metrics[0])
+        # and each round's times are scaled by the passes around that round
+        metrics = dict(traced_metrics[0][0])
+        scales = [calib.scale(r0, secs) for _, r0, secs in traced_metrics]
         for name, (_, unit) in metrics.items():
-            values = [tm[name][0] for tm in traced_metrics]
+            values = [tm[name][0] for tm, _, _ in traced_metrics]
             if unit == SECONDS:
-                metrics[name] = (scale * statistics.median(values), unit)
+                metrics[name] = (statistics.median(map(operator.mul, values, scales)), unit)
             elif unit == "1/s":
-                metrics[name] = (statistics.median(values) / scale, unit)
+                metrics[name] = (statistics.median(map(operator.truediv, values, scales)),
+                                 unit)
         traced_wall = sum(job_times(True))
         metrics["trace.overhead_s"] = (traced_wall - wall_s, "s")
         log.append(f"trace: untraced wall {wall_s:.4f} s, traced wall "
                    f"{traced_wall:.4f} s, overhead {traced_wall - wall_s:.4f} s")
+        # every job is a cli.main span, so the layers' self times add up to
+        # the traced time in the tracer's own clock
+        traced_total = sum(metrics[f"{layer}.self_s"][0] for layer in LAYERS)
         for layer in LAYERS:
             self_s = metrics[f"{layer}.self_s"][0]
             log.append(f"layer: {layer:<10} self {self_s:8.4f} s  "
-                       f"share of traced wall {100 * self_s / traced_wall:5.1f}%")
+                       f"share of traced time {100 * self_s / traced_total:5.1f}%")
         ref = reference()
-        metrics["kernels.ref_pure_s"] = (scale * ref["pure_s"], "s")
+        metrics["kernels.ref_pure_s"] = (
+            ref["pure_s"] * calibrate.REFERENCE_S / calib.median(), "s"
+        )
         log.append(f"kernels reference ({IMPL} kernels in use):")
         log.extend("  " + line for line in format_rows(ref))
         os.makedirs(OUT, exist_ok=True)
