@@ -255,9 +255,8 @@ def stable_decomposition(
     with h * m in I^[q] for every degree-K monomial m, reduces the
     multi-component intersection to I^[q] + (h) by an exact Bezout
     certificate, and settles the remaining equality degree by degree;
-    this keeps Q inside colon(I^[q], h) by construction and is far
-    faster when h has large degree.  "auto" picks certified whenever the
-    family shape supports it.
+    this keeps Q inside colon(I^[q], h) by construction.  "auto" picks
+    certified whenever the family shape supports it.
     """
     if h.is_zero:
         raise InputError("the separating polynomial h must be nonzero")

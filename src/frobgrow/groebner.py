@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,36 +232,37 @@ def _spoly_raw(f: _BasisElt, g: _BasisElt, ctx: _Ctx, p: int):
 
 
 def _buchberger(gens_raw, ctx: _Ctx, p: int, budgets) -> list[_BasisElt]:
-    """Reduced Groebner basis from raw generators, deterministic."""
+    """Reduced Groebner basis from raw generators, deterministic.
+
+    Pairs are taken from a heap keyed by (sugar, lcm, (i, j)); a pair's
+    key is fixed when the pair is made."""
     G: list[_BasisElt] = []
     for raw in sorted(gens_raw, reverse=True):
         if raw:
             G.append(_BasisElt(ctx, _make_monic(raw, p)))
 
-    def lcm_exps(i, j):
-        return tuple(max(a, b) for a, b in zip(G[i].lead_exps, G[j].lead_exps))
-
+    # pending holds the pairs not yet taken, for the chain criterion;
+    # queue holds (sugar, lcm key, (i, j), lcm exponents) for selection
     pending = set()
-    for i, j in itertools.combinations(range(len(G)), 2):
-        pending.add((i, j))
+    queue = []
 
-    def pair_sugar(i, j):
-        L = lcm_exps(i, j)
+    def add_pair(i, j):
+        L = tuple(max(a, b) for a, b in zip(G[i].lead_exps, G[j].lead_exps))
         d = sum(L)
-        return max(
+        sugar = max(
             G[i].sugar + d - sum(G[i].lead_exps),
             G[j].sugar + d - sum(G[j].lead_exps),
         )
+        pending.add((i, j))
+        heapq.heappush(queue, (sugar, ctx.encode(L), (i, j), L))
+
+    for i, j in itertools.combinations(range(len(G)), 2):
+        add_pair(i, j)
 
     reductions = 0
-    while pending:
-        # sugar selection with deterministic tie-breaks
-        best = min(
-            pending, key=lambda ij: (pair_sugar(*ij), ctx.encode(lcm_exps(*ij)), ij)
-        )
-        pending.discard(best)
-        i, j = best
-        L = lcm_exps(i, j)
+    while queue:
+        sugar, _, (i, j), L = heapq.heappop(queue)
+        pending.discard((i, j))
         # product criterion: coprime leading monomials
         if all(
             a + b == l for a, b, l in zip(G[i].lead_exps, G[j].lead_exps, L)
@@ -288,13 +288,13 @@ def _buchberger(gens_raw, ctx: _Ctx, p: int, budgets) -> list[_BasisElt]:
         r = _nf_raw(s, G, ctx, p)
         if not r:
             continue
-        elt = _BasisElt(ctx, _make_monic(r, p), sugar=pair_sugar(i, j))
+        elt = _BasisElt(ctx, _make_monic(r, p), sugar=sugar)
         new_index = len(G)
         G.append(elt)
         if len(G) > budgets.gb_basis:
             raise BudgetExceeded("gb_basis", budgets.gb_basis)
         for k in range(new_index):
-            pending.add((k, new_index))
+            add_pair(k, new_index)
 
     # minimalize: drop elements whose lead is divisible by another lead
     keep = []
@@ -327,7 +327,7 @@ class IdealHandle:
     Groebner bases per monomial order.  The ring's quotient relations are
     appended to the generators in every computation."""
 
-    __slots__ = ("ring", "generators", "_cache", "_lock")
+    __slots__ = ("ring", "generators", "_cache")
 
     def __init__(self, ring: RingSpec, generators):
         self.ring = ring
@@ -342,7 +342,6 @@ class IdealHandle:
             gens.append(g)
         self.generators = tuple(gens)
         self._cache: dict[orders.MonomialOrder, tuple] = {}
-        self._lock = threading.Lock()
 
     def effective_generators(self):
         return self.generators + self.ring.relations
@@ -350,18 +349,13 @@ class IdealHandle:
     def groebner_basis(self, order=None, budgets=DEFAULT_BUDGETS):
         order = order or self.ring.default_order
         cached = self._cache.get(order)
-        if cached is not None:
-            return cached
-        with self._lock:
-            cached = self._cache.get(order)
-            if cached is not None:
-                return cached
+        if cached is None:
             ctx = _Ctx(self.ring.nvars, order)
             raws = [ctx.to_raw(g) for g in self.effective_generators() if not g.is_zero]
             basis = _buchberger(raws, ctx, self.ring.p.p, budgets)
-            gb = tuple(ctx.from_raw(self.ring, g.terms) for g in basis)
-            self._cache[order] = gb
-            return gb
+            cached = tuple(ctx.from_raw(self.ring, g.terms) for g in basis)
+            self._cache[order] = cached
+        return cached
 
     def contains(self, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> bool:
         return normal_form(f, self, budgets=budgets).is_zero
@@ -472,17 +466,6 @@ def colon(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> IdealHandle:
     gens = _intersect_gens(I.ring, I.effective_generators(), [f], budgets)
     quotients = [_exact_div_multi(g, f, budgets) for g in gens]
     return IdealHandle(I.ring, quotients)
-
-
-def colon_ideal(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> IdealHandle:
-    """I : J as the intersection of I : g over the listed generators of J."""
-    gens = [g for g in J.generators if not g.is_zero]
-    if not gens:
-        raise InputError("colon by an ideal with no nonzero generators")
-    result = colon(I, gens[0], budgets)
-    for g in gens[1:]:
-        result = intersect(result, colon(I, g, budgets), budgets)
-    return result
 
 
 def saturate(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> SaturationResult:

@@ -26,6 +26,7 @@ from frobgrow.fpoly import (
     parse_unipoly,
 )
 from frobgrow.groebner import IdealHandle, ideal_equal
+from frobgrow.hq import h_q
 from frobgrow.sequences import SequenceSpec, p_seq
 
 P2 = PrimeModulus(2)
@@ -77,20 +78,29 @@ class TestStableDecomposition:
         assert ideal_equal(rep.isolated.ideal, frobenius_generators(fam.ideal, q_of(fam, 1)))
 
     def test_certified_agrees_with_groebner(self):
-        # the fast certificate route and the colon/intersect route must
+        # the certificate route and the colon/intersect route must
         # produce identical components; never collapse the two
-        fam = family("katzman", 2)
-        h = parse_unipoly("t^4+t", P2)
-        a = stable_decomposition(fam, q_of(fam, 2), h, method="certified")
-        b = stable_decomposition(fam, q_of(fam, 2), h, method="groebner")
-        assert a.method == "certified" and b.method == "groebner"
-        assert a.intersection_verified and b.intersection_verified
-        assert ideal_equal(a.isolated.ideal, b.isolated.ideal)
-        assert len(a.embedded) == len(b.embedded)
-        for ca, cb in zip(a.embedded, b.embedded):
-            assert ca.tau == cb.tau
-            assert ca.measured_exponent == cb.measured_exponent
-            assert ideal_equal(ca.ideal, cb.ideal)
+        katzman2, katzman3, ss5 = family("katzman", 2), family("katzman", 3), family("ss5", 3)
+        cert = h_q(katzman3.ring, q_of(katzman3, 2))
+        cases = [
+            (katzman2, q_of(katzman2, 2), parse_unipoly("t^4+t", P2), "explicit", None),
+            (katzman3, q_of(katzman3, 2), cert.h, "minors", cert),
+            (ss5, q_of(ss5, 1), ss_hq_closed_form(ss5.seq, q_of(ss5, 1)), "closed-form", None),
+        ]
+        for fam, q, h, source, cert in cases:
+            a, b = (
+                stable_decomposition(fam, q, h, source, cert, method=m)
+                for m in ("certified", "groebner")
+            )
+            assert a.method == "certified" and b.method == "groebner"
+            assert a.intersection_verified and b.intersection_verified
+            assert a.h == b.h == h
+            assert ideal_equal(a.isolated.ideal, b.isolated.ideal)
+            assert len(a.embedded) == len(b.embedded)
+            for ca, cb in zip(a.embedded, b.embedded):
+                assert ca.tau == cb.tau
+                assert ca.measured_exponent == cb.measured_exponent
+                assert ideal_equal(ca.ideal, cb.ideal)
 
     def test_ss5_closed_form(self):
         fam = family("ss5", 2)
