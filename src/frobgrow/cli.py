@@ -453,7 +453,8 @@ def cmd_decompose(family_name, ring_file, prime, q_value, h_source, panel, metho
         for c in report.embedded
     ]
     text = [
-        f"I^[{q.q}] with h = {format_unipoly(h)} ({source})",
+        f"I^[{q.q}] with h = {format_unipoly(h)} ({source})"
+        + (" (PARTIAL)" if cert is not None and cert.partial else ""),
         f"isolated: {len(report.isolated.ideal.generators)} generators, "
         f"exponent {report.isolated.measured_exponent}",
     ]

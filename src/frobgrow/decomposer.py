@@ -1,11 +1,12 @@
 """Primary decompositions of Frobenius powers and their verification.
 
 Builds the stable decomposition I^[q] = (I^[q] : h) meet the components
-I^[q] + (tau_i^{s_i}), measures growth exponents by bisection, checks
-saturation stabilization exponents, evaluates the closed-form separating
-polynomial for the five-variable hypersurface family, computes witness
-colons whose k[t]-contraction is P_{q-2}, and runs the membership suites
-behind those facts.
+I^[q] + (tau_i^{s_i}), measures growth exponents (from the slice
+invariants of I^[q] on the certified route, by bisection on the Groebner
+route), checks saturation stabilization exponents, evaluates the
+closed-form separating polynomial for the five-variable hypersurface
+family, computes witness colons whose k[t]-contraction is P_{q-2}, and
+runs the membership suites behind those facts.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from .groebner import (
 from .hq import HqCertificate
 from .ktmodule import (
     SliceCache,
+    SliceInvariants,
     contraction_colon,
     monomials_of_degree,
-    slice_power_containment,
-    univariate_colon_trivial,
     univariate_colon_trivial_panel,
     x_degree,
 )
@@ -148,8 +148,13 @@ class PrimaryComponent:
     measured_exponent: int | None = None
     # degree from which the ideal contains every monomial in the weighted
     # variables; set by the certified route to enable degreewise k[t]
-    # linear algebra instead of Groebner bases
+    # linear algebra instead of Groebner bases.  Such a component is
+    # B + m^cap_degree (no tau) or B + (tau^s), with m the weighted
+    # variables and B the ideal of `slices` (the ideal itself when unset),
+    # and its radical is m or (m, tau)
     cap_degree: int | None = None
+    # slice invariants of B, shared by every component of one decomposition
+    slices: SliceInvariants | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -450,8 +455,10 @@ def _certified_decomposition(
     ]
     Q = IdealHandle(ring, list(Iq.generators) + extra)
     w1_vars = _weight1_variables(ring)
+    # one set of slice invariants of I^[q] measures every component
+    slices = SliceInvariants(Iq)
     isolated = PrimaryComponent(
-        ideal=Q, radical_generators=w1_vars, cap_degree=max(K, 0)
+        ideal=Q, radical_generators=w1_vars, cap_degree=max(K, 0), slices=slices
     )
     notes = [
         f"isolated component taken as I^[q] + (weighted vars)^{K}; "
@@ -481,6 +488,7 @@ def _certified_decomposition(
                     radical_generators=w1_vars + (tau_multi,),
                     tau=(tau, s),
                     cap_degree=cap,
+                    slices=slices,
                 )
             )
         if len(factor_list) > 1:
@@ -521,23 +529,39 @@ def _certified_decomposition(
 
 
 def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
-    """Minimal k with radical^k contained in the component, by doubling
-    then bisection; containment is monotone in k.  Components built by
-    the certified route carry cap_degree and are measured by degreewise
-    k[t] linear algebra instead of Groebner reductions."""
+    """Minimal k >= 1 with radical^k contained in the component.
+
+    Components carrying cap_degree are read off the slice invariants of
+    their base ideal B (see PrimaryComponent): r_b, the free rank, and
+    d_b, the largest invariant factor, of S_b / B_b.
+    - Isolated, C = B + m^K with K = cap_degree: m^k lies in C iff C
+      contains every degree-k monomial, and a full slice stays full
+      above.  So the exponent is max(1, F), F the first b < K whose
+      slice of B is full (r_b = 0, d_b a unit), or K if there is none.
+    - Embedded, C = B + (tau^s): (m, tau)^k lies in C iff tau^(k-b) kills
+      S_b / C_b = (S_b / B_b) / tau^s for every b <= k.  The least such
+      power of tau is tau^e_b, with e_b = s when r_b > 0 and
+      min(s, v_tau(d_b)) otherwise; once e_b = 0 it stays 0 above.  So
+      the exponent is the largest b + e_b before the first e_b = 0, and
+      at least 1.
+    These are the least k at which the doubling/bisection over
+    "radical^k inside C" turns true, so the measured exponents are the
+    ones that search gives (compared in the test suite).  Components
+    without cap_degree still run that search on Groebner reductions."""
     if not C.radical_generators:
         raise InputError("component has no radical generators")
     if C.cap_degree is not None:
-        cache = SliceCache(C.ideal)
+        slices = _slices_of(C)
+        if C.tau is None:
+            for b in range(C.cap_degree):
+                if slices.at(b).full:
+                    return max(1, b)
+            return max(1, C.cap_degree)
+        return max([1] + [b + e for b, e in _tau_exponents(C, slices)])
+    radical = IdealHandle(C.ideal.ring, list(C.radical_generators))
 
-        def ok(k: int) -> bool:
-            return slice_power_containment(list(C.radical_generators), k, cache)
-
-    else:
-        radical = IdealHandle(C.ideal.ring, list(C.radical_generators))
-
-        def ok(k: int) -> bool:
-            return power_containment(radical, k, C.ideal, budgets)
+    def ok(k: int) -> bool:
+        return power_containment(radical, k, C.ideal, budgets)
 
     hi = 1
     while not ok(hi):
@@ -552,6 +576,42 @@ def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
         else:
             lo = mid
     return hi
+
+
+def _slices_of(C: PrimaryComponent) -> SliceInvariants:
+    """The slice invariants a cap_degree component is measured with; a
+    component built by hand gets them over its own ideal, which already
+    contains m^cap_degree or tau^s, so the formulas are unchanged."""
+    ring = C.ideal.ring
+    expected = _weight1_variables(ring)
+    if C.tau is not None:
+        expected += (MultiPoly.from_unipoly(ring, C.tau[0], "t"),)
+    if tuple(C.radical_generators) != expected:
+        raise InputError(
+            "a component with cap_degree has the weighted variables "
+            "(and tau) as its radical generators"
+        )
+    return C.slices if C.slices is not None else SliceInvariants(C.ideal)
+
+
+def _tau_exponents(C: PrimaryComponent, slices: SliceInvariants):
+    """(b, e_b) for the degrees b before the first with e_b = 0, where
+    tau^e_b is the exponent of (S_b / B_b) / tau^s."""
+    tau, s = C.tau
+    for b in range(C.cap_degree):
+        inv = slices.at(b)
+        if inv.free_rank:
+            e = s
+        else:
+            e, d = 0, inv.largest
+            while e < s:
+                d, rem = divmod(d, tau)
+                if not rem.is_zero:
+                    break
+                e += 1
+        if e == 0:
+            return
+        yield b, e
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +630,15 @@ def primary_sanity(
     """Necessary-condition Monte Carlo test, not a primality proof: every
     radical generator has some power in the ideal, and colon by random
     g(t) coprime to the component's tau leaves the ideal unchanged.
-    Components carrying cap_degree run on degreewise k[t] linear algebra
-    instead of Groebner colons."""
+
+    Components carrying cap_degree check the unit and the radical powers
+    by slice membership and answer the colons from the slice invariants
+    of their base ideal B (see growth_exponent): (C : g) = C below
+    cap_degree exactly when g is coprime to the torsion exponent of every
+    S_b / C_b, b < cap_degree, which is d_b for the isolated component and
+    tau^e_b for an embedded one.  That is the verdict of the degreewise
+    colon computation, so the same g fails first and the witness is the
+    same.  Other components run Groebner colons."""
     ring = C.ideal.ring
     cache = SliceCache(C.ideal) if C.cap_degree is not None else None
 
@@ -607,7 +674,12 @@ def primary_sanity(
             continue
         panel.append(g)
     if cache is not None:
-        results = univariate_colon_trivial_panel(C.ideal, panel, C.cap_degree)
+        slices = _slices_of(C)
+        if C.tau is None:
+            torsion = slices.torsion_exponent(C.cap_degree)
+        else:
+            torsion = C.tau[0] ** max([0] + [e for _, e in _tau_exponents(C, slices)])
+        results = [uni_gcd(g, torsion).degree == 0 for g in panel]
     else:
         results = []
         for g in panel:
@@ -793,10 +865,9 @@ def lemma_membership_suite(
             wit_ii.append(format_multipoly(m))
     # (iii) colon stability of I_n + (u,v,x,y)^{2n} under random g(t);
     # for constant r0, r2 the multiplier is a unit and stability is a
-    # degreewise univariate-colon triviality, checked without Groebner
-    # colons; otherwise fall back to the elimination route
-    wit_iii = []
-    checked_iii = 0
+    # degreewise univariate-colon triviality, answered for the whole panel
+    # by one pass of slice invariants; otherwise fall back to the
+    # elimination route
     big = IdealHandle(
         S,
         list(In.generators)
@@ -805,26 +876,27 @@ def lemma_membership_suite(
             for e in _exps_summing_to(4, 2 * n)
         ],
     )
-    unit_scalars = spec.r0.degree == 0 and spec.r2.degree == 0
-    base_mult = r0 ** (2 * n) * r2 ** (2 * n)
-    base = big if unit_scalars else colon(big, base_mult, budgets)
     rng = random.Random(seed)
-    while checked_iii < panel_size:
+    panel = []
+    while len(panel) < panel_size:
         g = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(2, 5))])
-        if g.is_zero:
-            continue
-        checked_iii += 1
-        if unit_scalars:
-            stable = (
-                True
-                if g.degree == 0
-                else univariate_colon_trivial(big, g, 2 * n)
+        if not g.is_zero:
+            panel.append(g)
+    if spec.r0.degree == 0 and spec.r2.degree == 0:
+        stable = univariate_colon_trivial_panel(big, panel, 2 * n)
+    else:
+        base_mult = r0 ** (2 * n) * r2 ** (2 * n)
+        base = colon(big, base_mult, budgets)
+        stable = [
+            ideal_equal(
+                colon(big, base_mult * MultiPoly.from_unipoly(S, g, "t"), budgets),
+                base,
+                budgets,
             )
-        else:
-            with_g = colon(big, base_mult * MultiPoly.from_unipoly(S, g, "t"), budgets)
-            stable = ideal_equal(with_g, base, budgets)
-        if not stable:
-            wit_iii.append(format_unipoly(g))
+            for g in panel
+        ]
+    wit_iii = [format_unipoly(g) for g, ok in zip(panel, stable) if not ok]
+    checked_iii = len(panel)
     # (iv) x y^{n-1} P_{n-1} in (x^n, y^n, r0 x^2 + r1 xy + r2 y^2)
     S3 = RingSpec(p, (("t", 0), ("x", 1), ("y", 1)))
     x3, y3 = S3.variable("x"), S3.variable("y")

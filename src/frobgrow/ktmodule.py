@@ -12,12 +12,19 @@ Generator columns only touch the monomials in their support, so every
 computation is restricted to the support-connectivity component of the
 target; for multigraded relations this recovers the grading decomposition
 automatically.
+
+SliceInvariants reduces each slice further, to the Smith normal form of
+S_d / I_d (free rank and invariant factors).  Growth exponents and colon
+panels of the components of a decomposition are read off those
+invariants, computed once per degree and shared by every component.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import InputError
-from .fpoly import MultiPoly, RingSpec, UniPoly
+from .fpoly import MultiPoly, RingSpec, UniPoly, uni_gcd, uni_lcm
 
 
 def _single_t_index(ring: RingSpec) -> int:
@@ -61,29 +68,35 @@ def _supports(f: MultiPoly, w1):
     return sorted({tuple(exps[i] for i in w1) for exps in f.term_dict()})
 
 
+def _generator_data(ideal):
+    """(generator, x-degree, x-supports) of every nonzero effective
+    generator; computed once per ideal and shared by all its slices."""
+    w1 = ideal.ring.weight1_indices()
+    return [
+        (g, x_degree(g), _supports(g, w1))
+        for g in ideal.effective_generators()
+        if not g.is_zero
+    ]
+
+
 class DegreeSlice:
     """The component of the degree-d slice of an ideal containing the
-    given seed monomials, held in column echelon form over k[t]."""
+    given seed monomials, held in column echelon form over k[t].
 
-    def __init__(self, ideal, degree: int, seeds, extra: UniPoly | None = None):
+    `generators` is the ideal's `_generator_data`, passed in by callers
+    that build many slices of one ideal."""
+
+    def __init__(self, ideal, degree: int, seeds, generators=None):
         ring = ideal.ring
-        ti = _single_t_index(ring)
-        w1 = ring.weight1_indices()
-        gens = [g for g in ideal.effective_generators() if not g.is_zero]
-        gen_data = []
-        for g in gens:
-            d = x_degree(g)
-            if d <= degree:
-                gen_data.append((g, d, _supports(g, w1)))
+        self._ti = _single_t_index(ring)
+        self._w1 = ring.weight1_indices()
         self.ring = ring
         self.p = ring.p
         self.degree = degree
-        self._ti = ti
-        self._w1 = w1
+        if generators is None:
+            generators = _generator_data(ideal)
+        gen_data = [gd for gd in generators if gd[1] <= degree]
         rows, columns = self._collect(gen_data, seeds, degree)
-        if extra is not None and not extra.is_zero:
-            for row in sorted(rows):
-                columns.append({row: extra})
         self.rows = rows
         self._echelon_pivots = _echelon(columns, sorted(rows, reverse=True))
 
@@ -144,15 +157,23 @@ class DegreeSlice:
             raise InputError("degree of the polynomial differs from the slice")
         return self.contains(_columns_of(f, self._ti, self._w1, (0,) * len(self._w1)))
 
+    def invariant_factors(self) -> list:
+        """Monic invariant factors of this slice's module M, one per
+        pivot: S/M is the free module of rank len(rows) - len(factors)
+        plus the k[t]/(d) for the factors d."""
+        return invariant_factors(piv for _, piv in self._echelon_pivots)
+
     def colon_is_trivial(self, g: UniPoly) -> bool:
         """Whether {v : g*v in M} == M for this slice's module M, decided
-        by a tracked kernel computation of [columns | g*identity]."""
+        by a tracked kernel computation of [columns | g*identity].
+
+        No production caller: `univariate_colon_trivial_panel` reads the
+        same answer off the invariant factors, and the test suite keeps
+        this route as the independent cross-check."""
         if g.is_zero:
             raise InputError("colon by zero is undefined")
         # the torsion of the quotient divides the product of the pivot
         # entries, so coprimality with every pivot settles it at once
-        from .fpoly import uni_gcd
-
         if all(uni_gcd(g, piv[row]).degree == 0 for row, piv in self._echelon_pivots):
             return True
         columns = [dict(piv) for _, piv in self._echelon_pivots]
@@ -189,6 +210,57 @@ def _echelon(columns, row_order):
     return pivots
 
 
+def invariant_factors(columns) -> list:
+    """Monic invariant factors d_1 | d_2 | ... of the k[t]-matrix with
+    the given sparse columns {row: UniPoly}, one per unit of its rank
+    (units included), as in its Smith normal form.
+
+    The matrix is first brought to diagonal form: the entry of least
+    degree becomes the pivot, column operations clear its row and row
+    operations its column (with the row cleared, those touch the pivot
+    column alone), and a nonzero remainder of smaller degree takes over
+    as pivot.  The diagonal is then put in divisibility order by gcd/lcm
+    exchanges, which keep the module k[t]^n / image unchanged."""
+    cols = [dict(c) for c in columns if c]
+    diagonal = []
+    while cols:
+        j, row = min(
+            ((k, r) for k, c in enumerate(cols) for r in c),
+            key=lambda kr: cols[kr[0]][kr[1]].degree,
+        )
+        while True:
+            piv_col = cols[j]
+            piv = piv_col[row]
+            for k, c in enumerate(cols):
+                if k != j and row in c:
+                    _axpy(c, -(c[row] // piv), piv_col)
+            left = [k for k, c in enumerate(cols) if k != j and row in c]
+            if left:
+                j = min(left, key=lambda k: cols[k][row].degree)
+                continue
+            for r in [r for r in piv_col if r != row]:
+                w = piv_col[r] % piv
+                if w.is_zero:
+                    del piv_col[r]
+                else:
+                    piv_col[r] = w
+            left = [r for r in piv_col if r != row]
+            if left:
+                row = min(left, key=lambda r: piv_col[r].degree)
+                continue
+            break
+        diagonal.append(cols.pop(j)[row].monic())
+        cols = [c for c in cols if c]
+    units = [d for d in diagonal if d.degree == 0]
+    chain = [d for d in diagonal if d.degree > 0]
+    for i in range(len(chain)):
+        for k in range(i + 1, len(chain)):
+            g = uni_gcd(chain[i], chain[k])
+            if g != chain[i]:
+                chain[i], chain[k] = g, (chain[i] * chain[k]).exact_div(g)
+    return units + chain
+
+
 def _axpy(target: dict, a: UniPoly, source: dict):
     """target += a * source on sparse k[t]-vectors."""
     for row, entry in source.items():
@@ -207,6 +279,7 @@ class SliceCache:
     def __init__(self, ideal):
         self.ideal = ideal
         self._w1 = ideal.ring.weight1_indices()
+        self._generators = _generator_data(ideal)
         self._by_row: dict = {}  # x-monomial -> its component's slice
 
     def member(self, f: MultiPoly) -> bool:
@@ -215,23 +288,81 @@ class SliceCache:
         sup = _supports(f, self._w1)
         sl = self._by_row.get(sup[0])
         if sl is None or not all(m in sl.rows for m in sup):
-            sl = DegreeSlice(self.ideal, x_degree(f), sup)
+            sl = DegreeSlice(self.ideal, x_degree(f), sup, self._generators)
             for row in sl.rows:
                 self._by_row[row] = sl
         return sl.contains_poly(f)
 
 
-def slice_membership(ideal, polys) -> list[bool]:
-    """Membership of each x-homogeneous poly in the ideal, reusing one
-    slice per degree/component."""
-    cache = SliceCache(ideal)
-    return [cache.member(f) for f in polys]
+class DegreeInvariants(NamedTuple):
+    """S_b / I_b for one x-degree b: k[t]^free_rank plus torsion whose
+    largest invariant factor (monic, 1 when there is none) is `largest`."""
+
+    free_rank: int
+    largest: UniPoly
+
+    @property
+    def full(self) -> bool:
+        """I_b is all of S_b."""
+        return self.free_rank == 0 and self.largest.degree == 0
+
+
+class SliceInvariants:
+    """The k[t]-modules S_b / I_b of one x-homogeneous ideal I, where S_b
+    is the free module on the degree-b x-monomials.  Lazy and memoised per
+    degree: each row component of a degree is built once as a DegreeSlice
+    (sharing one set of generator data) and its pivot columns reduced to
+    Smith normal form.  A full degree stays full in every higher degree
+    (each monomial there is a multiple of one below), so nothing above
+    the least full degree seen is built."""
+
+    def __init__(self, ideal):
+        self.ideal = ideal
+        self._generators = _generator_data(ideal)
+        self._nx = len(ideal.ring.weight1_indices())
+        self._one = UniPoly.one(ideal.ring.p)
+        self._degrees: dict = {}
+        self._full_from: int | None = None
+
+    def at(self, b: int) -> DegreeInvariants:
+        if self._full_from is not None and b >= self._full_from:
+            return DegreeInvariants(0, self._one)
+        got = self._degrees.get(b)
+        if got is None:
+            free, largest = 0, self._one
+            todo = set(monomials_of_degree(self._nx, b))
+            while todo:
+                sl = DegreeSlice(self.ideal, b, [todo.pop()], self._generators)
+                todo -= sl.rows
+                factors = sl.invariant_factors()
+                free += len(sl.rows) - len(factors)
+                if factors:
+                    largest = uni_lcm(largest, factors[-1])
+            got = self._degrees[b] = DegreeInvariants(free, largest)
+            if got.full:
+                self._full_from = b
+        return got
+
+    def torsion_exponent(self, below: int) -> UniPoly:
+        """lcm of the largest invariant factors over the degrees < below:
+        g(t) is a nonzerodivisor on every such S_b / I_b, that is
+        (I : g) agrees with I there, iff g is coprime to it."""
+        acc = self._one
+        for b in range(below):
+            inv = self.at(b)
+            if inv.full:
+                break
+            acc = uni_lcm(acc, inv.largest)
+        return acc
 
 
 def slice_power_containment(radical_gens, k: int, cache: SliceCache) -> bool:
     """True iff every degree-k product of the radical generators lies in
     the cache's ideal; same subtree pruning by plain monomial generators
-    as groebner.power_containment, with slice membership at the leaves."""
+    as groebner.power_containment, with slice membership at the leaves.
+
+    No production caller: growth exponents are read off SliceInvariants;
+    the test suite keeps this search as the independent cross-check."""
     if k < 0:
         raise InputError("power must be non-negative")
     ring = cache.ideal.ring
@@ -295,23 +426,19 @@ def monomials_of_degree(nvars: int, total: int):
 
 def univariate_colon_trivial_panel(ideal, gs, max_degree: int) -> list[bool]:
     """(I : g) == I in every x-degree below max_degree, for each g in the
-    panel, building every slice exactly once.  When the caller knows I
-    contains every monomial of degree >= max_degree, this decides
-    (I : g) == I outright."""
-    nx = len(ideal.ring.weight1_indices())
-    results = [True] * len(gs)
-    for d in range(max_degree):
-        todo = set(monomials_of_degree(nx, d))
-        while todo:
-            seed = todo.pop()
-            sl = DegreeSlice(ideal, d, [seed])
-            todo -= sl.rows
-            for i, g in enumerate(gs):
-                if results[i] and not sl.colon_is_trivial(g):
-                    results[i] = False
-            if not any(results):
-                return results
-    return results
+    panel.  When the caller knows I contains every monomial of degree >=
+    max_degree, this decides (I : g) == I outright.
+
+    In degree b, (I : g)_b = I_b exactly when g is a nonzerodivisor on
+    S_b / I_b, that is when g is coprime to its largest invariant factor
+    (g acts injectively on the free part).  So one pass of SliceInvariants
+    answers the whole panel: g passes iff it is coprime to the lcm of the
+    largest invariant factors below max_degree, the same verdict as the
+    tracked-kernel route of DegreeSlice.colon_is_trivial."""
+    if any(g.is_zero for g in gs):
+        raise InputError("colon by zero is undefined")
+    torsion = SliceInvariants(ideal).torsion_exponent(max_degree)
+    return [uni_gcd(g, torsion).degree == 0 for g in gs]
 
 
 def univariate_colon_trivial(ideal, g: UniPoly, max_degree: int) -> bool:
@@ -372,8 +499,6 @@ def contraction_colon(ideal, witness: MultiPoly) -> UniPoly:
     for row, piv in sl._echelon_pivots:
         columns.append(dict(piv))
         tracked.append({})
-    from .fpoly import uni_gcd
-
     gen = UniPoly.zero(p)
     for tr in _echelon_tracked(columns, tracked, sorted(sl.rows, reverse=True)):
         gen = uni_gcd(gen, tr.get(None, UniPoly.zero(p)))

@@ -117,6 +117,21 @@ class TestDecompose:
                      "--q", "4", "--method", "groebner", "--gb-pairs", "1")
         assert res.exit_code == 3
 
+    def test_text_shows_partial_certificate(self, runner):
+        # a tiny budget cuts the minors scan short; the h line must say so
+        args = ("decompose", "--family", "ss5", "--p", "2", "--q", "4",
+                "--budget", "0.001")
+        res = invoke(runner, *args, "--no-timings")
+        payload, _ = json.JSONDecoder().raw_decode(res.output)  # stderr follows
+        assert payload["report"]["h_certificate"]["partial"]
+        text = invoke(runner, *args, "--format", "text")
+        assert text.exit_code == res.exit_code
+        assert text.output.splitlines()[0].endswith("(minors) (PARTIAL)")
+        full = invoke(runner, "decompose", "--family", "katzman", "--p", "3",
+                      "--q", "3", "--format", "text")
+        assert full.exit_code == 0
+        assert full.output.splitlines()[0] == "I^[3] with h = t + 1 (minors)"
+
     def test_closed_form_needs_sequence_family(self, runner):
         res = invoke(runner, "decompose", "--family", "katzman", "--p", "2",
                      "--q", "2", "--h", "closed-form")

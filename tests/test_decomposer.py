@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from frobgrow.decomposer import (
@@ -27,6 +29,7 @@ from frobgrow.fpoly import (
 )
 from frobgrow.groebner import IdealHandle, ideal_equal
 from frobgrow.hq import h_q
+from frobgrow.ktmodule import SliceCache, SliceInvariants, slice_power_containment
 from frobgrow.sequences import SequenceSpec, p_seq
 
 P2 = PrimeModulus(2)
@@ -187,6 +190,124 @@ class TestGrowthExponent:
         R = RingSpec(P2, (("x", 1),))
         with pytest.raises(InputError):
             growth_exponent(PrimaryComponent(IdealHandle(R, ["x"]), ()))
+
+
+def bisected_exponent(C):
+    """Least k >= 1 with radical^k inside C, by doubling and bisection
+    over slice_power_containment: the reference search that the
+    slice-invariant formulas of growth_exponent are checked against."""
+    cache = SliceCache(C.ideal)
+
+    def ok(k):
+        return slice_power_containment(list(C.radical_generators), k, cache)
+
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = hi // 2 if hi > 1 else 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+def random_cap3_ideal(rng, R):
+    """Random x-homogeneous generators of x-degree 1 or 2 plus m^3."""
+    gens = [parse_poly(m, R) for m in ("x^3", "x^2*y", "x*y^2", "y^3")]
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(1, 2)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            xe = rng.randrange(d + 1)
+            terms[(rng.randrange(3), xe, d - xe)] = rng.randrange(1, R.p.p)
+        gens.append(MultiPoly(R, terms))
+    return [g for g in gens if not g.is_zero]
+
+
+class TestRouteAgreement:
+    """The slice-invariant formulas against the searches they replace."""
+
+    @pytest.mark.parametrize(
+        "name,p,e,h",
+        [
+            ("katzman", 2, 2, "minors"),
+            ("katzman", 2, 2, "t^3+t"),
+            ("katzman", 3, 1, "minors"),
+            ("ss5", 2, 1, "closed-form"),
+            ("ss7", 2, 1, "minors"),
+        ],
+    )
+    def test_components_agree_with_groebner_route(self, name, p, e, h):
+        fam = family(name, p)
+        q = q_of(fam, e)
+        if h == "minors":
+            h = h_q(fam.ring, q).h
+        elif h == "closed-form":
+            h = ss_hq_closed_form(fam.seq, q)
+        else:
+            h = parse_unipoly(h, fam.ring.p)
+        rep = stable_decomposition(fam, q, h, measure=False)
+        for comp in [rep.isolated] + rep.embedded:
+            assert comp.slices is rep.isolated.slices is not None
+            slow = dataclasses.replace(comp, cap_degree=None)
+            assert growth_exponent(comp) == growth_exponent(slow)
+            for seed in (0, 1, 2):
+                assert primary_sanity(comp, 5, seed) == primary_sanity(slow, 5, seed)
+
+    def test_hand_built_components_random(self, rng):
+        # isolated B and embedded B + (tau^s), measured over their own
+        # ideal and over B's shared invariants, against the bisection over
+        # slice_power_containment and the Groebner route
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        rad = (parse_poly("x", R), parse_poly("y", R))
+        taus = [parse_unipoly(f, P3) for f in ("t", "t+1", "t^2+1")]
+        for _ in range(10):
+            B = IdealHandle(R, random_cap3_ideal(rng, R))
+            iso = PrimaryComponent(B, rad, cap_degree=3)
+            assert growth_exponent(iso) == bisected_exponent(iso)
+            tau, s = rng.choice(taus), rng.randint(1, 3)
+            tau_multi = MultiPoly.from_unipoly(R, tau, "t")
+            ideal = IdealHandle(R, list(B.generators) + [tau_multi**s])
+            own = PrimaryComponent(ideal, rad + (tau_multi,), (tau, s), cap_degree=3)
+            shared = dataclasses.replace(own, slices=SliceInvariants(B))
+            slow = dataclasses.replace(own, cap_degree=None)
+            k = bisected_exponent(own)
+            assert growth_exponent(own) == growth_exponent(shared) == k
+            assert growth_exponent(slow) == k
+            for seed in (0, 1):
+                verdicts = {
+                    primary_sanity(C, 4, seed) for C in (own, shared, slow)
+                }
+                assert len(verdicts) == 1
+            for seed in (0, 1):
+                assert primary_sanity(iso, 4, seed) == primary_sanity(
+                    dataclasses.replace(iso, cap_degree=None), 4, seed
+                )
+
+    def test_torsion_coprime_to_tau_ends_the_search(self):
+        # S_1 / B_1 = (k[t]/(t+1))^2 is not full, but t+1 is a unit
+        # modulo t, so (x, y, t) already lies in B + (t): degrees after
+        # the first e_b = 0 add nothing even when their slices are not full
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        B = IdealHandle(R, ["t*x+x", "t*y+y", "x^3", "x^2*y", "x*y^2", "y^3"])
+        t = parse_unipoly("t", P3)
+        C = PrimaryComponent(
+            IdealHandle(R, list(B.generators) + [parse_poly("t", R)]),
+            (parse_poly("x", R), parse_poly("y", R), parse_poly("t", R)),
+            (t, 1),
+            cap_degree=3,
+            slices=SliceInvariants(B),
+        )
+        assert not C.slices.at(2).full
+        assert growth_exponent(C) == bisected_exponent(C) == 1
+
+    def test_cap_degree_needs_slice_radical(self):
+        R = RingSpec(P2, (("t", 0), ("x", 1), ("y", 1)))
+        C = PrimaryComponent(
+            IdealHandle(R, ["x^2", "y^2", "x*y"]), (parse_poly("x", R),), cap_degree=2
+        )
+        with pytest.raises(InputError):
+            growth_exponent(C)
 
 
 class TestPrimarySanity:

@@ -1,11 +1,14 @@
 import pytest
 
+from frobgrow.decomposer import family
 from frobgrow.errors import InputError
 from frobgrow.fpoly import (
     MultiPoly,
     PrimeModulus,
+    PrimePower,
     RingSpec,
     UniPoly,
+    frobenius_generators,
     parse_poly,
     parse_unipoly,
 )
@@ -13,9 +16,10 @@ from frobgrow.groebner import IdealHandle, colon, eliminate, ideal_equal, normal
 from frobgrow.ktmodule import (
     DegreeSlice,
     SliceCache,
+    SliceInvariants,
     contraction_colon,
+    invariant_factors,
     monomials_of_degree,
-    slice_membership,
     slice_power_containment,
     univariate_colon_trivial,
     univariate_colon_trivial_panel,
@@ -132,7 +136,109 @@ class TestSliceCache:
             parse_poly("x*y", R),
         ]
         assert [cache.member(f) for f in polys] == [True, False, True, False]
-        assert slice_membership(I, polys) == [True, False, True, False]
+
+
+def sympy_invariant_factors(columns, p):
+    """Monic nonzero invariant factors of the same matrix by sympy's
+    Smith normal form over GF(p)[t]."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors as sympy_if
+
+    t = sympy.Symbol("t")
+    K = sympy.GF(p.p)[t]
+    rows = sorted({r for c in columns for r in c})
+    entries = [
+        [K(sum(a * t**i for i, a in enumerate(c[r].coeffs)) if r in c else 0) for c in columns]
+        for r in rows
+    ]
+    out = []
+    for d in sympy_if(DomainMatrix(entries, (len(rows), len(columns)), K)):
+        poly = sympy.Poly(K.to_sympy(d), t, modulus=p.p)
+        if not poly.is_zero:
+            out.append(UniPoly(p, [int(a) for a in reversed(poly.all_coeffs())]).monic())
+    return out
+
+
+def rand_columns(rng, p, nrows, ncols, tdeg=3):
+    """Sparse random k[t]-columns, each entry present with chance 0.6."""
+    cols = []
+    for _ in range(ncols):
+        col = {}
+        for r in range(nrows):
+            u = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, tdeg))])
+            if rng.random() < 0.6 and not u.is_zero:
+                col[r] = u
+        cols.append(col)
+    return cols
+
+
+class TestInvariantFactors:
+    def test_known_values(self):
+        t = parse_unipoly("t", P3)
+        one = UniPoly.one(P3)
+        # diag(t^2, t + 1) ~ diag(1, t^2 (t + 1))
+        cols = [{0: t**2}, {1: t + one}]
+        assert invariant_factors(cols) == [one, (t**2 * (t + one)).monic()]
+        # [[t^2, 0], [0, t], [t + 1, 2t]]: gcd of the 2-minors is t
+        cols = [{0: t**2, 2: t + one}, {1: t, 2: 2 * t}]
+        assert invariant_factors(cols) == [one, t]
+        assert invariant_factors([{}, {}]) == []
+
+    def test_rank_deficient(self):
+        t = parse_unipoly("t", P2)
+        cols = [{0: t, 1: t}, {0: t**2, 1: t**2}]
+        assert invariant_factors(cols) == [t]
+
+    @pytest.mark.parametrize("p", [P2, P3, P5])
+    def test_agrees_with_sympy(self, p, rng):
+        pytest.importorskip("sympy")
+        for _ in range(20):
+            cols = rand_columns(rng, p, rng.randint(1, 5), rng.randint(1, 5))
+            assert invariant_factors(cols) == sympy_invariant_factors(
+                [c for c in cols if c], p
+            )
+
+    def test_katzman_slices_agree_with_sympy(self):
+        # every row component of every degree below the cap of I^[3]
+        pytest.importorskip("sympy")
+        fam = family("katzman", 3)
+        Iq = frobenius_generators(fam.ideal, PrimePower(P3, 1))
+        for d in range(2 * 2 + 1):
+            todo = set(monomials_of_degree(2, d))
+            while todo:
+                sl = DegreeSlice(Iq, d, [todo.pop()])
+                todo -= sl.rows
+                pivots = [dict(c) for _, c in sl._echelon_pivots]
+                assert sl.invariant_factors() == sympy_invariant_factors(pivots, P3)
+
+
+class TestSliceInvariants:
+    def test_free_rank_and_torsion(self):
+        # degree 2 of (x^2, y^2, t^2*x*y): S_2 / I_2 = k[t]/(t^2);
+        # degree 1 is free of rank 2; degree 3 is full
+        R = ring_txy(P5)
+        inv = SliceInvariants(IdealHandle(R, ["x^2", "y^2", "t^2*x*y"]))
+        t = parse_unipoly("t", P5)
+        assert inv.at(0) == (1, UniPoly.one(P5))
+        assert inv.at(1) == (2, UniPoly.one(P5))
+        assert inv.at(2) == (0, t**2) and not inv.at(2).full
+        assert inv.at(3).full and inv.at(7).full
+        assert inv.torsion_exponent(3) == t**2
+        assert inv.torsion_exponent(2) == UniPoly.one(P5)
+
+    def test_full_degree_stops_building(self):
+        R = ring_txy(P3)
+        inv = SliceInvariants(IdealHandle(R, ["x", "y"]))
+        assert inv.at(1).full
+        assert inv.at(9).full and 9 not in inv._degrees
+
+    def test_relation_in_every_slice(self):
+        # t*x*y lies in (x^2, y^2) modulo x^2 + t*x*y + y^2, so degree 2
+        # of S / (x^2, y^2) is k[t]/(t)
+        R = ring_txy(P2, ("x^2+t*x*y+y^2",))
+        inv = SliceInvariants(IdealHandle(R, ["x^2", "y^2"]))
+        assert inv.at(2) == (0, parse_unipoly("t", P2))
 
 
 class TestSlicePowerContainment:
@@ -177,6 +283,35 @@ class TestUnivariateColonTrivial:
         together = univariate_colon_trivial_panel(I, panel, 3)
         singly = [univariate_colon_trivial(I, g, 3) for g in panel]
         assert together == singly == [False, True, True, False]
+
+    def test_panel_agrees_with_tracked_echelon_random(self, rng):
+        # the invariant-factor verdict against DegreeSlice.colon_is_trivial
+        # on every slice, on ideals containing m^3, with and without a
+        # t-power generator
+        R = ring_txy(P3)
+        cap = [parse_poly(m, R) for m in ("x^3", "x^2*y", "x*y^2", "y^3")]
+        for i in range(16):
+            gens = cap + [rand_homog(rng, R, rng.randint(1, 2)) for _ in range(2)]
+            if i % 2:
+                gens.append(parse_poly(rng.choice(("t", "t^2", "t^2+1", "t+2")), R))
+            I = IdealHandle(R, [g for g in gens if not g.is_zero])
+            panel = [
+                g
+                for g in (
+                    UniPoly(P3, [rng.randrange(3) for _ in range(rng.randint(1, 4))])
+                    for _ in range(6)
+                )
+                if not g.is_zero
+            ]
+            expected = [True] * len(panel)
+            for d in range(3):
+                todo = set(monomials_of_degree(2, d))
+                while todo:
+                    sl = DegreeSlice(I, d, [todo.pop()])
+                    todo -= sl.rows
+                    for k, g in enumerate(panel):
+                        expected[k] = expected[k] and sl.colon_is_trivial(g)
+            assert univariate_colon_trivial_panel(I, panel, 3) == expected
 
     def test_agrees_with_groebner_colon_random(self, rng):
         # the ideals below contain every monomial of degree >= 3, so the
