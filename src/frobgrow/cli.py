@@ -31,11 +31,9 @@ from .decomposer import (
 )
 from .errors import BudgetExceeded, FrobgrowError, InputError, VerificationError
 from .fpoly import (
-    MultiPoly,
     PrimeModulus,
     PrimePower,
     RingSpec,
-    UniPoly,
     format_unipoly,
     parse_poly,
     parse_unipoly,
@@ -44,7 +42,6 @@ from .fpoly import (
 from .groebner import IdealHandle
 from .hq import h_q as compute_hq
 from .sequences import SequenceSpec, factor_census, p_seq
-from .hq import HqCertificate
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -126,6 +123,13 @@ def _resolve_family(name, ring_file, p, seq=None) -> FamilySpec:
     if ring_file is not None:
         return load_ring_file(ring_file)
     return family(name, p, seq)
+
+
+def _factor_text(factors) -> str:
+    return " * ".join(
+        f"({format_unipoly(f)})^{m}" if m > 1 else f"({format_unipoly(f)})"
+        for f, m in factors
+    )
 
 
 def _emit(cfg: RunConfig, payload: dict, csv_rows=None, text_lines=None) -> None:
@@ -245,14 +249,7 @@ def cmd_pseq(prime, rspec, n, **opts):
                 "n": i,
                 "P": format_unipoly(P),
                 "degree": P.degree,
-                "factors": (
-                    " * ".join(
-                        f"({format_unipoly(f)})^{m}" if m > 1 else f"({format_unipoly(f)})"
-                        for f, m in factors
-                    )
-                    if factors
-                    else "0"
-                ),
+                "factors": _factor_text(factors) if factors is not None else "0",
             }
         )
     payload = {
@@ -307,25 +304,20 @@ def cmd_census(family_name, prime, rspec, e_range, **opts):
             if q.q < 2:
                 raise InputError("census exponents need q >= 2")
             labelled.append((f"P_{q.q - 2}", p_seq(spec, q.q - 2)))
-    rows = []
-    seen = set()
     for label, poly in labelled:
         if poly is None or poly.is_zero:
             raise VerificationError(f"{label} vanished; nothing to census")
-        if poly.degree == 0:
-            factors = []
-        else:
-            factors = list(uni_factor(poly, cfg.seed))
-        for f, _ in factors:
-            seen.add(f)
+    rows = []
+    seen = set()
+    for (label, factors), (_, poly) in zip(
+        factor_census(labelled, cfg.seed).entries, labelled
+    ):
+        seen.update(f for f, _ in factors)
         rows.append(
             {
                 "label": label,
                 "poly": format_unipoly(poly),
-                "factors": " * ".join(
-                    f"({format_unipoly(f)})^{m}" if m > 1 else f"({format_unipoly(f)})"
-                    for f, m in factors
-                ) or "1",
+                "factors": _factor_text(factors) or "1",
                 "new_and_old_distinct_irreducibles": len(seen),
             }
         )

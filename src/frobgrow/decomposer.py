@@ -34,19 +34,17 @@ from .groebner import (
     eliminate,
     ideal_equal,
     intersect,
-    normal_form,
     power_containment,
     saturate,
 )
 from .hq import HqCertificate
 from .ktmodule import (
     SliceCache,
-    SliceInvariants,
     contraction_colon,
-    monomials_of_degree,
     univariate_colon_trivial_panel,
     x_degree,
 )
+from .orders import monomials_of_degree
 from .sequences import SequenceSpec, big_L, p_seq
 
 
@@ -153,8 +151,8 @@ class PrimaryComponent:
     # variables and B the ideal of `slices` (the ideal itself when unset),
     # and its radical is m or (m, tau)
     cap_degree: int | None = None
-    # slice invariants of B, shared by every component of one decomposition
-    slices: SliceInvariants | None = field(default=None, compare=False, repr=False)
+    # slice store of B, shared by every component of one decomposition
+    slices: SliceCache | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -319,19 +317,7 @@ def stable_decomposition(
                 if not inter.contains(g, budgets):
                     witness = format_multipoly(g)
                     break
-    bound_ok = True
-    if measure:
-        n = len(w1)
-        isolated.measured_exponent = growth_exponent(isolated, budgets)
-        for comp in embedded:
-            comp.measured_exponent = growth_exponent(comp, budgets)
-            s_i = comp.tau[1]
-            if comp.measured_exponent > n * q.q + s_i:
-                bound_ok = False
-                notes.append(
-                    f"growth exponent {comp.measured_exponent} exceeds "
-                    f"{n * q.q + s_i} for tau = {format_unipoly(comp.tau[0])}"
-                )
+    bound_ok = _measure_growth(isolated, embedded, q, notes, budgets) if measure else True
     return DecompositionReport(
         q=q,
         hq=hq_certificate if hq_certificate is not None else h,
@@ -344,6 +330,25 @@ def stable_decomposition(
         notes=tuple(notes),
         method="groebner",
     )
+
+
+def _measure_growth(isolated, embedded, q, notes, budgets) -> bool:
+    """Set every component's measured exponent; False, with a note for
+    each, when an embedded exponent exceeds n*q + s_i (n the number of
+    weighted variables, s_i the multiplicity of its tau)."""
+    n = len(isolated.ideal.ring.weight1_indices())
+    isolated.measured_exponent = growth_exponent(isolated, budgets)
+    bound_ok = True
+    for comp in embedded:
+        comp.measured_exponent = growth_exponent(comp, budgets)
+        bound = n * q.q + comp.tau[1]
+        if comp.measured_exponent > bound:
+            bound_ok = False
+            notes.append(
+                f"growth exponent {comp.measured_exponent} exceeds "
+                f"{bound} for tau = {format_unipoly(comp.tau[0])}"
+            )
+    return bound_ok
 
 
 def _uni_xgcd(a: UniPoly, b: UniPoly):
@@ -426,12 +431,16 @@ def _certified_decomposition(
     checked = 0
 
     def boundary_ok(K: int) -> bool:
+        # a fresh slice store per probe: probes test different degrees,
+        # so they share no slices, and dropping each one keeps peak memory
+        # down
         nonlocal checked
+        member = SliceCache(Iq).member
         for exps in monomials_of_degree(n, K):
             if covered(exps):
                 continue
             checked += 1
-            if not normal_form(h_multi * _monomial(ring, w1, exps), Iq, budgets=budgets).is_zero:
+            if not member(h_multi * _monomial(ring, w1, exps)):
                 return False
         return True
 
@@ -455,8 +464,8 @@ def _certified_decomposition(
     ]
     Q = IdealHandle(ring, list(Iq.generators) + extra)
     w1_vars = _weight1_variables(ring)
-    # one set of slice invariants of I^[q] measures every component
-    slices = SliceInvariants(Iq)
+    # one slice store of I^[q] measures every component
+    slices = SliceCache(Iq)
     isolated = PrimaryComponent(
         ideal=Q, radical_generators=w1_vars, cap_degree=max(K, 0), slices=slices
     )
@@ -502,18 +511,7 @@ def _certified_decomposition(
         "monomial degree the isolated component adds nothing, above it "
         "the boundary reductions push I^[q] + (h) into I^[q]"
     )
-    bound_ok = True
-    if measure:
-        isolated.measured_exponent = growth_exponent(isolated, budgets)
-        for comp in embedded:
-            comp.measured_exponent = growth_exponent(comp, budgets)
-            s_i = comp.tau[1]
-            if comp.measured_exponent > n * q.q + s_i:
-                bound_ok = False
-                notes.append(
-                    f"growth exponent {comp.measured_exponent} exceeds "
-                    f"{n * q.q + s_i} for tau = {format_unipoly(comp.tau[0])}"
-                )
+    bound_ok = _measure_growth(isolated, embedded, q, notes, budgets) if measure else True
     return DecompositionReport(
         q=q,
         hq=hq_certificate if hq_certificate is not None else h,
@@ -578,10 +576,11 @@ def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
     return hi
 
 
-def _slices_of(C: PrimaryComponent) -> SliceInvariants:
-    """The slice invariants a cap_degree component is measured with; a
-    component built by hand gets them over its own ideal, which already
-    contains m^cap_degree or tau^s, so the formulas are unchanged."""
+def _slices_of(C: PrimaryComponent, own: SliceCache | None = None) -> SliceCache:
+    """The slice store a cap_degree component is measured with; a
+    component built by hand uses one over its own ideal (`own` when the
+    caller already has it), which already contains m^cap_degree or
+    tau^s, so the formulas are unchanged."""
     ring = C.ideal.ring
     expected = _weight1_variables(ring)
     if C.tau is not None:
@@ -591,10 +590,12 @@ def _slices_of(C: PrimaryComponent) -> SliceInvariants:
             "a component with cap_degree has the weighted variables "
             "(and tau) as its radical generators"
         )
-    return C.slices if C.slices is not None else SliceInvariants(C.ideal)
+    if C.slices is not None:
+        return C.slices
+    return own if own is not None else SliceCache(C.ideal)
 
 
-def _tau_exponents(C: PrimaryComponent, slices: SliceInvariants):
+def _tau_exponents(C: PrimaryComponent, slices: SliceCache):
     """(b, e_b) for the degrees b before the first with e_b = 0, where
     tau^e_b is the exponent of (S_b / B_b) / tau^s."""
     tau, s = C.tau
@@ -674,7 +675,7 @@ def primary_sanity(
             continue
         panel.append(g)
     if cache is not None:
-        slices = _slices_of(C)
+        slices = _slices_of(C, cache)
         if C.tau is None:
             torsion = slices.torsion_exponent(C.cap_degree)
         else:
@@ -810,16 +811,6 @@ class SuiteReport:
         }
 
 
-def _exps_summing_to(nvars: int, total: int):
-    if nvars == 0:
-        return [()] if total == 0 else []
-    out = []
-    for e in range(total + 1):
-        for rest in _exps_summing_to(nvars - 1, total - e):
-            out.append((e,) + rest)
-    return out
-
-
 def lemma_membership_suite(
     spec: SequenceSpec, n: int, seed: int = 0, panel_size: int = 5, budgets=DEFAULT_BUDGETS
 ) -> SuiteReport:
@@ -854,11 +845,13 @@ def lemma_membership_suite(
                 )
                 if not cache_In.member(elt):
                     wit_i.append(f"(a,b,c,d)=({a},{b},{c},{d})")
-    # (ii) I_n : r0^n r2^n L_n contains every monomial of degree 2n
+    # (ii) I_n : r0^n r2^n L_n contains every monomial of degree 2n,
+    # checked (and witnessed) in ascending lex order
+    degree_2n = list(reversed(monomials_of_degree(4, 2 * n)))
     wit_ii = []
     checked_ii = 0
     mult = r0**n * r2**n * Ln
-    for exps in _exps_summing_to(4, 2 * n):
+    for exps in degree_2n:
         checked_ii += 1
         m = u ** exps[0] * v ** exps[1] * x ** exps[2] * y ** exps[3]
         if not cache_In.member(m * mult):
@@ -871,10 +864,7 @@ def lemma_membership_suite(
     big = IdealHandle(
         S,
         list(In.generators)
-        + [
-            u ** e[0] * v ** e[1] * x ** e[2] * y ** e[3]
-            for e in _exps_summing_to(4, 2 * n)
-        ],
+        + [u ** e[0] * v ** e[1] * x ** e[2] * y ** e[3] for e in degree_2n],
     )
     rng = random.Random(seed)
     panel = []

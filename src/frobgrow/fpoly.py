@@ -566,12 +566,6 @@ class MultiPoly:
     def term_dict(self) -> dict:
         return dict(self._terms)
 
-    def leading_monomial(self, order: orders.MonomialOrder | None = None):
-        if self.is_zero:
-            raise InputError("zero polynomial has no leading monomial")
-        order = order or self.ring.default_order
-        return max(self._terms, key=order.key)
-
     def constant_value(self):
         """The coefficient if this is a constant, else None."""
         if self.is_zero:
@@ -717,16 +711,6 @@ def weighted_degree(f: MultiPoly, ring: RingSpec | None = None):
         elif d != deg:
             return NON_HOMOGENEOUS
     return 0 if deg is None else deg
-
-
-def multi_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise InputError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

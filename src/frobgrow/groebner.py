@@ -22,6 +22,7 @@ from . import budgets as budgets_mod
 from . import orders
 from .errors import BudgetExceeded, InputError, RingMismatch
 from .fpoly import MultiPoly, RingSpec
+from .orders import monomials_of_degree
 
 DEFAULT_BUDGETS = budgets_mod.DEFAULT
 
@@ -43,12 +44,9 @@ class _Ctx:
     def __init__(self, nvars: int, order: orders.MonomialOrder):
         self.nvars = nvars
         self.order = order
-        # fields, most significant first: ("deg", indices) | ("comp", i) | ("plain", i)
+        # fields, most significant first: ("deg", indices) | ("comp", i)
         fields = []
-        if order.kind == "lex":
-            for i in order.precedence:
-                fields.append(("plain", i))
-        elif order.kind == "grevlex":
+        if order.kind == "grevlex":
             fields.append(("deg", order.precedence))
             for i in reversed(order.precedence):
                 fields.append(("comp", i))
@@ -67,10 +65,8 @@ class _Ctx:
         for kind, arg in self.fields:
             if kind == "deg":
                 v = sum(exps[i] for i in arg)
-            elif kind == "comp":
-                v = _FIELD_MAX - exps[arg]
             else:
-                v = exps[arg]
+                v = _FIELD_MAX - exps[arg]
             key = (key << _FIELD_BITS) | v
         return key
 
@@ -81,8 +77,6 @@ class _Ctx:
             key >>= _FIELD_BITS
             if kind == "comp":
                 exps[arg] = _FIELD_MAX - v
-            elif kind == "plain":
-                exps[arg] = v
         return tuple(exps)
 
     def to_raw(self, f: MultiPoly):
@@ -614,8 +608,10 @@ def member_bounded_oracle(
     w0 = ring.weight0_indices()
 
     def bounded_monomials():
-        xs = _exps_summing_at_most(len(w1), x_bound)
-        ts = _exps_summing_at_most(len(w0), t_bound)
+        # the union over totals; neither the answer nor the oracle_dim
+        # count depends on the order of the monomials
+        xs = [e for d in range(x_bound + 1) for e in monomials_of_degree(len(w1), d)]
+        ts = [e for d in range(t_bound + 1) for e in monomials_of_degree(len(w0), d)]
         for xe in xs:
             for te in ts:
                 m = [0] * ring.nvars
@@ -652,19 +648,3 @@ def member_bounded_oracle(
         b[row_index[m]] = c % p
     return _solve_consistent_mod_p(A, b, p)
 
-
-def _exps_summing_at_most(n: int, bound: int):
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n - 1:
-            for e in range(remaining + 1):
-                out.append(tuple(prefix) + (e,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], bound)
-    return out

@@ -25,7 +25,6 @@ from .fpoly import (
     UniPoly,
     format_unipoly,
     uni_factor,
-    uni_gcd,
     uni_lcm,
     weighted_degree,
 )
@@ -100,29 +99,6 @@ class MinorMatrix:
         return self.entries.get((r, c))
 
 
-def _exps_summing_to(n: int, total: int, cap: int | None = None):
-    """All exponent vectors of length n with given sum (optionally capped
-    per entry), in descending grevlex order."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n - 1:
-            if cap is None or remaining <= cap:
-                out.append(tuple(prefix) + (remaining,))
-            return
-        top = remaining if cap is None else min(remaining, cap)
-        for e in range(top + 1):
-            rec(prefix + [e], remaining - e)
-
-    if n == 0:
-        return [()] if total == 0 else []
-    rec([], total)
-    key = orders._grevlex_key
-    prec = tuple(range(n))
-    out.sort(key=lambda e: key(e, prec), reverse=True)
-    return out
-
-
 def _relation_coefficients(ring: RingSpec, rel) -> dict:
     """Map weight-1 exponent vector v -> its k[t] coefficient in `rel`."""
     w1 = ring.weight1_indices()
@@ -155,14 +131,19 @@ def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
         if dd is NON_HOMOGENEOUS or dd <= 0:
             raise InputError(f"relation not homogeneous of positive degree: {rel}")
         degs.append(dd)
-    rows = tuple(_exps_summing_to(n, d, cap=q.q - 1))
+    prec = tuple(range(n))
+
+    def grevlex_desc(exps):
+        return sorted(exps, key=lambda e: orders._grevlex_key(e, prec), reverse=True)
+
+    rows = tuple(grevlex_desc(orders.monomials_of_degree(n, d, cap=q.q - 1)))
     cols = []
     col_coeffs = []
     for i, rel in enumerate(ring.relations):
         if d - degs[i] < 0:
             continue
         rel_coeffs = _relation_coefficients(ring, rel)
-        for w in _exps_summing_to(n, d - degs[i]):
+        for w in grevlex_desc(orders.monomials_of_degree(n, d - degs[i])):
             cols.append((i, w))
             col_coeffs.append(rel_coeffs)
     entries = {}

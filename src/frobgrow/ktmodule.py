@@ -13,10 +13,12 @@ computation is restricted to the support-connectivity component of the
 target; for multigraded relations this recovers the grading decomposition
 automatically.
 
-SliceInvariants reduces each slice further, to the Smith normal form of
-S_d / I_d (free rank and invariant factors).  Growth exponents and colon
-panels of the components of a decomposition are read off those
-invariants, computed once per degree and shared by every component.
+SliceCache is the one store per ideal: it answers membership from the
+slices it keeps, and reduces each degree further, to the Smith normal
+form of S_d / I_d (free rank and invariant factors).  Growth exponents
+and colon panels of the components of a decomposition are read off
+those invariants, computed once per degree and shared by every
+component.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .fpoly import MultiPoly, RingSpec, UniPoly, uni_gcd, uni_lcm
+from .orders import monomials_of_degree
 
 
 def _single_t_index(ring: RingSpec) -> int:
@@ -98,7 +101,7 @@ class DegreeSlice:
         gen_data = [gd for gd in generators if gd[1] <= degree]
         rows, columns = self._collect(gen_data, seeds, degree)
         self.rows = rows
-        self._echelon_pivots = _echelon(columns, sorted(rows, reverse=True))
+        self._echelon_pivots = _echelon(columns, sorted(rows, reverse=True))[0]
 
     def _collect(self, gen_data, seeds, degree):
         seen = set()
@@ -142,12 +145,7 @@ class DegreeSlice:
             q, rem = divmod(u, piv[row])
             if not rem.is_zero:
                 return False
-            for r2, entry in piv.items():
-                w = v.get(r2, UniPoly.zero(self.p)) - q * entry
-                if w.is_zero:
-                    v.pop(r2, None)
-                else:
-                    v[r2] = w
+            _axpy(v, -q, piv)
         return all(u.is_zero for u in v.values())
 
     def contains_poly(self, f: MultiPoly) -> bool:
@@ -165,7 +163,9 @@ class DegreeSlice:
 
     def colon_is_trivial(self, g: UniPoly) -> bool:
         """Whether {v : g*v in M} == M for this slice's module M, decided
-        by a tracked kernel computation of [columns | g*identity].
+        by the kernel of [columns | g*identity]: each g-column tracks its
+        row under a key (None, row), and the kernel's tracked parts are
+        the v with g*v in M.
 
         No production caller: `univariate_colon_trivial_panel` reads the
         same answer off the invariant factors, and the test suite keeps
@@ -176,22 +176,22 @@ class DegreeSlice:
         # entries, so coprimality with every pivot settles it at once
         if all(uni_gcd(g, piv[row]).degree == 0 for row, piv in self._echelon_pivots):
             return True
-        columns = [dict(piv) for _, piv in self._echelon_pivots]
-        tracked: list[dict] = [{} for _ in columns]
+        order = sorted(self.rows, reverse=True)
         one = UniPoly.one(self.p)
-        for row in sorted(self.rows, reverse=True):
-            columns.append({row: g})
-            tracked.append({row: one})
-        for v in _echelon_tracked(columns, tracked, sorted(self.rows, reverse=True)):
-            if v and not self.contains(v):
-                return False
-        return True
+        columns = [dict(piv) for _, piv in self._echelon_pivots]
+        columns += [{row: g, (None, row): one} for row in order]
+        _, kernel = _echelon(columns, order)
+        return all(self.contains({key[1]: u for key, u in c.items()}) for c in kernel)
 
 
 def _echelon(columns, row_order):
-    """In-place column echelon over k[t]; returns [(pivot_row, column)] in
-    processing order.  After processing a row, every unprocessed column is
-    zero there, so reduction by exact division decides membership."""
+    """In-place column echelon over k[t]; returns (pivots, rest):
+    [(pivot_row, column)] in processing order, and the other columns,
+    zero on every row of row_order.  After processing a row every
+    unprocessed column is zero there, so reduction by exact division
+    decides membership.  Keys outside row_order ride along in every
+    column operation, so with tracking entries appended (the augmented
+    matrix [A; I]) the tracked parts of `rest` generate the kernel of A."""
     remaining = [c for c in columns if c]
     pivots = []
     for row in row_order:
@@ -207,7 +207,7 @@ def _echelon(columns, row_order):
         piv = active[0]
         remaining = [c for c in remaining if c is not piv]
         pivots.append((row, piv))
-    return pivots
+    return pivots, remaining
 
 
 def invariant_factors(columns) -> list:
@@ -272,28 +272,6 @@ def _axpy(target: dict, a: UniPoly, source: dict):
             target[row] = w
 
 
-class SliceCache:
-    """Membership oracle for one x-homogeneous ideal, building each
-    degree/component slice at most once."""
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-        self._w1 = ideal.ring.weight1_indices()
-        self._generators = _generator_data(ideal)
-        self._by_row: dict = {}  # x-monomial -> its component's slice
-
-    def member(self, f: MultiPoly) -> bool:
-        if f.is_zero:
-            return True
-        sup = _supports(f, self._w1)
-        sl = self._by_row.get(sup[0])
-        if sl is None or not all(m in sl.rows for m in sup):
-            sl = DegreeSlice(self.ideal, x_degree(f), sup, self._generators)
-            for row in sl.rows:
-                self._by_row[row] = sl
-        return sl.contains_poly(f)
-
-
 class DegreeInvariants(NamedTuple):
     """S_b / I_b for one x-degree b: k[t]^free_rank plus torsion whose
     largest invariant factor (monic, 1 when there is none) is `largest`."""
@@ -307,22 +285,35 @@ class DegreeInvariants(NamedTuple):
         return self.free_rank == 0 and self.largest.degree == 0
 
 
-class SliceInvariants:
-    """The k[t]-modules S_b / I_b of one x-homogeneous ideal I, where S_b
-    is the free module on the degree-b x-monomials.  Lazy and memoised per
-    degree: each row component of a degree is built once as a DegreeSlice
-    (sharing one set of generator data) and its pivot columns reduced to
-    Smith normal form.  A full degree stays full in every higher degree
-    (each monomial there is a multiple of one below), so nothing above
-    the least full degree seen is built."""
+class SliceCache:
+    """The degree slices of one x-homogeneous ideal I, its generator data
+    computed once.  `member` decides membership and keeps the slices it
+    builds, indexed by row.  `at(b)` gives S_b / I_b (S_b free on the
+    degree-b x-monomials) from the Smith form of each row component; it
+    reuses `member`'s slices but keeps only the invariants of its own,
+    which would otherwise dominate memory.  A full degree stays full
+    above (each monomial there is a multiple of one below), so `at`
+    builds nothing past the least full degree seen."""
 
     def __init__(self, ideal):
         self.ideal = ideal
+        self._w1 = ideal.ring.weight1_indices()
         self._generators = _generator_data(ideal)
-        self._nx = len(ideal.ring.weight1_indices())
+        self._by_row: dict = {}  # x-monomial -> its component's slice
         self._one = UniPoly.one(ideal.ring.p)
-        self._degrees: dict = {}
+        self._degrees: dict = {}  # x-degree -> DegreeInvariants
         self._full_from: int | None = None
+
+    def member(self, f: MultiPoly) -> bool:
+        if f.is_zero:
+            return True
+        sup = _supports(f, self._w1)
+        sl = self._by_row.get(sup[0])
+        if sl is None or not all(m in sl.rows for m in sup):
+            sl = DegreeSlice(self.ideal, x_degree(f), sup, self._generators)
+            for row in sl.rows:
+                self._by_row[row] = sl
+        return sl.contains_poly(f)
 
     def at(self, b: int) -> DegreeInvariants:
         if self._full_from is not None and b >= self._full_from:
@@ -330,9 +321,12 @@ class SliceInvariants:
         got = self._degrees.get(b)
         if got is None:
             free, largest = 0, self._one
-            todo = set(monomials_of_degree(self._nx, b))
+            todo = set(monomials_of_degree(len(self._w1), b))
             while todo:
-                sl = DegreeSlice(self.ideal, b, [todo.pop()], self._generators)
+                row = todo.pop()
+                sl = self._by_row.get(row)
+                if sl is None:
+                    sl = DegreeSlice(self.ideal, b, [row], self._generators)
                 todo -= sl.rows
                 factors = sl.invariant_factors()
                 free += len(sl.rows) - len(factors)
@@ -361,7 +355,7 @@ def slice_power_containment(radical_gens, k: int, cache: SliceCache) -> bool:
     the cache's ideal; same subtree pruning by plain monomial generators
     as groebner.power_containment, with slice membership at the leaves.
 
-    No production caller: growth exponents are read off SliceInvariants;
+    No production caller: growth exponents are read off SliceCache.at;
     the test suite keeps this search as the independent cross-check."""
     if k < 0:
         raise InputError("power must be non-negative")
@@ -413,17 +407,6 @@ def slice_power_containment(radical_gens, k: int, cache: SliceCache) -> bool:
     return rec(0, k, one)
 
 
-def monomials_of_degree(nvars: int, total: int):
-    """Exponent tuples over nvars variables summing to total."""
-    if nvars == 0:
-        return [()] if total == 0 else []
-    return [
-        (e,) + rest
-        for e in range(total, -1, -1)
-        for rest in monomials_of_degree(nvars - 1, total - e)
-    ]
-
-
 def univariate_colon_trivial_panel(ideal, gs, max_degree: int) -> list[bool]:
     """(I : g) == I in every x-degree below max_degree, for each g in the
     panel.  When the caller knows I contains every monomial of degree >=
@@ -431,13 +414,13 @@ def univariate_colon_trivial_panel(ideal, gs, max_degree: int) -> list[bool]:
 
     In degree b, (I : g)_b = I_b exactly when g is a nonzerodivisor on
     S_b / I_b, that is when g is coprime to its largest invariant factor
-    (g acts injectively on the free part).  So one pass of SliceInvariants
+    (g acts injectively on the free part).  So one pass of SliceCache.at
     answers the whole panel: g passes iff it is coprime to the lcm of the
     largest invariant factors below max_degree, the same verdict as the
     tracked-kernel route of DegreeSlice.colon_is_trivial."""
     if any(g.is_zero for g in gs):
         raise InputError("colon by zero is undefined")
-    torsion = SliceInvariants(ideal).torsion_exponent(max_degree)
+    torsion = SliceCache(ideal).torsion_exponent(max_degree)
     return [uni_gcd(g, torsion).degree == 0 for g in gs]
 
 
@@ -445,42 +428,14 @@ def univariate_colon_trivial(ideal, g: UniPoly, max_degree: int) -> bool:
     return univariate_colon_trivial_panel(ideal, [g], max_degree)[0]
 
 
-def _echelon_tracked(columns, tracked, row_order):
-    """Column echelon like _echelon, carrying one tracked univariate per
-    column through the same operations.  Returns the tracked values of the
-    columns that reduced to zero; with unimodular column operations those
-    columns generate the kernel of the original matrix."""
-    holders = [[c, t] for c, t in zip(columns, tracked)]
-    remaining = [h for h in holders if h[0]]
-    zero_tracked = [h[1] for h in holders if not h[0]]
-    for row in row_order:
-        active = [h for h in remaining if row in h[0]]
-        if not active:
-            continue
-        while len(active) > 1:
-            active.sort(key=lambda h: h[0][row].degree)
-            piv = active[0]
-            for h in active[1:]:
-                q = -(h[0][row] // piv[0][row])
-                _axpy(h[0], q, piv[0])
-                _axpy(h[1], q, piv[1])
-            active = [h for h in active if row in h[0]]
-        piv = active[0]
-        remaining.remove(piv)
-        zero_tracked.extend(h[1] for h in remaining if not h[0])
-        remaining = [h for h in remaining if h[0]]
-    zero_tracked.extend(h[1] for h in remaining if not h[0])
-    return zero_tracked
-
-
 def contraction_colon(ideal, witness: MultiPoly) -> UniPoly:
     """Monic generator of {g in k[t] : g * witness in ideal}, for a
     witness that is a single x-monomial.
 
     Column-reduces [e_w | generator columns] while tracking each column's
-    coefficient on e_w; the columns that reduce to zero generate the
-    kernel, and the gcd of their tracked coefficients generates the
-    contraction ideal.
+    coefficient on e_w (under the key None); the columns that reduce to
+    zero generate the kernel, and the gcd of their tracked coefficients
+    generates the contraction ideal.
     """
     ring = ideal.ring
     ti = _single_t_index(ring)
@@ -494,12 +449,9 @@ def contraction_colon(ideal, witness: MultiPoly) -> UniPoly:
     seed = tuple(exps[i] for i in w1)
     sl = DegreeSlice(ideal, sum(seed), [seed])
     p = ring.p
-    columns = [{seed: UniPoly.const(p, c)}]
-    tracked = [{None: UniPoly.one(p)}]
-    for row, piv in sl._echelon_pivots:
-        columns.append(dict(piv))
-        tracked.append({})
+    columns = [{seed: UniPoly.const(p, c), None: UniPoly.one(p)}]
+    columns += [dict(piv) for _, piv in sl._echelon_pivots]
     gen = UniPoly.zero(p)
-    for tr in _echelon_tracked(columns, tracked, sorted(sl.rows, reverse=True)):
-        gen = uni_gcd(gen, tr.get(None, UniPoly.zero(p)))
+    for col in _echelon(columns, sorted(sl.rows, reverse=True))[1]:
+        gen = uni_gcd(gen, col.get(None, UniPoly.zero(p)))
     return gen.monic() if not gen.is_zero else gen

@@ -9,12 +9,12 @@ weight-1 variables and k[t] behaves like a coefficient ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: grevlex, lex, or a two-block elimination order.
+    """A monomial order: grevlex or a two-block elimination order.
 
     `precedence` lists variable indices from most to least significant.
     For `block`, the first `front_size` entries of `precedence` form the
@@ -26,7 +26,7 @@ class MonomialOrder:
     front_size: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "block"):
+        if self.kind not in ("grevlex", "block"):
             raise ValueError(f"unknown order kind {self.kind!r}")
         if sorted(self.precedence) != list(range(len(self.precedence))):
             raise ValueError("precedence must be a permutation of all variables")
@@ -38,16 +38,11 @@ class MonomialOrder:
 
     def key(self, exps):
         """Sort key; max(key) picks the leading monomial."""
-        if self.kind == "lex":
-            return tuple(exps[i] for i in self.precedence)
         if self.kind == "grevlex":
             return _grevlex_key(exps, self.precedence)
         front = self.precedence[: self.front_size]
         back = self.precedence[self.front_size :]
         return _grevlex_key(exps, front) + _grevlex_key(exps, back)
-
-    def front_variables(self):
-        return self.precedence[: self.front_size]
 
 
 def _grevlex_key(exps, prec):
@@ -68,10 +63,6 @@ def grevlex(weights):
     return MonomialOrder("grevlex", default_precedence(weights))
 
 
-def lex(weights):
-    return MonomialOrder("lex", default_precedence(weights))
-
-
 def block(weights, front_indices):
     """Elimination order putting `front_indices` in the eliminated block."""
     front = tuple(front_indices)
@@ -81,3 +72,18 @@ def block(weights, front_indices):
     if not rest:
         raise ValueError("front block must not cover all variables")
     return MonomialOrder("block", front + tuple(rest), front_size=len(front))
+
+
+def monomials_of_degree(nvars: int, total: int, cap: int | None = None):
+    """Exponent tuples over nvars variables summing to total, each entry
+    at most cap when one is given, in descending lex order."""
+    if nvars == 0:
+        return [()] if total == 0 else []
+    top, low = total, 0
+    if cap is not None:
+        top, low = min(total, cap), max(0, total - cap * (nvars - 1))
+    return [
+        (e,) + rest
+        for e in range(top, low - 1, -1)
+        for rest in monomials_of_degree(nvars - 1, total - e, cap)
+    ]

@@ -27,9 +27,10 @@ from frobgrow.fpoly import (
     parse_poly,
     parse_unipoly,
 )
+from frobgrow import groebner
 from frobgrow.groebner import IdealHandle, ideal_equal
 from frobgrow.hq import h_q
-from frobgrow.ktmodule import SliceCache, SliceInvariants, slice_power_containment
+from frobgrow.ktmodule import SliceCache, slice_power_containment
 from frobgrow.sequences import SequenceSpec, p_seq
 
 P2 = PrimeModulus(2)
@@ -104,6 +105,23 @@ class TestStableDecomposition:
                 assert ca.tau == cb.tau
                 assert ca.measured_exponent == cb.measured_exponent
                 assert ideal_equal(ca.ideal, cb.ideal)
+
+    @pytest.mark.parametrize("name,p", [("katzman", 3), ("ss5", 2)])
+    def test_certified_route_builds_no_groebner_basis(self, name, p, monkeypatch):
+        # the family's minimal-prime check runs Buchberger, so the family
+        # is built first; the decomposition and its panels must not
+        fam = family(name, p)
+        q = q_of(fam, 1)
+        h = ss_hq_closed_form(fam.seq, q) if name == "ss5" else h_q(fam.ring, q).h
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certified route called Buchberger")
+
+        monkeypatch.setattr(groebner, "_buchberger", refuse)
+        rep = stable_decomposition(fam, q, h, method="certified")
+        assert rep.intersection_verified and rep.growth_bound_checked
+        for comp in [rep.isolated] + rep.embedded:
+            assert primary_sanity(comp, 5).passed
 
     def test_ss5_closed_form(self):
         fam = family("ss5", 2)
@@ -269,7 +287,7 @@ class TestRouteAgreement:
             tau_multi = MultiPoly.from_unipoly(R, tau, "t")
             ideal = IdealHandle(R, list(B.generators) + [tau_multi**s])
             own = PrimaryComponent(ideal, rad + (tau_multi,), (tau, s), cap_degree=3)
-            shared = dataclasses.replace(own, slices=SliceInvariants(B))
+            shared = dataclasses.replace(own, slices=SliceCache(B))
             slow = dataclasses.replace(own, cap_degree=None)
             k = bisected_exponent(own)
             assert growth_exponent(own) == growth_exponent(shared) == k
@@ -296,7 +314,7 @@ class TestRouteAgreement:
             (parse_poly("x", R), parse_poly("y", R), parse_poly("t", R)),
             (t, 1),
             cap_degree=3,
-            slices=SliceInvariants(B),
+            slices=SliceCache(B),
         )
         assert not C.slices.at(2).full
         assert growth_exponent(C) == bisected_exponent(C) == 1

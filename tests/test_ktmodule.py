@@ -16,15 +16,14 @@ from frobgrow.groebner import IdealHandle, colon, eliminate, ideal_equal, normal
 from frobgrow.ktmodule import (
     DegreeSlice,
     SliceCache,
-    SliceInvariants,
     contraction_colon,
     invariant_factors,
-    monomials_of_degree,
     slice_power_containment,
     univariate_colon_trivial,
     univariate_colon_trivial_panel,
     x_degree,
 )
+from frobgrow.orders import monomials_of_degree
 
 P2 = PrimeModulus(2)
 P3 = PrimeModulus(3)
@@ -75,6 +74,24 @@ class TestMonomialsOfDegree:
     def test_all_sums_correct(self):
         for exps in monomials_of_degree(3, 7):
             assert sum(exps) == 7 and all(e >= 0 for e in exps)
+
+    def test_descending_lex_order(self):
+        assert monomials_of_degree(3, 2) == [
+            (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)
+        ]
+        got = monomials_of_degree(4, 5)
+        assert got == sorted(got, reverse=True)
+
+    def test_cap(self):
+        assert monomials_of_degree(2, 3, cap=2) == [(2, 1), (1, 2)]
+        assert monomials_of_degree(3, 7, cap=2) == []
+        assert monomials_of_degree(3, 6, cap=2) == [(2, 2, 2)]
+        assert monomials_of_degree(1, 3, cap=2) == []
+        # the capped enumeration is the uncapped one filtered, same order
+        for n, d, cap in ((3, 4, 2), (4, 6, 3), (2, 5, 0), (3, 0, 0)):
+            assert monomials_of_degree(n, d, cap) == [
+                e for e in monomials_of_degree(n, d) if max(e, default=0) <= cap
+            ]
 
 
 class TestDegreeSliceMembership:
@@ -136,6 +153,44 @@ class TestSliceCache:
             parse_poly("x*y", R),
         ]
         assert [cache.member(f) for f in polys] == [True, False, True, False]
+
+    def test_free_rank_and_torsion(self):
+        # degree 2 of (x^2, y^2, t^2*x*y): S_2 / I_2 = k[t]/(t^2);
+        # degree 1 is free of rank 2; degree 3 is full
+        R = ring_txy(P5)
+        inv = SliceCache(IdealHandle(R, ["x^2", "y^2", "t^2*x*y"]))
+        t = parse_unipoly("t", P5)
+        assert inv.at(0) == (1, UniPoly.one(P5))
+        assert inv.at(1) == (2, UniPoly.one(P5))
+        assert inv.at(2) == (0, t**2) and not inv.at(2).full
+        assert inv.at(3).full and inv.at(7).full
+        assert inv.torsion_exponent(3) == t**2
+        assert inv.torsion_exponent(2) == UniPoly.one(P5)
+
+    def test_full_degree_stops_building(self):
+        R = ring_txy(P3)
+        inv = SliceCache(IdealHandle(R, ["x", "y"]))
+        assert inv.at(1).full
+        assert inv.at(9).full and 9 not in inv._degrees
+
+    def test_relation_in_every_slice(self):
+        # t*x*y lies in (x^2, y^2) modulo x^2 + t*x*y + y^2, so degree 2
+        # of S / (x^2, y^2) is k[t]/(t)
+        R = ring_txy(P2, ("x^2+t*x*y+y^2",))
+        inv = SliceCache(IdealHandle(R, ["x^2", "y^2"]))
+        assert inv.at(2) == (0, parse_unipoly("t", P2))
+
+    def test_invariants_reuse_member_slices_and_keep_none(self):
+        # at() answers from a slice member() built, the same as a fresh
+        # store, and adds none of its own slices to the row index
+        R = ring_txy(P2, ("x^2+t*x*y+y^2",))
+        I = IdealHandle(R, ["x^3", "t*y^3"])
+        used, fresh = SliceCache(I), SliceCache(I)
+        assert not used.member(parse_poly("x*y", R))
+        kept = dict(used._by_row)
+        for b in range(6):
+            assert used.at(b) == fresh.at(b)
+        assert used._by_row == kept and not fresh._by_row
 
 
 def sympy_invariant_factors(columns, p):
@@ -211,34 +266,6 @@ class TestInvariantFactors:
                 todo -= sl.rows
                 pivots = [dict(c) for _, c in sl._echelon_pivots]
                 assert sl.invariant_factors() == sympy_invariant_factors(pivots, P3)
-
-
-class TestSliceInvariants:
-    def test_free_rank_and_torsion(self):
-        # degree 2 of (x^2, y^2, t^2*x*y): S_2 / I_2 = k[t]/(t^2);
-        # degree 1 is free of rank 2; degree 3 is full
-        R = ring_txy(P5)
-        inv = SliceInvariants(IdealHandle(R, ["x^2", "y^2", "t^2*x*y"]))
-        t = parse_unipoly("t", P5)
-        assert inv.at(0) == (1, UniPoly.one(P5))
-        assert inv.at(1) == (2, UniPoly.one(P5))
-        assert inv.at(2) == (0, t**2) and not inv.at(2).full
-        assert inv.at(3).full and inv.at(7).full
-        assert inv.torsion_exponent(3) == t**2
-        assert inv.torsion_exponent(2) == UniPoly.one(P5)
-
-    def test_full_degree_stops_building(self):
-        R = ring_txy(P3)
-        inv = SliceInvariants(IdealHandle(R, ["x", "y"]))
-        assert inv.at(1).full
-        assert inv.at(9).full and 9 not in inv._degrees
-
-    def test_relation_in_every_slice(self):
-        # t*x*y lies in (x^2, y^2) modulo x^2 + t*x*y + y^2, so degree 2
-        # of S / (x^2, y^2) is k[t]/(t)
-        R = ring_txy(P2, ("x^2+t*x*y+y^2",))
-        inv = SliceInvariants(IdealHandle(R, ["x^2", "y^2"]))
-        assert inv.at(2) == (0, parse_unipoly("t", P2))
 
 
 class TestSlicePowerContainment:
