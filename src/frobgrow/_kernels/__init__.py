@@ -1,7 +1,7 @@
 """Kernel selection: compiled extension if available, pure Python otherwise.
 
-Set FROBGROW_PURE=1 to force the pure-Python kernels (used by the
-benchmark and by tests that compare the two implementations).
+Set FROBGROW_PURE=1 to force the pure-Python kernels (used by the tests
+that compare the two implementations).
 """
 
 import os

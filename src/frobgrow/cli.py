@@ -104,17 +104,24 @@ def load_ring_file(path: str) -> FamilySpec:
     for i, entry in enumerate(raw_vars):
         if not isinstance(entry, dict) or "name" not in entry or "weight" not in entry:
             raise InputError(f"variables[{i}] must be an object with name and weight")
+        if type(entry["weight"]) is not int:  # bool is an int subclass
+            raise InputError(f"variables[{i}] weight must be the integer 0 or 1")
         variables.append((entry["name"], entry["weight"]))
-    relations = data.get("relations", [])
-    if not isinstance(relations, list):
-        raise InputError("ring file key 'relations' must be a list")
+    relations = _string_list(data, "relations", [])
     ring = RingSpec(p, variables, tuple(relations))
-    gens = data["ideal"]
-    if not isinstance(gens, list) or not gens:
+    gens = _string_list(data, "ideal")
+    if not gens:
         raise InputError("ring file key 'ideal' must be a nonempty list")
     ideal = IdealHandle(ring, gens)
-    minimal_prime = tuple(data.get("minimal_prime", ()))
+    minimal_prime = tuple(_string_list(data, "minimal_prime", []))
     return FamilySpec("custom", ring, ideal, None, minimal_prime)
+
+
+def _string_list(data: dict, key: str, default=None) -> list:
+    value = data.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputError(f"ring file key {key!r} must be a list of strings")
+    return value
 
 
 def _resolve_family(name, ring_file, p, seq=None) -> FamilySpec:

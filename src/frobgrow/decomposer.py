@@ -1,12 +1,17 @@
 """Primary decompositions of Frobenius powers and their verification.
 
 Builds the stable decomposition I^[q] = (I^[q] : h) meet the components
-I^[q] + (tau_i^{s_i}), measures growth exponents (from the slice
-invariants of I^[q] on the certified route, by bisection on the Groebner
-route), checks saturation stabilization exponents, evaluates the
-closed-form separating polynomial for the five-variable hypersurface
-family, computes witness colons whose k[t]-contraction is P_{q-2}, and
-runs the membership suites behind those facts.
+I^[q] + (tau_i^{s_i}), measures growth exponents, checks saturation
+stabilization exponents, evaluates the closed-form separating polynomial
+for the five-variable hypersurface family, computes witness colons whose
+k[t]-contraction is P_{q-2}, and runs the membership suites behind those
+facts.
+
+On the certified route the degree K of the isolated component, the
+growth exponents and the colon panels are all read off the slice
+invariants of I^[q] (free rank and largest invariant factor of each
+S_b / I^[q]_b); the Groebner route searches by bisection over
+containment instead.
 """
 
 from __future__ import annotations
@@ -145,8 +150,9 @@ class PrimaryComponent:
     tau: tuple | None = None  # (UniPoly irreducible, multiplicity s_i)
     measured_exponent: int | None = None
     # degree from which the ideal contains every monomial in the weighted
-    # variables; set by the certified route to enable degreewise k[t]
-    # linear algebra instead of Groebner bases.  Such a component is
+    # variables; set by the certified route (for the isolated component,
+    # the K read off the slice invariants of I^[q]) to enable degreewise
+    # k[t] linear algebra instead of Groebner bases.  Such a component is
     # B + m^cap_degree (no tau) or B + (tau^s), with m the weighted
     # variables and B the ideal of `slices` (the ideal itself when unset),
     # and its radical is m or (m, tau)
@@ -258,8 +264,11 @@ def stable_decomposition(
     with h * m in I^[q] for every degree-K monomial m, reduces the
     multi-component intersection to I^[q] + (h) by an exact Bezout
     certificate, and settles the remaining equality degree by degree;
-    this keeps Q inside colon(I^[q], h) by construction.  "auto" picks
-    certified whenever the family shape supports it.
+    this keeps Q inside colon(I^[q], h) by construction.  K is read off
+    the Smith form of the slices of I^[q]: the least K at which
+    S_K / I^[q]_K has free rank 0 and a largest invariant factor
+    dividing h.  "auto" picks certified whenever the family shape
+    supports it.
     """
     if h.is_zero:
         raise InputError("the separating polynomial h must be nonzero")
@@ -395,15 +404,6 @@ def _bezout_one_certificate(factors, h_monic: UniPoly):
     return coeffs
 
 
-def _plain_monomial_exps(gens):
-    out = []
-    for g in gens:
-        td = g.term_dict()
-        if len(td) == 1:
-            out.append(next(iter(td)))
-    return out
-
-
 def _monomial(ring: RingSpec, w1, exps):
     full = [0] * ring.nvars
     for i, e in zip(w1, exps):
@@ -419,62 +419,31 @@ def _certified_decomposition(
     w1 = ring.weight1_indices()
     n = len(w1)
     cap = n * (q.q - 1) + 1  # every monomial of this degree is in I^[q]
-    h_multi = MultiPoly.from_unipoly(ring, h, "t")
-    covers = _plain_monomial_exps(Iq.generators)
-
-    def covered(exps) -> bool:
-        full = [0] * ring.nvars
-        for i, e in zip(w1, exps):
-            full[i] = e
-        return any(all(a >= b for a, b in zip(full, c)) for c in covers)
-
-    checked = 0
-
-    def boundary_ok(K: int) -> bool:
-        # a fresh slice store per probe: probes test different degrees,
-        # so they share no slices, and dropping each one keeps peak memory
-        # down
-        nonlocal checked
-        member = SliceCache(Iq).member
-        for exps in monomials_of_degree(n, K):
-            if covered(exps):
-                continue
-            checked += 1
-            if not member(h_multi * _monomial(ring, w1, exps)):
-                return False
-        return True
-
-    # least K with h * (weighted vars)^K inside I^[q]; monotone in K, and
-    # K = cap always works, so the decomposition below always verifies
-    if boundary_ok(0):
-        K = 0
-    else:
-        lo, hi = 0, cap
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if boundary_ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        K = hi  # boundary_ok(K) held during bisection (or K == cap, covered)
-    extra = [
-        _monomial(ring, w1, exps)
-        for exps in monomials_of_degree(n, K)
-        if not covered(exps)
-    ]
+    h_monic = h.monic()
+    # one slice store of I^[q] gives K and measures every component
+    slices = SliceCache(Iq)
+    # least K with h * (weighted vars)^K inside I^[q]: h kills S_K / I_K
+    # exactly when that slice has free rank 0 and its largest invariant
+    # factor divides h; this holds at K = cap, where the slice is full
+    for K in range(cap + 1):
+        inv = slices.at(K)
+        if inv.free_rank == 0 and (h_monic % inv.largest).is_zero:
+            break
+    # the generators of I^[q] are the x_i^q, so these are the degree-K
+    # monomials outside it
+    extra = [_monomial(ring, w1, exps) for exps in monomials_of_degree(n, K, cap=q.q - 1)]
     Q = IdealHandle(ring, list(Iq.generators) + extra)
     w1_vars = _weight1_variables(ring)
-    # one slice store of I^[q] measures every component
-    slices = SliceCache(Iq)
     isolated = PrimaryComponent(
-        ideal=Q, radical_generators=w1_vars, cap_degree=max(K, 0), slices=slices
+        ideal=Q, radical_generators=w1_vars, cap_degree=K, slices=slices
     )
     notes = [
         f"isolated component taken as I^[q] + (weighted vars)^{K}; "
         f"certified h*m in I^[q] for every degree-{K} monomial m "
-        f"({checked} reductions), so it sits inside colon(I^[q], h)",
+        f"(S_{K} / I^[q]_{K} has free rank 0 and largest invariant factor "
+        f"{format_unipoly(inv.largest)}, which divides h), so it sits inside "
+        f"colon(I^[q], h)",
     ]
-    h_monic = h.monic()
     factors = uni_factor(h_monic, seed) if h.degree > 0 else None
     embedded = []
     factor_list = []

@@ -368,10 +368,6 @@ class SaturationResult:
     stabilization_exponent: int
 
 
-def groebner_basis(I: IdealHandle, order=None, budgets=DEFAULT_BUDGETS):
-    return I.groebner_basis(order, budgets)
-
-
 def _basis_for(I: IdealHandle, order, budgets):
     order = order or I.ring.default_order
     gb = I.groebner_basis(order, budgets)

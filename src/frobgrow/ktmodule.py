@@ -424,10 +424,6 @@ def univariate_colon_trivial_panel(ideal, gs, max_degree: int) -> list[bool]:
     return [uni_gcd(g, torsion).degree == 0 for g in gs]
 
 
-def univariate_colon_trivial(ideal, g: UniPoly, max_degree: int) -> bool:
-    return univariate_colon_trivial_panel(ideal, [g], max_degree)[0]
-
-
 def contraction_colon(ideal, witness: MultiPoly) -> UniPoly:
     """Monic generator of {g in k[t] : g * witness in ideal}, for a
     witness that is a single x-monomial.

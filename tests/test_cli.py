@@ -180,6 +180,34 @@ class TestSaturate:
                      "--z", "y", "--q-list", "2")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("weight", "a"),
+            ("weight", None),
+            ("weight", 1.5),
+            ("weight", True),
+            ("weight", 2),
+            ("relations", [5]),
+            ("ideal", [7]),
+            ("minimal_prime", 5),
+            ("minimal_prime", "xz"),
+            ("minimal_prime", [None]),
+        ],
+    )
+    def test_ill_typed_ring_file_is_input_error(self, runner, tmp_path, key, value):
+        data = json.loads(json.dumps(CONE_RING))
+        if key == "weight":
+            data["variables"][0]["weight"] = value
+        else:
+            data[key] = value
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps(data))
+        res = invoke(runner, "saturate", "--ring-file", str(ring), "--p", "2",
+                     "--z", "y", "--q-list", "2")
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+
     def test_bad_q_list(self, runner, tmp_path):
         ring = tmp_path / "cone.json"
         ring.write_text(json.dumps(CONE_RING))

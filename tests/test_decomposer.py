@@ -31,6 +31,7 @@ from frobgrow import groebner
 from frobgrow.groebner import IdealHandle, ideal_equal
 from frobgrow.hq import h_q
 from frobgrow.ktmodule import SliceCache, slice_power_containment
+from frobgrow.orders import monomials_of_degree
 from frobgrow.sequences import SequenceSpec, p_seq
 
 P2 = PrimeModulus(2)
@@ -242,8 +243,102 @@ def random_cap3_ideal(rng, R):
     return [g for g in gens if not g.is_zero]
 
 
+def searched_K(Iq, h):
+    """K by the search that the slice invariants replace: the least K
+    with h*m in I^[q], by slice membership, for every degree-K monomial m
+    outside the plain-monomial generators of I^[q]; returns K and those
+    monomials in descending lex order."""
+    ring = Iq.ring
+    w1 = ring.weight1_indices()
+    covers = [next(iter(g.term_dict())) for g in Iq.generators if len(g.term_dict()) == 1]
+    member = SliceCache(Iq).member
+    h_multi = MultiPoly.from_unipoly(ring, h, "t")
+    K = 0
+    while True:
+        uncovered = []
+        for exps in monomials_of_degree(len(w1), K):
+            full = [0] * ring.nvars
+            for i, e in zip(w1, exps):
+                full[i] = e
+            if not any(all(a >= b for a, b in zip(full, c)) for c in covers):
+                uncovered.append(MultiPoly.monomial(ring, tuple(full)))
+        if all(member(h_multi * m) for m in uncovered):
+            return K, uncovered
+        K += 1
+
+
+def random_certifiable_family(rng):
+    """k[t, x_1..x_n]/(random x-homogeneous relations), I = (x_1..x_n)."""
+    p = PrimeModulus(rng.choice((2, 3)))
+    names = "xyz"[: rng.randint(2, 3)]
+    R = RingSpec(p, (("t", 0),) + tuple((v, 1) for v in names))
+    relations = []
+    for _ in range(rng.randint(1, 2)):
+        d = rng.randint(2, 3)
+        terms = {
+            (rng.randrange(3),) + rng.choice(monomials_of_degree(len(names), d)):
+            rng.randrange(1, p.p)
+            for _ in range(rng.randint(1, 3))
+        }
+        relations.append(MultiPoly(R, terms))
+    R = RingSpec(p, R.variables, tuple(relations))
+    return FamilySpec("random", R, IdealHandle(R, list(names)))
+
+
 class TestRouteAgreement:
     """The slice-invariant formulas against the searches they replace."""
+
+    def assert_K_agrees(self, fam, q, h):
+        rep = stable_decomposition(fam, q, h, method="certified", measure=False)
+        Iq = frobenius_generators(fam.ideal, q)
+        K, uncovered = searched_K(Iq, h)
+        assert rep.isolated.cap_degree == K
+        assert rep.isolated.ideal.generators == tuple(Iq.generators) + tuple(uncovered)
+        return rep
+
+    @pytest.mark.parametrize(
+        "name,p,e,h",
+        [
+            ("katzman", 2, 2, "minors"),
+            ("katzman", 2, 2, "t^3+t"),
+            ("katzman", 3, 2, "minors"),
+            ("ss5", 2, 2, "closed-form"),
+            ("ss5", 3, 1, "closed-form"),
+            ("ss7", 2, 1, "minors"),
+            ("brenner_monsky", 2, 2, "minors"),
+        ],
+    )
+    def test_K_agrees_with_membership_search(self, name, p, e, h):
+        fam = family(name, p)
+        q = q_of(fam, e)
+        if h == "minors":
+            h = h_q(fam.ring, q).h
+        elif h == "closed-form":
+            h = ss_hq_closed_form(fam.seq, q)
+        else:
+            h = parse_unipoly(h, fam.ring.p)
+        self.assert_K_agrees(fam, q, h)
+
+    def test_K_agrees_with_membership_search_random(self, rng):
+        for _ in range(20):
+            fam = random_certifiable_family(rng)
+            p = fam.ring.p
+            q = PrimePower(p, rng.randint(1, 2) if p.p == 2 else 1)
+            h = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 5))])
+            if h.is_zero:
+                h = UniPoly.t(p)
+            self.assert_K_agrees(fam, q, h)
+
+    def test_K_note_names_the_slice_invariants(self):
+        fam = family("ss5", 2)
+        q = q_of(fam, 2)
+        rep = self.assert_K_agrees(fam, q, ss_hq_closed_form(fam.seq, q))
+        assert rep.notes[0] == (
+            "isolated component taken as I^[q] + (weighted vars)^8; certified "
+            "h*m in I^[q] for every degree-8 monomial m (S_8 / I^[q]_8 has free "
+            "rank 0 and largest invariant factor t^5 + t^3, which divides h), "
+            "so it sits inside colon(I^[q], h)"
+        )
 
     @pytest.mark.parametrize(
         "name,p,e,h",

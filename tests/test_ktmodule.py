@@ -19,7 +19,6 @@ from frobgrow.ktmodule import (
     contraction_colon,
     invariant_factors,
     slice_power_containment,
-    univariate_colon_trivial,
     univariate_colon_trivial_panel,
     x_degree,
 )
@@ -294,21 +293,21 @@ class TestUnivariateColonTrivial:
         R = ring_txy(P3)
         I = IdealHandle(R, ["x^2", "y^2", "t*x*y"])
         t = parse_unipoly("t", P3)
-        assert not univariate_colon_trivial(I, t, 3)
-        assert univariate_colon_trivial(I, parse_unipoly("t+1", P3), 3)
+        assert not univariate_colon_trivial_panel(I, [t], 3)[0]
+        assert univariate_colon_trivial_panel(I, [parse_unipoly("t+1", P3)], 3)[0]
 
     def test_colon_by_zero_rejected(self):
         R = ring_txy()
         I = IdealHandle(R, ["x^2", "y^2"])
         with pytest.raises(InputError):
-            univariate_colon_trivial(I, UniPoly.zero(P3), 2)
+            univariate_colon_trivial_panel(I, [UniPoly.zero(P3)], 2)[0]
 
     def test_panel_matches_single(self):
         R = ring_txy(P5)
         I = IdealHandle(R, ["x^2", "y^2", "t^2*x*y"])
         panel = [parse_unipoly(s, P5) for s in ("t", "t+1", "t^2+2", "t^3")]
         together = univariate_colon_trivial_panel(I, panel, 3)
-        singly = [univariate_colon_trivial(I, g, 3) for g in panel]
+        singly = [univariate_colon_trivial_panel(I, [g], 3)[0] for g in panel]
         assert together == singly == [False, True, True, False]
 
     def test_panel_agrees_with_tracked_echelon_random(self, rng):
@@ -351,7 +350,7 @@ class TestUnivariateColonTrivial:
             g = UniPoly(P3, [rng.randrange(3) for _ in range(rng.randint(1, 3))])
             if g.is_zero:
                 continue
-            fast = univariate_colon_trivial(I, g, 3)
+            fast = univariate_colon_trivial_panel(I, [g], 3)[0]
             g_multi = MultiPoly.from_unipoly(R, g, "t")
             assert fast == ideal_equal(colon(I, g_multi), I)
 
