@@ -2,8 +2,7 @@
 
 Dense univariate polynomials over F_p are plain lists of ints, index =
 degree, coefficients in [0, p), trailing zeros trimmed ([] is the zero
-polynomial).  The compiled module `_speedups` exports the same functions
-with identical semantics; `frobgrow._kernels` picks one at import time.
+polynomial).  `frobgrow._kernels` re-exports these functions.
 """
 
 IMPL = "pure"

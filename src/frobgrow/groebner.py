@@ -559,7 +559,8 @@ def power_containment(
 
 
 def _solve_consistent_mod_p(A: np.ndarray, b: np.ndarray, p: int) -> bool:
-    """Whether A x = b has a solution over F_p (dense Gaussian elimination)."""
+    """Whether A x = b has a solution over F_p (dense forward elimination
+    to row-echelon form; consistency needs no back-substitution)."""
     M = np.concatenate([A, b.reshape(-1, 1)], axis=1).astype(np.int64) % p
     rows, cols = M.shape
     pivot_row = 0
@@ -573,10 +574,9 @@ def _solve_consistent_mod_p(A: np.ndarray, b: np.ndarray, p: int) -> bool:
             M[[pivot_row, r]] = M[[r, pivot_row]]
         inv = pow(int(M[pivot_row, col]), p - 2, p)
         M[pivot_row] = (M[pivot_row] * inv) % p
-        other = np.nonzero(M[:, col])[0]
-        other = other[other != pivot_row]
-        if other.size:
-            M[other] = (M[other] - np.outer(M[other, col], M[pivot_row])) % p
+        below = pivot_row + 1 + np.nonzero(M[pivot_row + 1 :, col])[0]
+        if below.size:
+            M[below] = (M[below] - np.outer(M[below, col], M[pivot_row])) % p
         pivot_row += 1
         if pivot_row == rows:
             break

@@ -153,6 +153,25 @@ class TestUniFactor:
                         g = uni_gcd(frob, tau)
                         assert g.degree in (0, tau.degree)
 
+    def test_agrees_with_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for p in (P2, P3, P5, P7):
+            for _ in range(40):
+                a = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 25))])
+                if a.is_zero:
+                    continue
+                poly = sympy.Poly(list(reversed(a.coeffs)), t, modulus=p.p)
+                unit, sym_factors = poly.factor_list()
+                # sympy prints GF(p) coefficients as symmetric residues
+                want = [
+                    (UniPoly(p, [int(c) for c in reversed(f.monic().all_coeffs())]), m)
+                    for f, m in sym_factors
+                ]
+                fl = uni_factor(a, rng.randrange(1 << 30))
+                assert fl.unit == int(unit) % p.p
+                assert list(fl) == sorted(want, key=lambda fm: fm[0].sort_key())
+
 
 class TestParsePoly:
     def ring(self, p=P2):
