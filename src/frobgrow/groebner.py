@@ -637,8 +637,12 @@ def member_bounded_oracle(
     for m in f._terms:
         row_index.setdefault(m, len(row_index))
     A = np.zeros((len(row_index), len(cols)), dtype=np.int64)
-    for r, c, v in entries:
-        A[r, c] = (A[r, c] + v) % p
+    # one scatter-add of every entry, reduced only where entries landed
+    ri, ci, vals = np.fromiter(
+        itertools.chain.from_iterable(entries), dtype=np.int64, count=3 * len(entries)
+    ).reshape(-1, 3).T
+    np.add.at(A, (ri, ci), vals)
+    A[ri, ci] %= p
     b = np.zeros(len(row_index), dtype=np.int64)
     for m, c in f._terms.items():
         b[row_index[m]] = c % p

@@ -6,6 +6,12 @@ d; the lcm of all nonzero minors of all M_d (1 <= d <= n(q-1)) separates
 the isolated component of (x_1^q..x_n^q, f_1..f_r).  The Cramer-lift
 solver rewrites fraction-field solutions with base-ring ones and serves
 as the internal verification oracle for that construction.
+
+The minors scan counts positions in a fixed (size, row set, column set)
+order, and the `minor_subsets` budget bounds that count, not the number
+of determinants computed.  Only minors that can be nonzero are computed
+(no zero row or column), and each distinct submatrix once per `h_q`
+call.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import orders
+from ._kernels import uni_add, uni_divmod, uni_mul, uni_sub
 from .budgets import DEFAULT as DEFAULT_BUDGETS
 from .errors import InputError, VerificationError
 from .fpoly import (
@@ -36,38 +44,58 @@ from .fpoly import (
 
 def bareiss_det(matrix) -> UniPoly:
     """Fraction-free determinant of a square UniPoly matrix; cofactor
-    expansion for dimension <= 3."""
+    expansion for dimension <= 3.
+
+    The entries are converted to coefficient lists once and eliminated
+    with the list kernels; only the result is wrapped as a UniPoly."""
     n = len(matrix)
     if n == 0:
         raise InputError("determinant of an empty matrix")
-    p = matrix[0][0].p
+    P = matrix[0][0].p
     if n == 1:
         return matrix[0][0]
+    p = P.p
+    A = [[list(e.coeffs) for e in row] for row in matrix]
     if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+        (a, b), (c, d) = A
+        return UniPoly(P, uni_sub(uni_mul(a, d, p), uni_mul(b, c, p), p))
     if n == 3:
-        a, b, c = matrix[0]
-        d, e, f = matrix[1]
-        g, h, i = matrix[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    A = [list(row) for row in matrix]
-    zero = UniPoly.zero(p)
-    prev = UniPoly.one(p)
+        a, b, c = A[0]
+        d, e, f = A[1]
+        g, h, i = A[2]
+        ei_fh = uni_sub(uni_mul(e, i, p), uni_mul(f, h, p), p)
+        di_fg = uni_sub(uni_mul(d, i, p), uni_mul(f, g, p), p)
+        dh_eg = uni_sub(uni_mul(d, h, p), uni_mul(e, g, p), p)
+        det = uni_sub(uni_mul(a, ei_fh, p), uni_mul(b, di_fg, p), p)
+        return UniPoly(P, uni_add(det, uni_mul(c, dh_eg, p), p))
+    prev = [1]
     sign = 1
     for k in range(n - 1):
-        if A[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, n) if not A[i][k].is_zero), None)
+        if not A[k][k]:
+            pivot = next((i for i in range(k + 1, n) if A[i][k]), None)
             if pivot is None:
-                return zero
+                return UniPoly.zero(P)
             A[k], A[pivot] = A[pivot], A[k]
             sign = -sign
+        row_k = A[k]
+        a_kk = row_k[k]
         for i in range(k + 1, n):
+            row_i = A[i]
+            a_ik = row_i[k]
             for j in range(k + 1, n):
-                A[i][j] = (A[k][k] * A[i][j] - A[i][k] * A[k][j]).exact_div(prev)
-            A[i][k] = zero
-        prev = A[k][k]
+                num = uni_sub(uni_mul(a_kk, row_i[j], p), uni_mul(a_ik, row_k[j], p), p)
+                if k:  # prev is 1 at the first step
+                    quo, rem = uni_divmod(num, prev, p)
+                    if rem:
+                        raise InputError(
+                            f"inexact division: {UniPoly(P, num)} by {UniPoly(P, prev)}"
+                        )
+                    num = quo
+                row_i[j] = num
+            row_i[k] = []
+        prev = a_kk
     det = A[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return UniPoly(P, det if sign == 1 else uni_sub([], det, p))
 
 
 # ---------------------------------------------------------------------------
@@ -171,62 +199,76 @@ class MinorScan:
     partial: bool
 
 
-def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> MinorScan:
-    """Monic lcm of all nonzero minors of all sizes, enumerated by
-    increasing size in a fixed order with incremental gcd-dedup.  The
-    empty matrix contributes 1.  Exhausting the budget flags the scan
-    PARTIAL instead of failing."""
+def minors_lcm(
+    M: MinorMatrix,
+    budget: int = DEFAULT_BUDGETS.minor_subsets,
+    dets: dict | None = None,
+) -> MinorScan:
+    """Monic lcm of all nonzero minors of all sizes, with incremental
+    gcd-dedup.  The empty matrix contributes 1.
+
+    Minors are positioned by increasing size, then row set, then column
+    set, each in lexicographic order, skipping row sets with a zero row
+    of M.  `examined` counts positions reached in that order, not
+    determinants computed: a row set advances it by C(ncols, size) at
+    once, and only column sets inside the row set's nonzero columns are
+    visited, since any other has a zero column.  Each distinct submatrix
+    is evaluated once; `dets` maps submatrix contents to monic
+    determinants and may be shared by scans of one ring.  Exhausting
+    the budget flags the scan PARTIAL instead of failing, after exactly
+    the first `budget` positions, with `examined = budget + 1`.
+    """
     nr, nc = M.shape
     p_mod = M.p
-    acc = None  # lazily typed accumulator; None means 1 so far
-    examined = 0
-    partial = False
-    row_mask = [0] * nr
-    col_mask = [0] * nc
-    for (r, c) in M.entries:
-        row_mask[r] |= 1 << c
-        col_mask[c] |= 1 << r
+    if dets is None:
+        dets = {}
     zero = UniPoly.zero(p_mod)
-    done = False
+    row_entries = [{} for _ in range(nr)]  # col -> nonzero UniPoly
+    for (r, c), a in M.entries.items():
+        row_entries[r][c] = a
+    row_coeffs = [{c: a.coeffs for c, a in row.items()} for row in row_entries]
+    row_mask = [sum(1 << c for c in row) for row in row_entries]
+    live = [r for r in range(nr) if row_mask[r]]
+    acc = UniPoly.one(p_mod)
+    examined = 0
+    seen = set()  # submatrices already folded into this scan's lcm
     for size in range(1, min(nr, nc) + 1):
-        if done:
-            break
-        for rows in itertools.combinations(range(nr), size):
-            if done:
-                break
+        n_cols = comb(nc, size)
+        for rows in itertools.combinations(live, size):
+            left = budget - examined
+            cut = n_cols > left
+            if not cut:
+                examined += n_cols
             rbits = 0
             for r in rows:
-                rbits |= 1 << r
-            if any(not (row_mask[r]) for r in rows):
-                continue
-            for cols in itertools.combinations(range(nc), size):
-                examined += 1
-                if examined > budget:
-                    partial = True
-                    done = True
+                rbits |= row_mask[r]
+            active = [c for c in range(nc) if rbits >> c & 1]
+            for cols in itertools.combinations(active, size):
+                # past the budget: the lexicographic rank of cols among all
+                # size-subsets of range(nc) is its position in this row set
+                if cut and n_cols - 1 - sum(
+                    comb(nc - 1 - c, size - i) for i, c in enumerate(cols)
+                ) >= left:
                     break
-                # a fully zero row or column inside the submatrix: det 0
+                # a fully zero row inside the submatrix: det 0
                 cbits = 0
                 for c in cols:
                     cbits |= 1 << c
                 if any(not (row_mask[r] & cbits) for r in rows):
                     continue
-                if any(not (col_mask[c] & rbits) for c in cols):
+                key = tuple(row_coeffs[r].get(c, ()) for r in rows for c in cols)
+                if key in seen:
                     continue
-                sub = [
-                    [M.entries.get((r, c), zero) for c in cols] for r in rows
-                ]
-                det = bareiss_det(sub)
-                if det.is_zero:
-                    continue
-                det = det.monic()
-                if acc is None:
-                    acc = det
-                elif not (acc % det).is_zero:
+                seen.add(key)
+                det = dets.get(key)
+                if det is None:
+                    sub = [[row_entries[r].get(c, zero) for c in cols] for r in rows]
+                    det = dets[key] = bareiss_det(sub).monic()
+                if not det.is_zero and not (acc % det).is_zero:
                     acc = uni_lcm(acc, det)
-    if acc is None:
-        acc = UniPoly.one(p_mod)
-    return MinorScan(lcm=acc, examined=examined, partial=partial)
+            if cut:
+                return MinorScan(lcm=acc, examined=budget + 1, partial=True)
+    return MinorScan(lcm=acc, examined=examined, partial=False)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +320,10 @@ def h_q(
     acc = UniPoly.one(ring.p)
     examined = 0
     partial = False
+    dets = {}  # submatrix contents -> monic det, for this call only
     for d in range(1, n * (q.q - 1) + 1):
         M = build_Md(ring, q, d)
-        scan = minors_lcm(M, budget)
+        scan = minors_lcm(M, budget, dets)
         examined += scan.examined
         partial = partial or scan.partial
         if scan.lcm.degree > 0:

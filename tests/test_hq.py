@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from frobgrow import hq
 from frobgrow.decomposer import family
 from frobgrow.errors import InputError, VerificationError
 from frobgrow.fpoly import (
@@ -10,8 +13,9 @@ from frobgrow.fpoly import (
     UniPoly,
     format_unipoly,
     parse_unipoly,
+    uni_lcm,
 )
-from frobgrow.hq import bareiss_det, build_Md, h_q, minor_lift, minors_lcm
+from frobgrow.hq import MinorMatrix, MinorScan, bareiss_det, build_Md, h_q, minor_lift, minors_lcm
 from frobgrow.sequences import cofactor_det
 
 P2 = PrimeModulus(2)
@@ -27,6 +31,91 @@ def rand_matrix(rng, p, n, deg=2):
         ]
         for _ in range(n)
     ]
+
+
+def rand_sparse_matrix(rng, p, nr, nc, density, deg=2):
+    """Entries zero with probability 1 - density, else a random poly."""
+    return [
+        [
+            UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, deg + 1))])
+            if rng.random() < density
+            else UniPoly.zero(p)
+            for _ in range(nc)
+        ]
+        for _ in range(nr)
+    ]
+
+
+def as_minor_matrix(A, p):
+    return MinorMatrix(
+        p=p,
+        d=0,
+        rows=tuple(range(len(A))),
+        cols=tuple(range(len(A[0]))),
+        entries={
+            (r, c): a for r, row in enumerate(A) for c, a in enumerate(row) if not a.is_zero
+        },
+    )
+
+
+def reference_minors_lcm(M, budget):
+    """The plain scan: walk every column set of every row set without a
+    zero row, counting each one, and evaluate every candidate minor."""
+    nr, nc = M.shape
+    acc = None
+    examined = 0
+    partial = False
+    row_mask = [0] * nr
+    col_mask = [0] * nc
+    for (r, c) in M.entries:
+        row_mask[r] |= 1 << c
+        col_mask[c] |= 1 << r
+    zero = UniPoly.zero(M.p)
+    done = False
+    for size in range(1, min(nr, nc) + 1):
+        if done:
+            break
+        for rows in itertools.combinations(range(nr), size):
+            if done:
+                break
+            rbits = 0
+            for r in rows:
+                rbits |= 1 << r
+            if any(not (row_mask[r]) for r in rows):
+                continue
+            for cols in itertools.combinations(range(nc), size):
+                examined += 1
+                if examined > budget:
+                    partial = True
+                    done = True
+                    break
+                cbits = 0
+                for c in cols:
+                    cbits |= 1 << c
+                if any(not (row_mask[r] & cbits) for r in rows):
+                    continue
+                if any(not (col_mask[c] & rbits) for c in cols):
+                    continue
+                sub = [[M.entries.get((r, c), zero) for c in cols] for r in rows]
+                det = bareiss_det(sub)
+                if det.is_zero:
+                    continue
+                det = det.monic()
+                if acc is None:
+                    acc = det
+                elif not (acc % det).is_zero:
+                    acc = uni_lcm(acc, det)
+    if acc is None:
+        acc = UniPoly.one(M.p)
+    return MinorScan(lcm=acc, examined=examined, partial=partial)
+
+
+def full_positions(M):
+    """Positions the unbudgeted scan reaches: C(ncols, k) per k-row set
+    without a zero row of M."""
+    nr, nc = M.shape
+    live = len({r for (r, _) in M.entries})
+    return sum(comb(live, k) * comb(nc, k) for k in range(1, min(nr, nc) + 1))
 
 
 class TestBareissDet:
@@ -51,6 +140,20 @@ class TestBareissDet:
             n = rng.randint(1, 5)
             A = rand_matrix(rng, p, n)
             assert bareiss_det(A) == cofactor_det(A)
+
+    def test_sparse_agrees_with_cofactor_expansion(self, rng):
+        # mostly-zero entries: zero pivots force row swaps, and many of
+        # these matrices are singular
+        singular = zero_lead = 0
+        for _ in range(120):
+            p = PrimeModulus((2, 3, 5)[rng.randrange(3)])
+            n = rng.randint(4, 7)
+            A = rand_sparse_matrix(rng, p, n, n, density=rng.choice((0.3, 0.45, 0.6)))
+            det = bareiss_det(A)
+            assert det == cofactor_det(A)
+            singular += det.is_zero
+            zero_lead += A[0][0].is_zero
+        assert singular >= 10 and zero_lead >= 30
 
 
 class TestBuildMd:
@@ -104,6 +207,58 @@ class TestMinorsLcm:
         scan = minors_lcm(M, budget=5)
         assert scan.partial and scan.examined == 6
 
+    @pytest.mark.parametrize(
+        "name,p,e", [("katzman", 2, 2), ("brenner_monsky", 2, 2), ("ss5", 2, 1), ("ss5", 3, 1)]
+    )
+    def test_matches_reference_scan_on_families(self, name, p, e):
+        fam = family(name, p)
+        q = PrimePower(PrimeModulus(p), e)
+        n = len(fam.ring.weight1_indices())
+        for d in range(1, n * (q.q - 1) + 1):
+            M = build_Md(fam.ring, q, d)
+            assert minors_lcm(M) == reference_minors_lcm(M, hq.DEFAULT_BUDGETS.minor_subsets)
+
+    def test_matches_reference_scan_on_random_budgets(self, rng):
+        # budgets that cut inside a row set, at the first position of a
+        # row set (after the first row set, before the last one), at the
+        # last position, and not at all
+        cuts = 0
+        for _ in range(60):
+            p = PrimeModulus((2, 3, 5)[rng.randrange(3)])
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            A = rand_sparse_matrix(rng, p, nr, nc, rng.choice((0.3, 0.5, 0.8)), deg=1)
+            M = as_minor_matrix(A, p)
+            full = full_positions(M)
+            live = len({r for (r, _) in M.entries})
+            last_row_set = comb(nc, min(live, nc))
+            budgets = {1, nc, full - last_row_set, full - 1, full, full + 1, rng.randint(1, full + 1)}
+            for budget in sorted(b for b in budgets if b >= 1):
+                got = minors_lcm(M, budget)
+                assert got == reference_minors_lcm(M, budget), (A, budget)
+                assert got.partial == (budget < full)
+                cuts += got.partial
+        assert cuts >= 60
+
+    def test_every_budget_on_small_matrices(self, rng):
+        # each cut position of a few small matrices, so a cut that admits
+        # one column set too many or too few changes some lcm
+        for _ in range(12):
+            p = PrimeModulus((2, 3, 5)[rng.randrange(3)])
+            A = rand_sparse_matrix(rng, p, 4, 4, density=0.6)
+            M = as_minor_matrix(A, p)
+            for budget in range(1, full_positions(M) + 2):
+                assert minors_lcm(M, budget) == reference_minors_lcm(M, budget), (A, budget)
+
+    def test_shared_dets_keep_each_scan_exact(self):
+        # a table shared across degrees must not leak one scan's minors
+        # into another scan's lcm
+        fam = family("katzman", 3)
+        q = PrimePower(P3, 2)
+        dets = {}
+        for d in range(1, 2 * (q.q - 1) + 1):
+            M = build_Md(fam.ring, q, d)
+            assert minors_lcm(M, dets=dets) == minors_lcm(M)
+
 
 class TestHq:
     def test_katzman_values(self):
@@ -129,6 +284,25 @@ class TestHq:
             ("t + 1", 2),
         ]
         assert cert.s_max == 4 and not cert.partial
+
+    def test_det_table_lives_for_one_call(self, monkeypatch):
+        # a determinant table that outlived one h_q call would make the
+        # second call cheaper than the first
+        calls = []
+        real = hq.bareiss_det
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(hq, "bareiss_det", counting)
+        fam = family("katzman", 3)
+        q = PrimePower(P3, 1)
+        first = h_q(fam.ring, q)
+        n_first = len(calls)
+        second = h_q(fam.ring, q)
+        assert n_first > 0 and len(calls) == 2 * n_first
+        assert first.h == second.h
 
     def test_json_round_trip_fields(self):
         fam = family("katzman", 2)
