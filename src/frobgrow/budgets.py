@@ -2,7 +2,8 @@
 
 Exceeding a budget raises BudgetExceeded (or flags PARTIAL where the spec
 of the operation says so) and is always distinguishable from a wrong
-answer.  FROBGROW_BUDGET_SCALE multiplies every limit.
+answer.  wall_seconds is the exception: it is parsed and scaled, but no
+computation checks it yet.  FROBGROW_BUDGET_SCALE multiplies every limit.
 """
 
 from __future__ import annotations

@@ -16,8 +16,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import budgets as budgets_mod
 from . import orders
 from .errors import BudgetExceeded, InputError, RingMismatch
@@ -558,31 +556,34 @@ def power_containment(
     return rec(0, k, MultiPoly.const(ring, 1))
 
 
-def _solve_consistent_mod_p(A: np.ndarray, b: np.ndarray, p: int) -> bool:
-    """Whether A x = b has a solution over F_p (dense forward elimination
-    to row-echelon form; consistency needs no back-substitution)."""
-    M = np.concatenate([A, b.reshape(-1, 1)], axis=1).astype(np.int64) % p
-    rows, cols = M.shape
-    pivot_row = 0
-    for col in range(cols - 1):
-        sub = M[pivot_row:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        r = pivot_row + int(nz[0])
-        if r != pivot_row:
-            M[[pivot_row, r]] = M[[r, pivot_row]]
-        inv = pow(int(M[pivot_row, col]), p - 2, p)
-        M[pivot_row] = (M[pivot_row] * inv) % p
-        below = pivot_row + 1 + np.nonzero(M[pivot_row + 1 :, col])[0]
-        if below.size:
-            M[below] = (M[below] - np.outer(M[below, col], M[pivot_row])) % p
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    # inconsistent iff a row is zero in A but nonzero in b
-    zero_a = ~M[:, :-1].any(axis=1)
-    return not bool((M[zero_a, -1] % p).any())
+def _in_span_mod_p(columns, target: dict, p: int) -> bool:
+    """Whether `target` lies in the F_p-span of the sparse `columns`
+    ({row: coefficient} dicts): each column, reduced by the pivots kept
+    so far, becomes the pivot of its largest row left, if any; the
+    target is in the span iff it reduces to zero."""
+    pivots = {}  # pivot row -> column, 1 at that row, zero on rows above
+
+    def reduce(v):  # in place; returns v's largest row left, None if v is 0
+        while v:
+            row = max(v)
+            piv = pivots.get(row)
+            if piv is None:
+                return row
+            c = v[row]
+            for r, a in piv.items():
+                w = (v.get(r, 0) - c * a) % p
+                if w:
+                    v[r] = w
+                else:
+                    del v[r]
+        return None
+
+    for col in columns:
+        row = reduce(col)
+        if row is not None:
+            inv = pow(col[row], p - 2, p)
+            pivots[row] = {r: a * inv % p for r, a in col.items()}
+    return reduce(dict(target)) is None
 
 
 def member_bounded_oracle(
@@ -618,33 +619,20 @@ def member_bounded_oracle(
                 yield tuple(m)
 
     support = list(bounded_monomials())
-    gens = [g for g in I.effective_generators() if not g.is_zero]
-    cols = []
+    columns = []  # {row: coefficient} of each multiple m * g
     row_index: dict[tuple, int] = {}
-    entries = []  # (row, col, coeff)
-    for gi, g in enumerate(gens):
+    for g in I.effective_generators():
         for m in support:
-            col = len(cols)
-            cols.append((gi, m))
-            if len(cols) > budgets.oracle_dim:
+            col = {}
+            columns.append(col)
+            if len(columns) > budgets.oracle_dim:
                 raise BudgetExceeded("oracle_dim", budgets.oracle_dim)
             for gm, gc in g._terms.items():
                 prod = tuple(a + b for a, b in zip(m, gm))
                 r = row_index.setdefault(prod, len(row_index))
                 if len(row_index) > budgets.oracle_dim:
                     raise BudgetExceeded("oracle_dim", budgets.oracle_dim)
-                entries.append((r, col, gc))
-    for m in f._terms:
-        row_index.setdefault(m, len(row_index))
-    A = np.zeros((len(row_index), len(cols)), dtype=np.int64)
-    # one scatter-add of every entry, reduced only where entries landed
-    ri, ci, vals = np.fromiter(
-        itertools.chain.from_iterable(entries), dtype=np.int64, count=3 * len(entries)
-    ).reshape(-1, 3).T
-    np.add.at(A, (ri, ci), vals)
-    A[ri, ci] %= p
-    b = np.zeros(len(row_index), dtype=np.int64)
-    for m, c in f._terms.items():
-        b[row_index[m]] = c % p
-    return _solve_consistent_mod_p(A, b, p)
+                col[r] = gc
+    target = {row_index.setdefault(m, len(row_index)): c for m, c in f._terms.items()}
+    return _in_span_mod_p(columns, target, p)
 

@@ -1,11 +1,13 @@
 """Separating polynomials h_q(t) from minors of coefficient matrices.
 
 For a ring k[t, x_1..x_n]/(f_1..f_r) with homogeneous relations, the
-matrix M_d relates multiplier coefficients to the graded piece of degree
-d; the lcm of all nonzero minors of all M_d (1 <= d <= n(q-1)) separates
-the isolated component of (x_1^q..x_n^q, f_1..f_r).  The Cramer-lift
-solver rewrites fraction-field solutions with base-ring ones and serves
-as the internal verification oracle for that construction.
+matrix M_d presents degree d of S/I^[q] as ktmodule's slices do: rows
+the standard monomials (every exponent < q), columns the relation
+multiples.  The lcm of all nonzero minors of all M_d (1 <= d <= n(q-1))
+separates the isolated component of (x_1^q..x_n^q, f_1..f_r).  The
+Cramer-lift solver rewrites fraction-field solutions with base-ring
+ones and serves as the internal verification oracle for that
+construction.
 
 The minors scan counts positions in a fixed (size, row set, column set)
 order, and the `minor_subsets` budget bounds that count, not the number
@@ -36,6 +38,7 @@ from .fpoly import (
     uni_lcm,
     weighted_degree,
 )
+from .ktmodule import _columns_of, _single_t_index
 
 
 # ---------------------------------------------------------------------------
@@ -127,30 +130,15 @@ class MinorMatrix:
         return self.entries.get((r, c))
 
 
-def _relation_coefficients(ring: RingSpec, rel) -> dict:
-    """Map weight-1 exponent vector v -> its k[t] coefficient in `rel`."""
-    w1 = ring.weight1_indices()
-    w0 = ring.weight0_indices()
-    if len(w0) != 1:
-        raise InputError("separating polynomials need exactly one weight-0 variable")
-    ti = w0[0]
-    coeffs: dict[tuple, dict[int, int]] = {}
-    for m, c in rel._terms.items():
-        v = tuple(m[i] for i in w1)
-        coeffs.setdefault(v, {})[m[ti]] = c
-    p = ring.p
-    return {
-        v: UniPoly(p, [d.get(k, 0) for k in range(max(d) + 1)])
-        for v, d in coeffs.items()
-    }
-
-
 def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
-    """The matrix M_d, rows and columns in a fixed grevlex order."""
+    """The matrix M_d, rows and columns in a fixed grevlex order: each
+    column is a relation multiple from ktmodule's `_columns_of` on the
+    standard rows, kept when that leaves it zero."""
     w1 = ring.weight1_indices()
     n = len(w1)
     if n == 0:
         raise InputError("no weight-1 variables")
+    ti = _single_t_index(ring)
     if not 1 <= d <= n * (q.q - 1):
         raise InputError(f"degree {d} outside 1..{n * (q.q - 1)}")
     degs = []
@@ -165,24 +153,19 @@ def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
         return sorted(exps, key=lambda e: orders._grevlex_key(e, prec), reverse=True)
 
     rows = tuple(grevlex_desc(orders.monomials_of_degree(n, d, cap=q.q - 1)))
+    row_index = {u: ri for ri, u in enumerate(rows)}
     cols = []
-    col_coeffs = []
+    entries = {}
     for i, rel in enumerate(ring.relations):
         if d - degs[i] < 0:
             continue
-        rel_coeffs = _relation_coefficients(ring, rel)
         for w in grevlex_desc(orders.monomials_of_degree(n, d - degs[i])):
+            ci = len(cols)
             cols.append((i, w))
-            col_coeffs.append(rel_coeffs)
-    entries = {}
-    for ri, u in enumerate(rows):
-        for ci, (i, w) in enumerate(cols):
-            v = tuple(a - b for a, b in zip(u, w))
-            if any(e < 0 for e in v):
-                continue
-            a = col_coeffs[ci].get(v)
-            if a is not None and not a.is_zero:
-                entries[(ri, ci)] = a
+            for u, a in _columns_of(rel, ti, w1, w).items():
+                ri = row_index.get(u)
+                if ri is not None:
+                    entries[(ri, ci)] = a
     return MinorMatrix(p=ring.p, d=d, rows=rows, cols=tuple(cols), entries=entries)
 
 

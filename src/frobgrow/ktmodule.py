@@ -8,6 +8,12 @@ reduce to column echelon forms of matrices of univariate polynomials,
 which is far cheaper than an elimination-order Groebner basis when the
 t-degrees are large.
 
+The generators that are x-monomials up to a unit (the x_i^q of I^[q],
+the m^K of a certified isolated component, a constant) are quotiented
+out first: slices live on the standard monomials, those none of them
+divides, with the other generators' multiples as columns.  For I^[q]
+that is the paper's M_d, which `hq.build_Md` builds with `_columns_of`.
+
 Generator columns only touch the monomials in their support, so every
 computation is restricted to the support-connectivity component of the
 target; for multigraded relations this recovers the grading decomposition
@@ -53,18 +59,11 @@ def x_degree(f: MultiPoly) -> int:
 
 def _columns_of(f: MultiPoly, ti: int, w1, shift) -> dict:
     """f * x^shift as a vector {x-monomial exps: UniPoly} over k[t]."""
-    p = f.ring.p
     out = {}
     for exps, c in f.term_dict().items():
-        row = tuple(exps[i] + s for i, s in zip(w1, shift))
-        coeffs = out.setdefault(row, {})
-        coeffs[exps[ti]] = (coeffs.get(exps[ti], 0) + c) % p.p
-    vec = {}
-    for row, coeffs in out.items():
-        u = UniPoly(p, [coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
-        if not u.is_zero:
-            vec[row] = u
-    return vec
+        out.setdefault(tuple(exps[i] + s for i, s in zip(w1, shift)), {})[exps[ti]] = c
+    p = f.ring.p
+    return {row: UniPoly(p, [d.get(k, 0) for k in range(max(d) + 1)]) for row, d in out.items()}
 
 
 def _supports(f: MultiPoly, w1):
@@ -72,20 +71,38 @@ def _supports(f: MultiPoly, w1):
 
 
 def _generator_data(ideal):
-    """(generator, x-degree, x-supports) of every nonzero effective
-    generator; computed once per ideal and shared by all its slices."""
-    w1 = ideal.ring.weight1_indices()
-    return [
-        (g, x_degree(g), _supports(g, w1))
-        for g in ideal.effective_generators()
-        if not g.is_zero
-    ]
+    """(covers, columns) of an ideal, shared by all its slices: the
+    x-exponents of the single-term generators free of t, and (generator,
+    x-degree, x-supports) of every other nonzero generator."""
+    ring = ideal.ring
+    w0, w1 = ring.weight0_indices(), ring.weight1_indices()
+    covers, columns = [], []
+    for g in ideal.effective_generators():
+        terms = g.term_dict()
+        if len(terms) == 1:
+            (exps,) = terms
+            if not any(exps[i] for i in w0):
+                covers.append(tuple(exps[i] for i in w1))
+                continue
+        if terms:
+            columns.append((g, x_degree(g), _supports(g, w1)))
+    return covers, columns
+
+
+def _cover_test(covers, degree: int):
+    """Whether a degree-`degree` x-monomial is divisible by a cover; only
+    the covers of at most that degree are tried, each on the variables
+    it involves."""
+    low = [[(i, e) for i, e in enumerate(c) if e] for c in covers if sum(c) <= degree]
+    return lambda row: any(all(row[i] >= e for i, e in c) for c in low)
 
 
 class DegreeSlice:
     """The component of the degree-d slice of an ideal containing the
     given seed monomials, held in column echelon form over k[t].
 
+    Its rows are the standard monomials: a row some cover divides is zero
+    in S_d / I_d, so covered seeds and column entries are dropped.
     `generators` is the ideal's `_generator_data`, passed in by callers
     that build many slices of one ideal."""
 
@@ -93,25 +110,30 @@ class DegreeSlice:
         ring = ideal.ring
         self._ti = _single_t_index(ring)
         self._w1 = ring.weight1_indices()
-        self.ring = ring
         self.p = ring.p
         self.degree = degree
-        if generators is None:
-            generators = _generator_data(ideal)
-        gen_data = [gd for gd in generators if gd[1] <= degree]
+        covers, gens = generators if generators is not None else _generator_data(ideal)
+        self.covered = _cover_test(covers, degree)
+        gen_data = [gd for gd in gens if gd[1] <= degree]
         rows, columns = self._collect(gen_data, seeds, degree)
         self.rows = rows
         self._echelon_pivots = _echelon(columns, sorted(rows, reverse=True))[0]
 
     def _collect(self, gen_data, seeds, degree):
-        seen = set()
+        standard = {}  # row reached -> whether no cover divides it
         work = []
+
+        def keep(row):  # whether row is standard; queued when first reached
+            if row not in standard:
+                standard[row] = not self.covered(row)
+                if standard[row]:
+                    work.append(row)
+            return standard[row]
+
         for s in seeds:
             if sum(s) != degree:
                 raise InputError("seed monomial has the wrong degree")
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
+            keep(s)
         placed = set()
         columns = []
         while work:
@@ -124,18 +146,15 @@ class DegreeSlice:
                     if (gi, shift) in placed:
                         continue
                     placed.add((gi, shift))
-                    columns.append(_columns_of(g, self._ti, self._w1, shift))
-                    for s2 in sup:
-                        other = tuple(a + b for a, b in zip(shift, s2))
-                        if other not in seen:
-                            seen.add(other)
-                            work.append(other)
-        return seen, columns
+                    col = _columns_of(g, self._ti, self._w1, shift)
+                    columns.append({r: u for r, u in col.items() if keep(r)})
+        return {r for r, std in standard.items() if std}, columns
 
     def contains(self, vec: dict) -> bool:
         """Membership of a vector {x-exps: UniPoly} by exact-division
-        reduction against the echelon."""
-        v = {r: u for r, u in vec.items() if not u.is_zero}
+        reduction against the echelon; covered entries are zero in S_d / I_d
+        and are dropped first."""
+        v = {r: u for r, u in vec.items() if not u.is_zero and not self.covered(r)}
         if any(row not in self.rows for row in v):
             return False
         for row, piv in self._echelon_pivots:
@@ -289,7 +308,8 @@ class SliceCache:
     """The degree slices of one x-homogeneous ideal I, its generator data
     computed once.  `member` decides membership and keeps the slices it
     builds, indexed by row.  `at(b)` gives S_b / I_b (S_b free on the
-    degree-b x-monomials) from the Smith form of each row component; it
+    degree-b x-monomials) from the Smith form of each row component of
+    the standard monomials, the covered ones being zero there; it
     reuses `member`'s slices but keeps only the invariants of its own,
     which would otherwise dominate memory.  A full degree stays full
     above (each monomial there is a multiple of one below), so `at`
@@ -307,10 +327,14 @@ class SliceCache:
     def member(self, f: MultiPoly) -> bool:
         if f.is_zero:
             return True
-        sup = _supports(f, self._w1)
+        degree = x_degree(f)
+        covered = _cover_test(self._generators[0], degree)
+        sup = [m for m in _supports(f, self._w1) if not covered(m)]
+        if not sup:  # every term of f is zero in S / I
+            return True
         sl = self._by_row.get(sup[0])
         if sl is None or not all(m in sl.rows for m in sup):
-            sl = DegreeSlice(self.ideal, x_degree(f), sup, self._generators)
+            sl = DegreeSlice(self.ideal, degree, sup, self._generators)
             for row in sl.rows:
                 self._by_row[row] = sl
         return sl.contains_poly(f)
@@ -321,7 +345,8 @@ class SliceCache:
         got = self._degrees.get(b)
         if got is None:
             free, largest = 0, self._one
-            todo = set(monomials_of_degree(len(self._w1), b))
+            covered = _cover_test(self._generators[0], b)
+            todo = {m for m in monomials_of_degree(len(self._w1), b) if not covered(m)}
             while todo:
                 row = todo.pop()
                 sl = self._by_row.get(row)
@@ -445,6 +470,8 @@ def contraction_colon(ideal, witness: MultiPoly) -> UniPoly:
     seed = tuple(exps[i] for i in w1)
     sl = DegreeSlice(ideal, sum(seed), [seed])
     p = ring.p
+    if sl.covered(seed):  # the witness is zero in S / I
+        return UniPoly.one(p)
     columns = [{seed: UniPoly.const(p, c), None: UniPoly.one(p)}]
     columns += [dict(piv) for _, piv in sl._echelon_pivots]
     gen = UniPoly.zero(p)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -90,6 +93,22 @@ class TestHq:
     def test_family_xor_ring_file(self, runner):
         res = invoke(runner, "hq", "--p", "2", "--q", "2")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("t_vars", [(), ("s", "t")])
+    def test_ring_file_needs_one_weight_zero_variable(self, runner, tmp_path, t_vars):
+        # M_d is a matrix over k[t]: no weight-zero variable, or two, is an
+        # input error
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({
+            "prime": 2,
+            "variables": [{"name": v, "weight": 0} for v in t_vars]
+            + [{"name": "x", "weight": 1}, {"name": "y", "weight": 1}],
+            "relations": ["x^2+" + "*".join(t_vars + ("x", "y")) + "+y^2"],
+            "ideal": ["x", "y"],
+        }))
+        res = invoke(runner, "hq", "--ring-file", str(ring), "--p", "2", "--q", "2")
+        assert res.exit_code == 2
+        assert "weight-zero variable" in res.output
 
 
 class TestDecompose:
@@ -231,3 +250,16 @@ class TestWitness:
                    "--method", "groebner", "--no-timings")
         assert a.exit_code == b.exit_code == 0
         assert json.loads(a.output)["generator"] == json.loads(b.output)["generator"]
+
+
+def test_cli_import_leaves_numpy_out():
+    # frobgrow depends on click alone; loading the CLI must not pull numpy in
+    import frobgrow.cli
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frobgrow.cli.__file__)))
+    code = "import sys, frobgrow.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -16,6 +16,8 @@ from frobgrow.fpoly import (
     uni_lcm,
 )
 from frobgrow.hq import MinorMatrix, MinorScan, bareiss_det, build_Md, h_q, minor_lift, minors_lcm
+from frobgrow.ktmodule import x_degree
+from frobgrow.orders import monomials_of_degree
 from frobgrow.sequences import cofactor_det
 
 P2 = PrimeModulus(2)
@@ -184,6 +186,47 @@ class TestBuildMd:
         assert M.shape == (3, 1)
         col = [format_unipoly(M.entry(r, 0)) for r in range(3)]
         assert col == ["1", "t + 1", "t"]
+
+
+def dense_Md_entries(ring, M):
+    """M's entries by definition: for every row u and column (i, w), the
+    k[t] coefficient of x^(u - w) in relation i, read off its terms."""
+    w1 = ring.weight1_indices()
+    (ti,) = ring.weight0_indices()
+    entries = {}
+    for ri, u in enumerate(M.rows):
+        for ci, (i, w) in enumerate(M.cols):
+            v = tuple(a - b for a, b in zip(u, w))
+            coeffs = {}
+            for exps, c in ring.relations[i].term_dict().items():
+                if tuple(exps[k] for k in w1) == v:
+                    coeffs[exps[ti]] = c
+            a = UniPoly(M.p, [coeffs.get(k, 0) for k in range(max(coeffs, default=0) + 1)])
+            if not a.is_zero:
+                entries[(ri, ci)] = a
+    return entries
+
+
+class TestMdByDefinition:
+    @pytest.mark.parametrize(
+        "name,p,e",
+        [("katzman", 3, 2), ("ss5", 3, 1), ("brenner_monsky", 2, 2), ("ss7", 2, 1)],
+    )
+    def test_matches_dense_builder(self, name, p, e):
+        # rows: every degree-d monomial with exponents < q; columns: every
+        # relation multiple, zero columns included; entries: the definition
+        fam = family(name, p)
+        q = PrimePower(PrimeModulus(p), e)
+        n = len(fam.ring.weight1_indices())
+        degs = [x_degree(rel) for rel in fam.ring.relations]
+        for d in range(1, n * (q.q - 1) + 1):
+            M = build_Md(fam.ring, q, d)
+            assert sorted(M.rows) == sorted(monomials_of_degree(n, d, cap=q.q - 1))
+            assert sorted(M.cols) == sorted(
+                (i, w) for i, dd in enumerate(degs) if dd <= d
+                for w in monomials_of_degree(n, d - dd)
+            )
+            assert M.entries == dense_Md_entries(fam.ring, M)
 
 
 class TestMinorsLcm:

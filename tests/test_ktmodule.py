@@ -114,13 +114,15 @@ class TestDegreeSliceMembership:
             DegreeSlice(IdealHandle(R, ["x^2"]), 2, [(3, 0)])
 
     def test_component_restriction(self):
-        # generators never mix x- and y-pure monomials, so the slice seeded
-        # at x^3 must not even collect the y^3 row
+        # no generator column touches two monomials, so the slice seeded at
+        # x*y^2 must not even collect the y^3 row; the cover x^2 makes x^3
+        # zero in the quotient, so seeded there the slice has no rows
         R = ring_txy()
         I = IdealHandle(R, ["x^2", "t*y^2"])
-        sl = DegreeSlice(I, 3, [(3, 0)])
-        assert (3, 0) in sl.rows
+        sl = DegreeSlice(I, 3, [(1, 2)])
+        assert sl.rows == {(1, 2)}
         assert (0, 3) not in sl.rows
+        assert not DegreeSlice(I, 3, [(3, 0)]).rows
 
     def test_agrees_with_normal_form_random(self, rng):
         # dual-route check: echelon membership vs Groebner reduction
@@ -190,6 +192,113 @@ class TestSliceCache:
         for b in range(6):
             assert used.at(b) == fresh.at(b)
         assert used._by_row == kept and not fresh._by_row
+
+
+def ring_txyz(p=P3, relations=()):
+    return RingSpec(p, (("t", 0), ("x", 1), ("y", 1), ("z", 1)), relations)
+
+
+def poly_vector(f):
+    """f as a vector {x-exponents: UniPoly in t}, built term by term."""
+    R = f.ring
+    ti, w1 = R.index_of("t"), R.weight1_indices()
+    vec = {}
+    for exps, c in f.term_dict().items():
+        row = tuple(exps[i] for i in w1)
+        vec[row] = vec.get(row, UniPoly.zero(R.p)) + UniPoly.monomial(R.p, exps[ti], c)
+    return {r: u for r, u in vec.items() if not u.is_zero}
+
+
+def full_row_presentation(I, b):
+    """Degree b of I in the full-row layout: every degree-b monomial is a
+    row, and every multiple of every generator, the single-term x-monomial
+    generators included, is a column."""
+    R = I.ring
+    w1 = R.weight1_indices()
+    columns = []
+    for g in I.effective_generators():
+        if g.is_zero or x_degree(g) > b:
+            continue
+        for shift in monomials_of_degree(len(w1), b - x_degree(g)):
+            exps = [0] * R.nvars
+            for i, e in zip(w1, shift):
+                exps[i] = e
+            columns.append(poly_vector(g * MultiPoly.monomial(R, tuple(exps))))
+    return monomials_of_degree(len(w1), b), [c for c in columns if c]
+
+
+def rand_mixed_ideal(rng, R):
+    """Generators of every kind a slice sorts: x-monomials times a unit
+    (covers), t-power times x-monomial, random x-homogeneous polynomials,
+    and now and then a constant or a polynomial in t alone."""
+    p, n = R.p.p, len(R.weight1_indices())
+
+    def xmono(d, t=0):
+        exps = [t] + [0] * n
+        for _ in range(d):
+            exps[1 + rng.randrange(n)] += 1
+        return MultiPoly.monomial(R, tuple(exps), rng.randrange(1, p))
+
+    gens = [xmono(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    gens += [xmono(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(1, 2)):
+        d = rng.randint(1, 3)
+        gens.append(sum((xmono(d, rng.randrange(3)) for _ in range(3)), MultiPoly.const(R, 0)))
+    extra = rng.random()
+    if extra < 0.1:
+        gens.append(MultiPoly.const(R, rng.randrange(1, p)))
+    elif extra < 0.3:
+        gens.append(parse_poly(rng.choice(("t+1", "t^2+2", "t^2+t+1")), R))
+    return IdealHandle(R, [g for g in gens if not g.is_zero]), xmono
+
+
+class TestStandardRowsAgainstFullRows:
+    """Slices built on the standard monomials against the full-row
+    layout they replace, on seeded random ideals that mix covers, t-power
+    monomials, constants and relations."""
+
+    @pytest.mark.parametrize("relations", [(), ("x^2+t*x*y+z^2",)])
+    def test_invariants_and_membership(self, relations, rng):
+        R = ring_txyz(P3, relations)
+        one = UniPoly.one(P3)
+        for _ in range(12):
+            I, xmono = rand_mixed_ideal(rng, R)
+            cache = SliceCache(I)
+            for b in range(5):
+                rows, columns = full_row_presentation(I, b)
+                factors = invariant_factors(columns)
+                largest = factors[-1] if factors else one
+                assert cache.at(b) == (len(rows) - len(factors), largest)
+                for _ in range(4):
+                    f = sum((xmono(b, rng.randrange(3)) for _ in range(3)), MultiPoly.const(R, 0))
+                    g = rng.choice(I.effective_generators())
+                    if rng.random() < 0.5 and x_degree(g) <= b:
+                        elt = g * xmono(b - x_degree(g))  # in I, alone or plus f
+                        f = elt if rng.random() < 0.5 else elt + f
+                    # f is in I_b iff its column leaves the module, so its
+                    # Smith form (units included), unchanged
+                    expected = f.is_zero or invariant_factors(
+                        columns + [poly_vector(f)]
+                    ) == factors
+                    assert cache.member(f) == expected
+
+    def test_rows_avoid_covers(self, rng):
+        R = ring_txyz(P3, ("x^2+t*x*y+z^2",))
+        for _ in range(12):
+            I, _ = rand_mixed_ideal(rng, R)
+            covers = [
+                exps[1:] for g in I.effective_generators()
+                for exps in g.term_dict() if len(g.term_dict()) == 1 and exps[0] == 0
+            ]
+
+            def covered(row):
+                return any(all(a >= c for a, c in zip(row, cov)) for cov in covers)
+
+            for b in range(5):
+                for m in monomials_of_degree(3, b):
+                    sl = DegreeSlice(I, b, [m])
+                    assert not any(covered(r) for r in sl.rows)
+                    assert (m in sl.rows) != covered(m)
 
 
 def sympy_invariant_factors(columns, p):
