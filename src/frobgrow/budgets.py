@@ -21,7 +21,7 @@ class Budgets:
     minor_subsets: int = 250_000  # square submatrices examined per M_d
     oracle_dim: int = 20_000  # max rows/columns of the membership system
     saturation_steps: int = 256  # colon iterations in a saturation
-    power_products: int = 5_000_000  # products examined by power_containment
+    power_products: int = 5_000_000  # products a power-containment search examines
     wall_seconds: float = 600.0
 
     def __post_init__(self):

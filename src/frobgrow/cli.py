@@ -20,6 +20,7 @@ import click
 from . import budgets as budgets_mod
 from .budgets import Budgets
 from .decomposer import (
+    FAMILY_NAMES,
     FamilySpec,
     family,
     lemma_membership_suite,
@@ -344,7 +345,7 @@ def cmd_census(family_name, prime, rspec, e_range, **opts):
 
 
 @main.command("hq")
-@click.option("--family", "family_name", type=click.Choice(["katzman", "ss5", "ss7", "brenner_monsky"]), default=None)
+@click.option("--family", "family_name", type=click.Choice(FAMILY_NAMES), default=None)
 @click.option("--ring-file", type=click.Path(exists=False), default=None)
 @click.option("--p", "prime", type=int, required=True)
 @click.option("--q", "q_value", type=int, required=True)
@@ -381,7 +382,7 @@ def cmd_hq(family_name, ring_file, prime, q_value, **opts):
 
 
 @main.command("decompose")
-@click.option("--family", "family_name", type=click.Choice(["katzman", "ss5", "ss7", "brenner_monsky"]), default=None)
+@click.option("--family", "family_name", type=click.Choice(FAMILY_NAMES), default=None)
 @click.option("--ring-file", type=click.Path(exists=False), default=None)
 @click.option("--p", "prime", type=int, required=True)
 @click.option("--q", "q_value", type=int, required=True)
@@ -512,7 +513,7 @@ def cmd_verify_lemmas(prime, rspec, n, panel, **opts):
 
 
 @main.command("saturate")
-@click.option("--family", "family_name", type=click.Choice(["katzman", "ss5", "ss7", "brenner_monsky"]), default=None)
+@click.option("--family", "family_name", type=click.Choice(FAMILY_NAMES), default=None)
 @click.option("--ring-file", type=click.Path(exists=False), default=None)
 @click.option("--p", "prime", type=int, required=True)
 @click.option("--z", "z_expr", type=str, required=True,

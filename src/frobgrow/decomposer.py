@@ -32,6 +32,7 @@ from .fpoly import (
     frobenius_generators,
     uni_factor,
     uni_gcd,
+    x_degree,
 )
 from .groebner import (
     IdealHandle,
@@ -43,12 +44,7 @@ from .groebner import (
     saturate,
 )
 from .hq import HqCertificate
-from .ktmodule import (
-    SliceCache,
-    contraction_colon,
-    univariate_colon_trivial_panel,
-    x_degree,
-)
+from .ktmodule import SliceCache, contraction_colon, univariate_colon_trivial_panel
 from .orders import monomials_of_degree
 from .sequences import SequenceSpec, big_L, p_seq
 

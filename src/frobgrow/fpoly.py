@@ -1,9 +1,11 @@
 """Exact arithmetic over F_p.
 
 Dense univariate polynomials (the k[t] world), sparse multivariate
-polynomials under the 0/1 grading, expression parsing, and univariate
-factorization over F_p.  All values are immutable after construction and
-every operation is a pure function.
+polynomials under the 0/1 grading, expression parsing, univariate
+factorization over F_p, and the search over products of powers that
+both power-containment tests (Groebner and degree slices) run.  All
+values are immutable after construction and every operation is a pure
+function.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ._kernels import (
     uni_scale,
     uni_sub,
 )
-from .errors import InputError, ModulusMismatch, ParseError, RingMismatch
+from .errors import BudgetExceeded, InputError, ModulusMismatch, ParseError, RingMismatch
 
 EXPONENT_CAP = 1 << 16
 _MAX_PRIME = 1 << 31
@@ -428,10 +430,12 @@ class RingSpec:
         rels = []
         for r in relations:
             f = parse_poly(r, self) if isinstance(r, str) else r
-            if weighted_degree(f, self) is NON_HOMOGENEOUS:
-                raise InputError(f"relation not homogeneous: {f}")
             if f.is_zero:
                 raise InputError("zero relation")
+            try:
+                x_degree(f)
+            except InputError:
+                raise InputError(f"relation not homogeneous: {f}") from None
             rels.append(f)
         self.relations = tuple(rels)
 
@@ -685,32 +689,72 @@ def format_multipoly(f: MultiPoly) -> str:
 # grading
 
 
-class _NonHomogeneous:
-    def __repr__(self):
-        return "NON_HOMOGENEOUS"
+def x_degree(f: MultiPoly) -> int:
+    """Common weight of all terms of f, ignoring weight-zero variables;
+    raises if f is zero or inhomogeneous."""
+    if f.is_zero:
+        raise InputError("the zero polynomial has no x-degree")
+    w1 = f.ring.weight1_indices()
+    degs = {sum(exps[i] for i in w1) for exps in f.term_dict()}
+    if len(degs) != 1:
+        raise InputError("polynomial is not homogeneous in the weighted variables")
+    return degs.pop()
 
-    def __bool__(self):
-        return False
+
+# ---------------------------------------------------------------------------
+# products of powers
 
 
-NON_HOMOGENEOUS = _NonHomogeneous()
+def _power_search(ring: RingSpec, gens, k: int, member, covered, limit: int) -> bool:
+    """Whether every degree-k product of the nonzero polynomials `gens`
+    passes `member`.
 
+    The products are the leaves of a tree that fixes each generator's
+    exponent in turn, in the order given, so callers list single-term
+    generators first: a partial product that is a single term whose
+    exponent vector `covered` accepts settles its whole subtree.
+    `member` sees only complete products (and 1 when k = 0); more than
+    `limit` of them raises BudgetExceeded("power_products")."""
+    if k < 0:
+        raise InputError("power must be non-negative")
+    one = MultiPoly.const(ring, 1)
+    if k == 0:
+        return member(one)
+    if not gens:
+        return True
+    count = 0
+    pow_cache: dict[tuple[int, int], MultiPoly] = {}
 
-def weighted_degree(f: MultiPoly, ring: RingSpec | None = None):
-    """Common weighted degree of all terms, or NON_HOMOGENEOUS.
+    def settled(f: MultiPoly) -> bool:
+        return len(f._terms) == 1 and covered(next(iter(f._terms)))
 
-    The zero polynomial is homogeneous of degree 0 by convention.
-    """
-    ring = ring or f.ring
-    weights = ring.weights
-    deg = None
-    for m in f._terms:
-        d = sum(e * w for e, w in zip(m, weights))
-        if deg is None:
-            deg = d
-        elif d != deg:
-            return NON_HOMOGENEOUS
-    return 0 if deg is None else deg
+    def gen_power(i: int, e: int) -> MultiPoly:
+        got = pow_cache.get((i, e))
+        if got is None:
+            got = gens[i] ** e
+            pow_cache[(i, e)] = got
+        return got
+
+    def rec(idx: int, remaining: int, current: MultiPoly) -> bool:
+        nonlocal count
+        if settled(current):
+            return True
+        if idx == len(gens) - 1:
+            count += 1
+            if count > limit:
+                raise BudgetExceeded("power_products", limit)
+            return member(current * gen_power(idx, remaining))
+        cur = current
+        for a in range(remaining + 1):
+            if a > 0:
+                cur = cur * gens[idx]
+                if settled(cur):
+                    return True
+            if not rec(idx + 1, remaining - a, cur):
+                return False
+        return True
+
+    return rec(0, k, one)
 
 
 # ---------------------------------------------------------------------------

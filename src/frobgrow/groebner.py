@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import budgets as budgets_mod
 from . import orders
 from .errors import BudgetExceeded, InputError, RingMismatch
-from .fpoly import MultiPoly, RingSpec
+from .fpoly import MultiPoly, RingSpec, _power_search
 from .orders import monomials_of_degree
 
 DEFAULT_BUDGETS = budgets_mod.DEFAULT
@@ -112,8 +112,12 @@ def _make_monic(raw, p):
     return [(k, (c * inv) % p) for k, c in raw]
 
 
-def _nf_raw(fraw, basis, ctx: _Ctx, p: int):
-    """Full normal form of a raw polynomial against monic basis elements."""
+def _nf_raw(fraw, basis, ctx: _Ctx, p: int, quotients=None):
+    """Full normal form of a raw polynomial against monic basis elements.
+
+    With a `quotients` dict, each reduction also records its quotient
+    term, so that f = sum over g of quotients[g] * g + the normal form,
+    each quotients[g] a raw {key: coefficient} dict."""
     D: dict[int, int] = {}
     heap: list[int] = []
     for k, c in fraw:
@@ -146,6 +150,8 @@ def _nf_raw(fraw, basis, ctx: _Ctx, p: int):
             del D[k]
             continue
         shift = k - reducer.lead_key
+        if quotients is not None:
+            quotients.setdefault(reducer, {})[shift + ctx.key_one] = c
         for k2, c2 in reducer.terms:
             kk = k2 + shift
             prev = D.get(kk, 0)
@@ -157,53 +163,6 @@ def _nf_raw(fraw, basis, ctx: _Ctx, p: int):
             else:
                 D.pop(kk, None)
     return out
-
-
-def _divmod_raw(fraw, basis, ctx: _Ctx, p: int):
-    """Division with quotients: f = sum q_i g_i + r.  Returns (quotients
-    as raw dicts, remainder raw list)."""
-    D: dict[int, int] = {}
-    heap: list[int] = []
-    for k, c in fraw:
-        D[k] = c
-        heapq.heappush(heap, -k)
-    quotients = [dict() for _ in basis]
-    out = []
-    last = None
-    while heap:
-        k = -heapq.heappop(heap)
-        if k == last:
-            continue
-        last = k
-        c = D.get(k)
-        if not c:
-            continue
-        exps = ctx.decode(k)
-        reducer = None
-        for gi, g in enumerate(basis):
-            if _divides(g.lead_exps, exps):
-                reducer = gi
-                break
-        if reducer is None:
-            out.append((k, c))
-            del D[k]
-            continue
-        g = basis[reducer]
-        shift = k - g.lead_key
-        kq = shift + ctx.key_one
-        qd = quotients[reducer]
-        qd[kq] = (qd.get(kq, 0) + c) % p
-        for k2, c2 in g.terms:
-            kk = k2 + shift
-            prev = D.get(kk, 0)
-            nc = (prev - c * c2) % p
-            if nc:
-                if not prev:
-                    heapq.heappush(heap, -kk)
-                D[kk] = nc
-            else:
-                D.pop(kk, None)
-    return quotients, out
 
 
 def _spoly_raw(f: _BasisElt, g: _BasisElt, ctx: _Ctx, p: int):
@@ -432,11 +391,11 @@ def _exact_div_multi(g: MultiPoly, f: MultiPoly, budgets) -> MultiPoly:
     ctx = _Ctx(ring.nvars, ring.default_order)
     p = ring.p.p
     basis = [_BasisElt(ctx, _make_monic(ctx.to_raw(f), p))]
-    quotients, rem = _divmod_raw(ctx.to_raw(g), basis, ctx, p)
-    if rem:
+    quotients: dict = {}
+    if _nf_raw(ctx.to_raw(g), basis, ctx, p, quotients):
         raise InputError("inexact multivariate division")
     lc = ctx.to_raw(f)[0][1]
-    q = ctx.from_raw(ring, sorted(quotients[0].items(), reverse=True))
+    q = ctx.from_raw(ring, quotients.get(basis[0], {}).items())
     if lc != 1:
         q = q * pow(lc, p - 2, p)
     return q
@@ -500,60 +459,20 @@ def power_containment(
     modulo Q.  Products are enumerated combinatorially with subtree
     pruning by the monomial part of Q's basis; intended for generator
     sets that are monomials or univariate polynomials in the t-block."""
-    if k < 0:
-        raise InputError("power must be non-negative")
-    gens = [g for g in P.generators if not g.is_zero]
-    ring = P.ring
     ctx, basis = _basis_for(Q, None, budgets)
-    mono_leads = [
-        b.lead_exps for b in basis if len(b.terms) == 1
-    ]
-    if k == 0:
-        one = MultiPoly.const(ring, 1)
-        return not _nf_raw(ctx.to_raw(one), basis, ctx, ring.p.p)
-    if not gens:
-        return True
+    p = P.ring.p.p
+    mono_leads = [b.lead_exps for b in basis if len(b.terms) == 1]
     # monomial generators first so pruning bites early
-    gens.sort(key=lambda g: (len(g._terms), ctx.to_raw(g)[0][0]))
-    p = ring.p.p
-    count = 0
-
-    def monomial_covered(f: MultiPoly) -> bool:
-        if len(f._terms) != 1:
-            return False
-        (m,) = f._terms
-        return any(_divides(lead, m) for lead in mono_leads)
-
-    pow_cache: dict[tuple[int, int], MultiPoly] = {}
-
-    def gen_power(i: int, e: int) -> MultiPoly:
-        got = pow_cache.get((i, e))
-        if got is None:
-            got = gens[i] ** e
-            pow_cache[(i, e)] = got
-        return got
-
-    def rec(idx: int, remaining: int, current: MultiPoly) -> bool:
-        nonlocal count
-        if monomial_covered(current):
-            return True
-        if idx == len(gens) - 1:
-            count += 1
-            if count > budgets.power_products:
-                raise BudgetExceeded("power_products", budgets.power_products)
-            prod = current * gen_power(idx, remaining)
-            return not _nf_raw(ctx.to_raw(prod), basis, ctx, p)
-        cur = current
-        for a in range(remaining + 1):
-            if a > 0:
-                cur = cur * gens[idx]
-                if monomial_covered(cur):
-                    return True
-            if not rec(idx + 1, remaining - a, cur):
-                return False
-        return True
-
-    return rec(0, k, MultiPoly.const(ring, 1))
+    gens = sorted(
+        (g for g in P.generators if not g.is_zero),
+        key=lambda g: (len(g._terms), ctx.to_raw(g)[0][0]),
+    )
+    return _power_search(
+        P.ring, gens, k,
+        member=lambda f: not _nf_raw(ctx.to_raw(f), basis, ctx, p),
+        covered=lambda m: any(_divides(lead, m) for lead in mono_leads),
+        limit=budgets.power_products,
+    )
 
 
 def _in_span_mod_p(columns, target: dict, p: int) -> bool:

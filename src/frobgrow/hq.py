@@ -28,7 +28,6 @@ from ._kernels import uni_add, uni_divmod, uni_mul, uni_sub
 from .budgets import DEFAULT as DEFAULT_BUDGETS
 from .errors import InputError, VerificationError
 from .fpoly import (
-    NON_HOMOGENEOUS,
     FactorList,
     PrimePower,
     RingSpec,
@@ -36,7 +35,7 @@ from .fpoly import (
     format_unipoly,
     uni_factor,
     uni_lcm,
-    weighted_degree,
+    x_degree,
 )
 from .ktmodule import _columns_of, _single_t_index
 
@@ -141,12 +140,10 @@ def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
     ti = _single_t_index(ring)
     if not 1 <= d <= n * (q.q - 1):
         raise InputError(f"degree {d} outside 1..{n * (q.q - 1)}")
-    degs = []
-    for rel in ring.relations:
-        dd = weighted_degree(rel, ring)
-        if dd is NON_HOMOGENEOUS or dd <= 0:
+    degs = [x_degree(rel) for rel in ring.relations]
+    for rel, dd in zip(ring.relations, degs):
+        if dd <= 0:
             raise InputError(f"relation not homogeneous of positive degree: {rel}")
-        degs.append(dd)
     prec = tuple(range(n))
 
     def grevlex_desc(exps):

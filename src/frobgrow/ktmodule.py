@@ -31,8 +31,17 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .budgets import DEFAULT as DEFAULT_BUDGETS
 from .errors import InputError
-from .fpoly import MultiPoly, RingSpec, UniPoly, uni_gcd, uni_lcm
+from .fpoly import (
+    MultiPoly,
+    RingSpec,
+    UniPoly,
+    _power_search,
+    uni_gcd,
+    uni_lcm,
+    x_degree,
+)
 from .orders import monomials_of_degree
 
 
@@ -43,18 +52,6 @@ def _single_t_index(ring: RingSpec) -> int:
             "degreewise linear algebra needs exactly one weight-zero variable"
         )
     return w0[0]
-
-
-def x_degree(f: MultiPoly) -> int:
-    """Common weight of all terms of f, ignoring weight-zero variables;
-    raises if f is zero or inhomogeneous."""
-    if f.is_zero:
-        raise InputError("the zero polynomial has no x-degree")
-    w1 = f.ring.weight1_indices()
-    degs = {sum(exps[i] for i in w1) for exps in f.term_dict()}
-    if len(degs) != 1:
-        raise InputError("polynomial is not homogeneous in the weighted variables")
-    return degs.pop()
 
 
 def _columns_of(f: MultiPoly, ti: int, w1, shift) -> dict:
@@ -377,59 +374,23 @@ class SliceCache:
 
 def slice_power_containment(radical_gens, k: int, cache: SliceCache) -> bool:
     """True iff every degree-k product of the radical generators lies in
-    the cache's ideal; same subtree pruning by plain monomial generators
-    as groebner.power_containment, with slice membership at the leaves.
+    the cache's ideal: fpoly's product search, pruned by the covers of
+    the cache's generator data, with slice membership at the leaves.
 
     No production caller: growth exponents are read off SliceCache.at;
     the test suite keeps this search as the independent cross-check."""
-    if k < 0:
-        raise InputError("power must be non-negative")
-    ring = cache.ideal.ring
-    gens = [g for g in radical_gens if not g.is_zero]
-    covers = [
-        next(iter(g.term_dict()))
-        for g in cache.ideal.effective_generators()
-        if len(g.term_dict()) == 1
-    ]
-    one = MultiPoly.const(ring, 1)
-    if k == 0:
-        return cache.member(one)
-    if not gens:
-        return True
-
-    def covered(f: MultiPoly) -> bool:
-        td = f.term_dict()
-        if len(td) != 1:
-            return False
-        (m,) = td
-        return any(all(a >= b for a, b in zip(m, c)) for c in covers)
-
-    gens.sort(key=lambda g: (len(g.term_dict()), min(g.term_dict())))
-    pow_cache: dict[tuple[int, int], MultiPoly] = {}
-
-    def gen_power(i: int, e: int) -> MultiPoly:
-        got = pow_cache.get((i, e))
-        if got is None:
-            got = gens[i] ** e
-            pow_cache[(i, e)] = got
-        return got
-
-    def rec(idx: int, remaining: int, current: MultiPoly) -> bool:
-        if covered(current):
-            return True
-        if idx == len(gens) - 1:
-            return cache.member(current * gen_power(idx, remaining))
-        cur = current
-        for a in range(remaining + 1):
-            if a > 0:
-                cur = cur * gens[idx]
-                if covered(cur):
-                    return True
-            if not rec(idx + 1, remaining - a, cur):
-                return False
-        return True
-
-    return rec(0, k, one)
+    covers = cache._generators[0]
+    w1 = cache._w1
+    gens = sorted(
+        (g for g in radical_gens if not g.is_zero),
+        key=lambda g: (len(g.term_dict()), min(g.term_dict())),
+    )
+    return _power_search(
+        cache.ideal.ring, gens, k,
+        member=cache.member,
+        covered=lambda m: any(all(m[i] >= e for i, e in zip(w1, c)) for c in covers),
+        limit=DEFAULT_BUDGETS.power_products,
+    )
 
 
 def univariate_colon_trivial_panel(ideal, gs, max_degree: int) -> list[bool]:

@@ -8,6 +8,7 @@ cross-check, the lcm polynomials L_n, and irreducible-factor censuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InputError, ModulusMismatch
 from .fpoly import FactorList, PrimeModulus, UniPoly, uni_factor, uni_lcm
@@ -44,18 +45,21 @@ class SequenceSpec:
         return cls(parse_unipoly(r0, p), parse_unipoly(r1, p), parse_unipoly(r2, p))
 
 
+def _p_terms(spec: SequenceSpec):
+    """P_0, P_1, P_2, ... by the recurrence, each computed when asked for."""
+    prev, cur = UniPoly.one(spec.p), spec.r1
+    yield prev
+    r0r2 = spec.r0 * spec.r2
+    while True:
+        yield cur
+        prev, cur = cur, spec.r1 * cur - r0r2 * prev
+
+
 def p_seq(spec: SequenceSpec, n: int) -> UniPoly:
     """P_n by the recurrence."""
     if n < 0:
         raise InputError("sequence index must be non-negative")
-    prev = UniPoly.one(spec.p)
-    if n == 0:
-        return prev
-    cur = spec.r1
-    r0r2 = spec.r0 * spec.r2
-    for _ in range(n - 1):
-        prev, cur = cur, spec.r1 * cur - r0r2 * prev
-    return cur
+    return next(islice(_p_terms(spec), n, None))
 
 
 def tridiag_matrix(spec: SequenceSpec, n: int):
@@ -123,16 +127,12 @@ def big_L(spec: SequenceSpec, n: int) -> UniPoly:
     if n < 1:
         raise InputError("index must be at least 1")
     acc = UniPoly.one(spec.p)
-    prev = UniPoly.one(spec.p)
-    cur = spec.r1
-    r0r2 = spec.r0 * spec.r2
-    for i in range(1, n):
-        if cur.is_zero:
+    for i, P in enumerate(islice(_p_terms(spec), 1, n), start=1):
+        if P.is_zero:
             raise InputError(
                 f"P_{i} vanishes; the degree condition 2 deg r1 > deg r0 + deg r2 fails"
             )
-        acc = uni_lcm(acc, cur)
-        prev, cur = cur, spec.r1 * cur - r0r2 * prev
+        acc = uni_lcm(acc, P)
     return acc.monic()
 
 

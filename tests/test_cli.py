@@ -235,6 +235,31 @@ class TestSaturate:
         assert res.exit_code == 2
 
 
+class TestRelationErrors:
+    @pytest.mark.parametrize(
+        "argv, ring, message",
+        [
+            (("saturate", "--z", "y", "--q-list", "2"),
+             dict(CONE_RING, relations=["x^2+y"]),
+             "error: relation not homogeneous: x^2 + y\n"),
+            (("saturate", "--z", "y", "--q-list", "2"),
+             dict(CONE_RING, relations=["x-x"]),
+             "error: zero relation\n"),
+            (("hq", "--q", "2"),
+             {"prime": 2, "relations": ["t^2+t"], "ideal": ["x", "y"],
+              "variables": [{"name": "t", "weight": 0}, {"name": "x", "weight": 1},
+                            {"name": "y", "weight": 1}]},
+             "error: relation not homogeneous of positive degree: t^2 + t\n"),
+        ],
+    )
+    def test_exit_2_with_message(self, runner, tmp_path, argv, ring, message):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(ring))
+        res = invoke(runner, *argv, "--ring-file", str(path), "--p", "2", "--no-timings")
+        assert res.exit_code == 2
+        assert res.stdout == "" and res.stderr == message
+
+
 class TestWitness:
     def test_matches_sequence(self, runner):
         res = invoke(runner, "witness", "--family", "ss5", "--p", "3", "--q", "3",

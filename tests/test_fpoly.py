@@ -4,7 +4,6 @@ from frobgrow.errors import InputError, ModulusMismatch, ParseError
 from frobgrow.fpoly import (
     FactorList,
     MultiPoly,
-    NON_HOMOGENEOUS,
     PrimeModulus,
     PrimePower,
     RingSpec,
@@ -17,7 +16,7 @@ from frobgrow.fpoly import (
     uni_factor,
     uni_gcd,
     uni_lcm,
-    weighted_degree,
+    x_degree,
 )
 
 P2 = PrimeModulus(2)
@@ -180,7 +179,7 @@ class TestParsePoly:
     def test_three_terms(self):
         f = parse_poly("x^2 + t*x*y + y^2", self.ring())
         assert len(f._terms) == 3
-        assert weighted_degree(f) == 2
+        assert x_degree(f) == 2
 
     def test_katzman_expansion(self):
         for p in (P2, P3, P5):
@@ -216,17 +215,14 @@ class TestParsePoly:
 
 
 class TestWeightedDegree:
-    def test_quadric(self):
-        ring = RingSpec(P2, (("t", 0), ("x", 1), ("y", 1)))
-        assert weighted_degree(parse_poly("x^2+t*x*y+y^2", ring)) == 2
-
     def test_t_only(self):
         ring = RingSpec(P2, (("t", 0), ("x", 1)))
-        assert weighted_degree(parse_poly("t^5", ring)) == 0
+        assert x_degree(parse_poly("t^5", ring)) == 0
 
     def test_non_homogeneous(self):
         ring = RingSpec(P2, (("t", 0), ("x", 1)))
-        assert weighted_degree(parse_poly("x + t", ring)) is NON_HOMOGENEOUS
+        with pytest.raises(InputError, match="not homogeneous"):
+            x_degree(parse_poly("x + t", ring))
 
 
 class TestMultiArith:

@@ -10,7 +10,9 @@ from frobgrow.fpoly import (
     parse_poly,
 )
 from frobgrow.groebner import (
+    DEFAULT_BUDGETS,
     IdealHandle,
+    _exact_div_multi,
     colon,
     eliminate,
     ideal_equal,
@@ -235,6 +237,25 @@ class TestColon:
             assert normal_form(g * f, I).is_zero
         for g in I.generators:
             assert normal_form(g, C).is_zero
+
+    def test_exact_division(self, rng):
+        R = ring_txy(P5)
+
+        def rand_poly(terms):
+            return MultiPoly(R, {
+                tuple(rng.randrange(4) for _ in range(3)): rng.randrange(1, 5)
+                for _ in range(terms)
+            })
+
+        for _ in range(30):
+            f = rand_poly(rng.randint(1, 4)) + parse_poly("2*x", R) * rand_poly(1)
+            if f.constant_value() is not None:
+                continue
+            h = rand_poly(rng.randint(0, 4))
+            q = _exact_div_multi(f * h, f, DEFAULT_BUDGETS)
+            assert q * f == f * h
+            with pytest.raises(InputError, match="inexact multivariate division"):
+                _exact_div_multi(f * h + MultiPoly.const(R, 1), f, DEFAULT_BUDGETS)
 
 
 class TestSaturate:

@@ -14,9 +14,9 @@ from frobgrow.fpoly import (
     format_unipoly,
     parse_unipoly,
     uni_lcm,
+    x_degree,
 )
 from frobgrow.hq import MinorMatrix, MinorScan, bareiss_det, build_Md, h_q, minor_lift, minors_lcm
-from frobgrow.ktmodule import x_degree
 from frobgrow.orders import monomials_of_degree
 from frobgrow.sequences import cofactor_det
 

@@ -11,6 +11,7 @@ from frobgrow.fpoly import (
     frobenius_generators,
     parse_poly,
     parse_unipoly,
+    x_degree,
 )
 from frobgrow.groebner import IdealHandle, colon, eliminate, ideal_equal, normal_form
 from frobgrow.ktmodule import (
@@ -20,7 +21,6 @@ from frobgrow.ktmodule import (
     invariant_factors,
     slice_power_containment,
     univariate_colon_trivial_panel,
-    x_degree,
 )
 from frobgrow.orders import monomials_of_degree
 

@@ -135,7 +135,9 @@ class TestBigL:
         s = SequenceSpec.parse(P2, "1", "t", "t^2")
         with pytest.raises(InputError) as exc:
             big_L(s, 4)
-        assert "degree condition" in str(exc.value)
+        assert str(exc.value) == (
+            "P_2 vanishes; the degree condition 2 deg r1 > deg r0 + deg r2 fails"
+        )
 
 
 class TestCensus:
