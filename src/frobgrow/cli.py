@@ -174,13 +174,12 @@ def _common(fn):
                       help="multiply every budget by this factor")(fn)
     fn = click.option("--gb-pairs", type=int, default=None)(fn)
     fn = click.option("--minor-subsets", type=int, default=None)(fn)
-    fn = click.option("--oracle-dim", type=int, default=None)(fn)
     fn = click.option("--wall-seconds", type=float, default=None)(fn)
     return fn
 
 
 def _config(seed, fmt, output, no_timings, budget_scale, gb_pairs, minor_subsets,
-            oracle_dim, wall_seconds) -> RunConfig:
+            wall_seconds) -> RunConfig:
     b = budgets_mod.from_environment()
     if budget_scale is not None:
         b = b.scaled(budget_scale)
@@ -189,7 +188,6 @@ def _config(seed, fmt, output, no_timings, budget_scale, gb_pairs, minor_subsets
         for k, v in (
             ("gb_pairs", gb_pairs),
             ("minor_subsets", minor_subsets),
-            ("oracle_dim", oracle_dim),
             ("wall_seconds", wall_seconds),
         )
         if v is not None
@@ -491,7 +489,7 @@ def cmd_verify_lemmas(prime, rspec, n, panel, **opts):
     t0 = time.monotonic()
     p = PrimeModulus(prime)
     spec = _parse_rspec(p, rspec)
-    report = lemma_membership_suite(spec, n, cfg.seed, panel, cfg.budgets)
+    report = lemma_membership_suite(spec, n, cfg.seed, panel)
     payload = {
         "command": "verify-lemmas",
         "p": p.p,

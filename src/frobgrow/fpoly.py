@@ -284,12 +284,6 @@ class FactorList:
     unit: int
     factors: tuple  # of (UniPoly, int)
 
-    def expand(self, p: PrimeModulus) -> UniPoly:
-        result = UniPoly.const(p, self.unit)
-        for f, m in self.factors:
-            result = result * f**m
-        return result
-
     @property
     def max_multiplicity(self) -> int:
         return max((m for _, m in self.factors), default=0)

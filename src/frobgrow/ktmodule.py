@@ -393,20 +393,24 @@ def slice_power_containment(radical_gens, k: int, cache: SliceCache) -> bool:
     )
 
 
-def univariate_colon_trivial_panel(ideal, gs, max_degree: int) -> list[bool]:
-    """(I : g) == I in every x-degree below max_degree, for each g in the
-    panel.  When the caller knows I contains every monomial of degree >=
-    max_degree, this decides (I : g) == I outright.
+def univariate_colon_trivial_panel(ideal, gs, max_degree: int, multiplier=None) -> list[bool]:
+    """(I : c*g) == (I : c) in every x-degree below max_degree, for each g
+    in the panel and the multiplier c (default 1, where this reads
+    (I : g) == I).  When the caller knows I contains every monomial of
+    degree >= max_degree, this decides the equality outright.
 
-    In degree b, (I : g)_b = I_b exactly when g is a nonzerodivisor on
-    S_b / I_b, that is when g is coprime to its largest invariant factor
-    (g acts injectively on the free part).  So one pass of SliceCache.at
-    answers the whole panel: g passes iff it is coprime to the lcm of the
-    largest invariant factors below max_degree, the same verdict as the
-    tracked-kernel route of DegreeSlice.colon_is_trivial."""
+    One pass of SliceCache.at answers the whole panel: with T the torsion
+    exponent below max_degree, g passes iff gcd(g, T / gcd(T, c)) = 1.
+    On a summand k[t]/(d) the kernels of c*g and of c agree iff g is
+    coprime to d / gcd(d, c), whose exponent at each irreducible,
+    max(0, v(d) - v(c)), grows with v(d), so T's exponents bound them
+    all; c*g acts injectively on the free part.  For a unit c this is the
+    verdict of the tracked-kernel route of DegreeSlice.colon_is_trivial."""
     if any(g.is_zero for g in gs):
         raise InputError("colon by zero is undefined")
     torsion = SliceCache(ideal).torsion_exponent(max_degree)
+    if multiplier is not None:
+        torsion = torsion.exact_div(uni_gcd(torsion, multiplier))
     return [uni_gcd(g, torsion).degree == 0 for g in gs]
 
 

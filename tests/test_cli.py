@@ -163,11 +163,30 @@ class TestDecompose:
         assert res.exit_code == 0 and res.output == ""
         assert json.loads(out.read_text())["command"] == "decompose"
 
+    def test_panel_below_one_is_input_error(self, runner):
+        res = invoke(runner, "decompose", "--family", "katzman", "--p", "3",
+                     "--q", "3", "--panel", "-1", "--no-timings")
+        assert res.exit_code == 2
+        assert res.stdout == "" and res.stderr == "error: panel size must be at least 1\n"
+
 
 class TestVerifyLemmas:
     def test_passes(self, runner):
         res = invoke(runner, "verify-lemmas", "--p", "3", "--r", "1,t,1",
                      "--n", "2", "--panel", "3", "--no-timings")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["report"]["all_pass"]
+
+    def test_panel_below_one_is_input_error(self, runner):
+        res = invoke(runner, "verify-lemmas", "--p", "3", "--r", "1,t,1",
+                     "--n", "2", "--panel", "0", "--no-timings")
+        assert res.exit_code == 2
+        assert res.stdout == "" and res.stderr == "error: panel size must be at least 1\n"
+
+    def test_consults_no_budget(self, runner):
+        # the suite builds no Groebner basis, so a one-pair limit is moot
+        res = invoke(runner, "verify-lemmas", "--p", "3", "--r", "1,t,1",
+                     "--n", "2", "--gb-pairs", "1", "--no-timings")
         assert res.exit_code == 0
         assert json.loads(res.output)["report"]["all_pass"]
 

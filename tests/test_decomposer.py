@@ -522,6 +522,15 @@ class TestLemmaMembershipSuite:
             "three_variable_colon",
         }
 
+    @pytest.mark.parametrize("r0,r1,r2", [("t", "t^2", "1"), ("1", "t", "1")])
+    def test_builds_no_groebner_basis(self, r0, r1, r2, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lemma suite called Buchberger")
+
+        monkeypatch.setattr(groebner, "_buchberger", refuse)
+        spec = SequenceSpec.parse(P3, r0, r1, r2)
+        assert lemma_membership_suite(spec, 3).all_pass
+
     def test_json_shape(self):
         spec = SequenceSpec.parse(P2, "1", "t", "1")
         d = lemma_membership_suite(spec, 2, 0, 2).to_json_dict()

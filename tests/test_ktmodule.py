@@ -11,6 +11,7 @@ from frobgrow.fpoly import (
     frobenius_generators,
     parse_poly,
     parse_unipoly,
+    uni_factor,
     x_degree,
 )
 from frobgrow.groebner import IdealHandle, colon, eliminate, ideal_equal, normal_form
@@ -450,18 +451,39 @@ class TestUnivariateColonTrivial:
 
     def test_agrees_with_groebner_colon_random(self, rng):
         # the ideals below contain every monomial of degree >= 3, so the
-        # bounded degreewise answer must equal the full Groebner colon
+        # bounded degreewise answer must equal the full Groebner verdict
+        # (I : c*g) == (I : c), for c = 1 and for a non-unit c made of
+        # torsion factors; the panel holds the torsion's own factors, so
+        # both verdicts occur under both multipliers
         R = ring_txy(P3)
         cap = [parse_poly(m, R) for m in ("x^3", "x^2*y", "x*y^2", "y^3")]
-        for _ in range(12):
+        one = UniPoly.one(P3)
+        seen = {None: set(), "c": set()}
+        for _ in range(16):
             gens = cap + [rand_homog(rng, R, rng.randint(1, 2)) for _ in range(2)]
             I = IdealHandle(R, [g for g in gens if not g.is_zero])
-            g = UniPoly(P3, [rng.randrange(3) for _ in range(rng.randint(1, 3))])
-            if g.is_zero:
-                continue
-            fast = univariate_colon_trivial_panel(I, [g], 3)[0]
-            g_multi = MultiPoly.from_unipoly(R, g, "t")
-            assert fast == ideal_equal(colon(I, g_multi), I)
+            factors = list(uni_factor(SliceCache(I).torsion_exponent(3), 0))
+            panel = [f for f, _ in factors] + [
+                g
+                for g in (
+                    UniPoly(P3, [rng.randrange(3) for _ in range(rng.randint(1, 3))])
+                    for _ in range(2)
+                )
+                if not g.is_zero
+            ]
+            c = parse_unipoly("t+1", P3)
+            for f, m in factors:
+                c = c * f ** rng.randint(0, m)
+            for key, mult in ((None, None), ("c", c)):
+                fast = univariate_colon_trivial_panel(I, panel, 3, mult)
+                base = colon(I, MultiPoly.from_unipoly(R, mult or one, "t"))
+                slow = [
+                    ideal_equal(colon(I, MultiPoly.from_unipoly(R, (mult or one) * g, "t")), base)
+                    for g in panel
+                ]
+                assert fast == slow
+                seen[key].update(fast)
+        assert seen == {None: {True, False}, "c": {True, False}}
 
 
 class TestContractionColon:
