@@ -12,8 +12,9 @@ construction.
 The minors scan counts positions in a fixed (size, row set, column set)
 order, and the `minor_subsets` budget bounds that count, not the number
 of determinants computed.  Only minors that can be nonzero are computed
-(no zero row or column), and each distinct submatrix once per `h_q`
-call.
+(no zero row or column), each by one Laplace expansion over the scan's
+own minors of the size below.  `bareiss_det` is the determinant for
+`minor_lift` and the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ def bareiss_det(matrix) -> UniPoly:
     expansion for dimension <= 3.
 
     The entries are converted to coefficient lists once and eliminated
-    with the list kernels; only the result is wrapped as a UniPoly."""
+    with the list kernels; only the result is wrapped as a UniPoly.
+    `minor_lift` solves with it; the minors scan does not call it (it
+    expands along rows over its own smaller minors), so it also serves
+    as the scan's independent reference in the tests."""
     n = len(matrix)
     if n == 0:
         raise InputError("determinant of an empty matrix")
@@ -179,11 +183,7 @@ class MinorScan:
     partial: bool
 
 
-def minors_lcm(
-    M: MinorMatrix,
-    budget: int = DEFAULT_BUDGETS.minor_subsets,
-    dets: dict | None = None,
-) -> MinorScan:
+def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> MinorScan:
     """Monic lcm of all nonzero minors of all sizes, with incremental
     gcd-dedup.  The empty matrix contributes 1.
 
@@ -192,37 +192,44 @@ def minors_lcm(
     of M.  `examined` counts positions reached in that order, not
     determinants computed: a row set advances it by C(ncols, size) at
     once, and only column sets inside the row set's nonzero columns are
-    visited, since any other has a zero column.  Each distinct submatrix
-    is evaluated once; `dets` maps submatrix contents to monic
-    determinants and may be shared by scans of one ring.  Exhausting
-    the budget flags the scan PARTIAL instead of failing, after exactly
-    the first `budget` positions, with `examined = budget + 1`.
+    visited, since any other has a zero column.  Exhausting the budget
+    flags the scan PARTIAL instead of failing, after exactly the first
+    `budget` positions, with `examined = budget + 1`.
+
+    Each k x k minor is expanded along its first row; its cofactors are
+    the (k-1)-minors of the scan's previous size, kept by position.  Every
+    nonzero (k-1)-minor is at a position that size visited (rows in
+    `live`, columns among their nonzero ones, no zero row), and a budget
+    cut ends the scan inside its size, so a position not kept is a zero
+    minor.  Only the minors of the previous and the current size are
+    kept, and each distinct determinant is folded into the lcm once.
     """
     nr, nc = M.shape
     p_mod = M.p
-    if dets is None:
-        dets = {}
-    zero = UniPoly.zero(p_mod)
-    row_entries = [{} for _ in range(nr)]  # col -> nonzero UniPoly
+    p = p_mod.p
+    row_coeffs = [{} for _ in range(nr)]  # col -> nonzero coefficient list
     for (r, c), a in M.entries.items():
-        row_entries[r][c] = a
-    row_coeffs = [{c: a.coeffs for c, a in row.items()} for row in row_entries]
-    row_mask = [sum(1 << c for c in row) for row in row_entries]
+        row_coeffs[r][c] = a.coeffs
+    row_mask = [sum(1 << c for c in row) for row in row_coeffs]
     live = [r for r in range(nr) if row_mask[r]]
     acc = UniPoly.one(p_mod)
     examined = 0
-    seen = set()  # submatrices already folded into this scan's lcm
+    folded = set()  # determinants already folded into acc
+    # nonzero minors of the previous size, keyed by position as
+    # (row set bits << nc) | column set bits
+    prev = {0: (1,)}
     for size in range(1, min(nr, nc) + 1):
         n_cols = comb(nc, size)
+        cur = {}
         for rows in itertools.combinations(live, size):
             left = budget - examined
             cut = n_cols > left
             if not cut:
                 examined += n_cols
-            rbits = 0
-            for r in rows:
-                rbits |= row_mask[r]
-            active = [c for c in range(nc) if rbits >> c & 1]
+            rkey = sum(1 << r for r in rows) << nc
+            rest = rkey ^ 1 << (rows[0] + nc)  # rows[1:]
+            first = row_coeffs[rows[0]]
+            active = sorted(set().union(*(row_coeffs[r] for r in rows)))
             for cols in itertools.combinations(active, size):
                 # past the budget: the lexicographic rank of cols among all
                 # size-subsets of range(nc) is its position in this row set
@@ -236,18 +243,29 @@ def minors_lcm(
                     cbits |= 1 << c
                 if any(not (row_mask[r] & cbits) for r in rows):
                     continue
-                key = tuple(row_coeffs[r].get(c, ()) for r in rows for c in cols)
-                if key in seen:
+                det = []
+                for j, c in enumerate(cols):
+                    a = first.get(c)
+                    if a is None:
+                        continue
+                    cof = prev.get(rest | cbits ^ 1 << c)
+                    if cof is None:
+                        continue
+                    term = uni_mul(a, cof, p)
+                    det = uni_sub(det, term, p) if j & 1 else uni_add(det, term, p)
+                if not det:
                     continue
-                seen.add(key)
-                det = dets.get(key)
-                if det is None:
-                    sub = [[row_entries[r].get(c, zero) for c in cols] for r in rows]
-                    det = dets[key] = bareiss_det(sub).monic()
-                if not det.is_zero and not (acc % det).is_zero:
+                cur[rkey | cbits] = det
+                key = tuple(det)
+                if key in folded:
+                    continue
+                folded.add(key)
+                det = UniPoly(p_mod, det).monic()
+                if not (acc % det).is_zero:
                     acc = uni_lcm(acc, det)
             if cut:
                 return MinorScan(lcm=acc, examined=budget + 1, partial=True)
+        prev = cur
     return MinorScan(lcm=acc, examined=examined, partial=False)
 
 
@@ -300,10 +318,9 @@ def h_q(
     acc = UniPoly.one(ring.p)
     examined = 0
     partial = False
-    dets = {}  # submatrix contents -> monic det, for this call only
     for d in range(1, n * (q.q - 1) + 1):
         M = build_Md(ring, q, d)
-        scan = minors_lcm(M, budget, dets)
+        scan = minors_lcm(M, budget)
         examined += scan.examined
         partial = partial or scan.partial
         if scan.lcm.degree > 0:

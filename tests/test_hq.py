@@ -281,6 +281,20 @@ class TestMinorsLcm:
                 assert got.partial == (budget < full)
                 cuts += got.partial
         assert cuts >= 60
+        # larger inputs with degree-2 entries and zero leading entries, so
+        # the reference's Bareiss pivots: one complete scan and one cut each
+        # (sparse and over F_2 or F_3, which keeps the lcm, and so the
+        # reference's time, small)
+        for n in (7, 8):
+            p = PrimeModulus((2, 3)[rng.randrange(2)])
+            A = rand_sparse_matrix(rng, p, n, n, density=0.5, deg=2)
+            A[0][0] = A[1][1] = UniPoly.zero(p)
+            M = as_minor_matrix(A, p)
+            full = full_positions(M)
+            for budget in (rng.randint(1, full - 1), full):
+                got = minors_lcm(M, budget)
+                assert got == reference_minors_lcm(M, budget), (A, budget)
+                assert got.partial == (budget < full)
 
     def test_every_budget_on_small_matrices(self, rng):
         # each cut position of a few small matrices, so a cut that admits
@@ -291,16 +305,6 @@ class TestMinorsLcm:
             M = as_minor_matrix(A, p)
             for budget in range(1, full_positions(M) + 2):
                 assert minors_lcm(M, budget) == reference_minors_lcm(M, budget), (A, budget)
-
-    def test_shared_dets_keep_each_scan_exact(self):
-        # a table shared across degrees must not leak one scan's minors
-        # into another scan's lcm
-        fam = family("katzman", 3)
-        q = PrimePower(P3, 2)
-        dets = {}
-        for d in range(1, 2 * (q.q - 1) + 1):
-            M = build_Md(fam.ring, q, d)
-            assert minors_lcm(M, dets=dets) == minors_lcm(M)
 
 
 class TestHq:
@@ -328,17 +332,17 @@ class TestHq:
         ]
         assert cert.s_max == 4 and not cert.partial
 
-    def test_det_table_lives_for_one_call(self, monkeypatch):
-        # a determinant table that outlived one h_q call would make the
-        # second call cheaper than the first
+    def test_scan_state_lives_for_one_call(self, monkeypatch):
+        # state that outlived one h_q call would make the second call do
+        # less arithmetic than the first
         calls = []
-        real = hq.bareiss_det
+        real = hq.uni_mul
 
-        def counting(matrix):
-            calls.append(len(matrix))
-            return real(matrix)
+        def counting(a, b, p):
+            calls.append(1)
+            return real(a, b, p)
 
-        monkeypatch.setattr(hq, "bareiss_det", counting)
+        monkeypatch.setattr(hq, "uni_mul", counting)
         fam = family("katzman", 3)
         q = PrimePower(P3, 1)
         first = h_q(fam.ring, q)
