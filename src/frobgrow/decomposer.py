@@ -604,7 +604,17 @@ def primary_sanity(
     S_b / C_b, b < cap_degree, which is d_b for the isolated component and
     tau^e_b for an embedded one.  That is the verdict of the degreewise
     colon computation, so the same g fails first and the witness is the
-    same.  Other components run Groebner colons."""
+    same.
+
+    Other components take one Groebner colon, by the panel's product
+    g_1 ... g_n, and test it by containment: C lies in C : f for every f,
+    so C : f = C exactly when every generator of C : f reduces to zero
+    modulo C's basis.  A product of non-zero-divisors on S/C is one
+    again, and a zero divisor among the g_i makes the product one too,
+    so the product passes exactly when every g passes.  Only when it
+    fails are the g's tested one at a time, in panel order, to name the
+    first that fails as the witness; if none before the last fails, the
+    last is a zero divisor and needs no colon of its own."""
     if panel_size < 1:
         raise InputError("panel size must be at least 1")
     ring = C.ideal.ring
@@ -647,21 +657,22 @@ def primary_sanity(
             torsion = slices.torsion_exponent(C.cap_degree)
         else:
             torsion = C.tau[0] ** max([0] + [e for _, e in _tau_exponents(C, slices)])
-        results = [uni_gcd(g, torsion).degree == 0 for g in panel]
+        bad = next((g for g in panel if uni_gcd(g, torsion).degree > 0), None)
     else:
-        results = []
-        for g in panel:
-            g_multi = MultiPoly.from_unipoly(ring, g, "t")
-            results.append(
-                ideal_equal(colon(C.ideal, g_multi, budgets), C.ideal, budgets)
-            )
-            if not results[-1]:
-                break
-    for g, unchanged in zip(panel, results):
-        if not unchanged:
-            return SanityVerdict(
-                False, f"colon by {format_unipoly(g)} changed the ideal"
-            )
+
+        def unchanged(g):  # C lies in C : g, so equality is the reverse containment
+            quotients = colon(C.ideal, MultiPoly.from_unipoly(ring, g, "t"), budgets)
+            return all(C.ideal.contains(f, budgets) for f in quotients.generators)
+
+        product = panel[0]
+        for g in panel[1:]:
+            product = product * g
+        if unchanged(product):
+            bad = None
+        else:  # some g is a zero divisor: the first one, or the last if no other is
+            bad = next((g for g in panel[:-1] if not unchanged(g)), panel[-1])
+    if bad is not None:
+        return SanityVerdict(False, f"colon by {format_unipoly(bad)} changed the ideal")
     return SanityVerdict(True)
 
 

@@ -385,7 +385,7 @@ def intersect(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> IdealH
     return IdealHandle(I.ring, gens)
 
 
-def _exact_div_multi(g: MultiPoly, f: MultiPoly, budgets) -> MultiPoly:
+def _exact_div_multi(g: MultiPoly, f: MultiPoly) -> MultiPoly:
     """Exact division g / f in the ambient polynomial ring."""
     ring = g.ring
     ctx = _Ctx(ring.nvars, ring.default_order)
@@ -411,7 +411,7 @@ def colon(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> IdealHandle:
     if f.constant_value() is not None:
         return IdealHandle(I.ring, I.generators)
     gens = _intersect_gens(I.ring, I.effective_generators(), [f], budgets)
-    quotients = [_exact_div_multi(g, f, budgets) for g in gens]
+    quotients = [_exact_div_multi(g, f) for g in gens]
     return IdealHandle(I.ring, quotients)
 
 

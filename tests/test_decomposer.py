@@ -1,10 +1,12 @@
 import dataclasses
+import random
 
 import pytest
 
 from frobgrow.decomposer import (
     FamilySpec,
     PrimaryComponent,
+    SanityVerdict,
     _bezout_one_certificate,
     family,
     growth_exponent,
@@ -26,6 +28,7 @@ from frobgrow.fpoly import (
     frobenius_generators,
     parse_poly,
     parse_unipoly,
+    uni_gcd,
 )
 from frobgrow import groebner
 from frobgrow.groebner import IdealHandle, ideal_equal
@@ -36,6 +39,7 @@ from frobgrow.sequences import SequenceSpec, p_seq
 
 P2 = PrimeModulus(2)
 P3 = PrimeModulus(3)
+P5 = PrimeModulus(5)
 
 
 def q_of(fam, e):
@@ -423,7 +427,88 @@ class TestRouteAgreement:
             growth_exponent(C)
 
 
+def sanity_panel(p, tau, size, seed):
+    """The panel primary_sanity draws: random non-constant g(t) of degree
+    at most 3, prime to tau."""
+    rng = random.Random(seed)
+    panel = []
+    while len(panel) < size:
+        g = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 4))])
+        if g.is_zero or g.degree == 0:
+            continue
+        if tau is not None and uni_gcd(g, tau[0]).degree > 0:
+            continue
+        panel.append(g)
+    return panel
+
+
+def per_g_sanity(C, panel_size, seed):
+    """primary_sanity's colon panel on a component without cap_degree as
+    one Groebner colon and one basis comparison per panel polynomial,
+    stopping at the first that changes the ideal.  The unit and radical
+    power checks are left out: the components tested here pass them."""
+    ring = C.ideal.ring
+    for g in sanity_panel(ring.p, C.tau, panel_size, seed):
+        J = groebner.colon(C.ideal, MultiPoly.from_unipoly(ring, g, "t"))
+        if not ideal_equal(J, C.ideal):
+            return SanityVerdict(False, f"colon by {format_unipoly(g)} changed the ideal")
+    return SanityVerdict(True)
+
+
 class TestPrimarySanity:
+    @pytest.mark.parametrize("p", [P2, P3, P5], ids=["p2", "p3", "p5"])
+    def test_product_colon_agrees_with_per_g_colons(self, rng, p):
+        # random B + m^3 in (x, y) with a generator (t + a)*m, m a monomial
+        # of degree 1 or 2, so that most are not primary; some get a tau^s
+        # added.  The verdict and witness must be the per-g loop's
+        R = RingSpec(p, (("t", 0), ("x", 1), ("y", 1)))
+        rad = (parse_poly("x", R), parse_poly("y", R))
+        outcomes = set()
+        for _ in range(6):
+            gens = random_cap3_ideal(rng, R)
+            m = rng.choice(["x", "y", "x^2", "x*y", "y^2"])
+            gens.append(parse_poly(f"(t+{rng.randrange(p.p)})*{m}", R))
+            C = PrimaryComponent(IdealHandle(R, gens), rad)
+            if rng.random() < 0.4:
+                tau = parse_unipoly(rng.choice(["t", "t+1"]), p)
+                tau_multi = MultiPoly.from_unipoly(R, tau, "t")
+                ideal = IdealHandle(R, gens + [tau_multi ** rng.randint(1, 2)])
+                C = PrimaryComponent(ideal, rad + (tau_multi,), (tau, 1))
+            for size in range(1, 7):
+                for seed in (0, 1, 2):
+                    v = primary_sanity(C, size, seed)
+                    assert v == per_g_sanity(C, size, seed)
+                    outcomes.add(v.passed)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "u,size,witness",
+        [
+            ("t+1", 6, "4*t^2 + 1"),  # only the fourth g is a zero divisor
+            ("t+1", 4, "4*t^2 + 1"),  # ... and it is the last one drawn
+            ("t+1", 3, None),
+            ("t", 6, "2*t^2"),
+            ("t+4", 6, "2*t^3 + 3*t^2 + 2*t + 3"),  # the second and later fail
+            ("4*t^3+2*t^2+3", 1, "4*t^3 + 2*t^2 + 3"),
+            ("t", 1, None),
+        ],
+    )
+    def test_witness_is_the_first_zero_divisor(self, u, size, witness):
+        # S/C has torsion k[t]/(u) at x*y, so g is a zero divisor iff
+        # gcd(g, u) != 1; the panel is the one drawn at p = 5, seed 0
+        R = RingSpec(P5, (("t", 0), ("x", 1), ("y", 1)))
+        assert [format_unipoly(g) for g in sanity_panel(P5, None, 6, 0)] == [
+            "4*t^3 + 2*t^2 + 3", "2*t^3 + 3*t^2 + 2*t + 3", "t + 4",
+            "4*t^2 + 1", "t^2 + 4*t + 4", "2*t^2",
+        ]
+        C = PrimaryComponent(
+            IdealHandle(R, ["x^2", "y^2", f"({u})*x*y"]),
+            (parse_poly("x", R), parse_poly("y", R)),
+        )
+        v = primary_sanity(C, size, 0)
+        expected = None if witness is None else f"colon by {witness} changed the ideal"
+        assert v == SanityVerdict(witness is None, expected)
+
     def test_passes_on_decomposition_components(self):
         fam = family("katzman", 2)
         rep = stable_decomposition(fam, q_of(fam, 2), parse_unipoly("t^4+t", P2))
