@@ -9,7 +9,7 @@ computation checks it yet.  FROBGROW_BUDGET_SCALE multiplies every limit.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import InputError
 
@@ -25,31 +25,20 @@ class Budgets:
     wall_seconds: float = 600.0
 
     def __post_init__(self):
-        for name in (
-            "gb_pairs",
-            "gb_basis",
-            "minor_subsets",
-            "oracle_dim",
-            "saturation_steps",
-            "power_products",
-        ):
-            if getattr(self, name) <= 0:
-                raise InputError(f"budget {name} must be positive")
-        if self.wall_seconds <= 0:
-            raise InputError("budget wall_seconds must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise InputError(f"budget {f.name} must be positive")
 
     def scaled(self, factor: float) -> "Budgets":
+        """Every limit times `factor`; the integer limits round down but
+        stay at least 1."""
         if factor <= 0:
             raise InputError("budget scale must be positive")
-        return Budgets(
-            gb_pairs=max(1, int(self.gb_pairs * factor)),
-            gb_basis=max(1, int(self.gb_basis * factor)),
-            minor_subsets=max(1, int(self.minor_subsets * factor)),
-            oracle_dim=max(1, int(self.oracle_dim * factor)),
-            saturation_steps=max(1, int(self.saturation_steps * factor)),
-            power_products=max(1, int(self.power_products * factor)),
-            wall_seconds=self.wall_seconds * factor,
-        )
+        scaled = {}
+        for f in fields(self):
+            value = getattr(self, f.name) * factor
+            scaled[f.name] = value if f.type == "float" else max(1, int(value))
+        return replace(self, **scaled)
 
     def override(self, **kwargs) -> "Budgets":
         return replace(self, **kwargs)

@@ -2,8 +2,15 @@
 
 Subcommands: pseq, census, hq, decompose, verify-lemmas, saturate,
 witness.  Rings come from named families or JSON ring files; output is
-json (canonical machine format), csv, or text.  Exit codes: 0 success,
-1 mathematical verification failure, 2 input error, 3 budget exhausted.
+json (canonical machine format), csv, or text.
+
+Each subcommand body is a plain function that returns a Result.  One
+runner, `_command`, registers the body with its options, builds its
+Budgets, times it, writes its output and owns the exit codes: 0 success,
+1 mathematical verification failure (a VerificationError, or a Result
+whose `failure` is set, reported after the output is written), 2 input
+error (an InputError or other FrobgrowError, an --output that cannot be
+written, or a click usage error), 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import click
 
@@ -44,19 +51,18 @@ from .groebner import IdealHandle
 from .hq import h_q as compute_hq
 from .sequences import SequenceSpec, factor_census, p_seq
 
-EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    seed: int
-    fmt: str
-    output: str | None
-    no_timings: bool
-    budgets: Budgets
+class Result(NamedTuple):
+    """What a subcommand body hands the runner."""
+
+    payload: dict  # the json document, without "timings"
+    rows: list  # csv rows, one dict each
+    text: list  # text lines
+    failure: str = ""  # set: printed to stderr after the output, exit 1
 
 
 def _parse_e_range(text: str):
@@ -140,90 +146,58 @@ def _factor_text(factors) -> str:
     )
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_rows=None, text_lines=None) -> None:
-    if cfg.no_timings:
-        payload.pop("timings", None)
-    if cfg.fmt == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif cfg.fmt == "csv":
-        rows = csv_rows or []
+def _render(fmt: str, result: Result) -> str:
+    if fmt == "json":
+        return json.dumps(result.payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        if result.rows:
+            writer = csv.DictWriter(buf, fieldnames=list(result.rows[0].keys()))
             writer.writeheader()
-            writer.writerows(rows)
-        out = buf.getvalue()
-    else:
-        out = "\n".join(text_lines or [json.dumps(payload, indent=2, sort_keys=True)]) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(out)
-    else:
+            writer.writerows(result.rows)
+        return buf.getvalue()
+    text = result.text or [json.dumps(result.payload, indent=2, sort_keys=True)]
+    return "\n".join(text) + "\n"
+
+
+def _write(out: str, path: str | None) -> None:
+    if not path:
         click.echo(out, nl=False)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(out)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _common(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json",
-        show_default=True,
-    )(fn)
-    fn = click.option("--output", type=click.Path(dir_okay=False), default=None)(fn)
-    fn = click.option("--no-timings", is_flag=True, default=False)(fn)
-    fn = click.option("--budget", "budget_scale", type=float, default=None,
-                      help="multiply every budget by this factor")(fn)
-    fn = click.option("--gb-pairs", type=int, default=None)(fn)
-    fn = click.option("--minor-subsets", type=int, default=None)(fn)
-    fn = click.option("--wall-seconds", type=float, default=None)(fn)
-    return fn
-
-
-def _config(seed, fmt, output, no_timings, budget_scale, gb_pairs, minor_subsets,
-            wall_seconds) -> RunConfig:
+def _budgets(budget_scale, **overrides) -> Budgets:
     b = budgets_mod.from_environment()
     if budget_scale is not None:
         b = b.scaled(budget_scale)
-    overrides = {
-        k: v
-        for k, v in (
-            ("gb_pairs", gb_pairs),
-            ("minor_subsets", minor_subsets),
-            ("wall_seconds", wall_seconds),
-        )
-        if v is not None
-    }
-    if overrides:
-        b = b.override(**overrides)
-    return RunConfig(seed=seed, fmt=fmt, output=output, no_timings=no_timings, budgets=b)
+    return b.override(**{k: v for k, v in overrides.items() if v is not None})
 
 
-class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _guard(fn):
-    """Translate library errors to documented exit codes."""
-
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except BudgetExceeded as exc:
-            click.echo(f"budget exhausted: {exc}", err=True)
-            sys.exit(EXIT_BUDGET)
-        except VerificationError as exc:
-            click.echo(f"verification failed: {exc}", err=True)
-            sys.exit(EXIT_VERIFICATION)
-        except (InputError, FrobgrowError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except _Fail as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(exc.code)
-
-    wrapper.__name__ = fn.__name__
-    return wrapper
+_OUTPUT_OPTIONS = (
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
+                 default="json", show_default=True),
+    click.option("--output", type=click.Path(dir_okay=False), default=None),
+    click.option("--no-timings", is_flag=True, default=False),
+)
+_BUDGET_OPTIONS = (
+    click.option("--budget", "budget_scale", type=float, default=None,
+                 help="multiply every budget by this factor"),
+    click.option("--gb-pairs", type=int, default=None),
+    click.option("--minor-subsets", type=int, default=None),
+    click.option("--wall-seconds", type=float, default=None),
+)
+# the ring of hq, decompose and saturate: a built-in family or a ring file
+_RING_OPTIONS = (
+    click.option("--family", "family_name", type=click.Choice(FAMILY_NAMES), default=None),
+    click.option("--ring-file", type=click.Path(exists=False), default=None),
+    click.option("--p", "prime", type=int, required=True),
+)
 
 
 @click.group()
@@ -231,17 +205,55 @@ def main():
     """Exact primary decompositions of Frobenius powers."""
 
 
-@main.command("pseq")
-@click.option("--p", "prime", type=int, required=True)
-@click.option("--r", "rspec", type=str, required=True,
-              help="r0,r1,r2 as polynomials in t")
-@click.option("--n", "n", type=int, required=True)
-@_common
-@_guard
-def cmd_pseq(prime, rspec, n, **opts):
+def _command(name: str, *options, budgets: bool = True):
+    """Register a body `(seed, [budgets,] **own options) -> Result` as
+    subcommand `name`, with its own options, the output options and,
+    when `budgets`, the budget options."""
+
+    def register(body):
+        def run(seed, fmt, output, no_timings, budget_scale=None, gb_pairs=None,
+                minor_subsets=None, wall_seconds=None, **own):
+            t0 = time.monotonic()
+            try:
+                # built for every command, so each rejects a malformed
+                # FROBGROW_BUDGET_SCALE alike
+                b = _budgets(budget_scale, gb_pairs=gb_pairs,
+                             minor_subsets=minor_subsets, wall_seconds=wall_seconds)
+                result = body(seed, b, **own) if budgets else body(seed, **own)
+                if not no_timings:
+                    result.payload["timings"] = {"seconds": time.monotonic() - t0}
+                _write(_render(fmt, result), output)
+            except BudgetExceeded as exc:
+                click.echo(f"budget exhausted: {exc}", err=True)
+                sys.exit(EXIT_BUDGET)
+            except VerificationError as exc:
+                click.echo(f"verification failed: {exc}", err=True)
+                sys.exit(EXIT_VERIFICATION)
+            except FrobgrowError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_INPUT)
+            if result.failure:
+                click.echo(result.failure, err=True)
+                sys.exit(EXIT_VERIFICATION)
+
+        params = options + _OUTPUT_OPTIONS + (_BUDGET_OPTIONS if budgets else ())
+        for option in reversed(params):
+            run = option(run)
+        return main.command(name, help=body.__doc__)(run)
+
+    return register
+
+
+@_command(
+    "pseq",
+    click.option("--p", "prime", type=int, required=True),
+    click.option("--r", "rspec", type=str, required=True,
+                 help="r0,r1,r2 as polynomials in t"),
+    click.option("--n", "n", type=int, required=True),
+    budgets=False,
+)
+def cmd_pseq(seed, prime, rspec, n):
     """Table of P_1..P_n with degrees and factorizations."""
-    cfg = _config(**opts)
-    t0 = time.monotonic()
     p = PrimeModulus(prime)
     spec = _parse_rspec(p, rspec)
     if n < 0:
@@ -249,7 +261,7 @@ def cmd_pseq(prime, rspec, n, **opts):
     rows = []
     for i in range(1, n + 1):
         P = p_seq(spec, i)
-        factors = uni_factor(P, cfg.seed) if not P.is_zero else None
+        factors = uni_factor(P, seed) if not P.is_zero else None
         rows.append(
             {
                 "n": i,
@@ -265,25 +277,21 @@ def cmd_pseq(prime, rspec, n, **opts):
         "r1": format_unipoly(spec.r1),
         "r2": format_unipoly(spec.r2),
         "rows": rows,
-        "timings": {"seconds": time.monotonic() - t0},
     }
-    text = [f"P_{r['n']} = {r['P']} = {r['factors']}" for r in rows]
-    _emit(cfg, payload, rows, text)
+    return Result(payload, rows, [f"P_{r['n']} = {r['P']} = {r['factors']}" for r in rows])
 
 
-@main.command("census")
-@click.option("--family", "family_name",
-              type=click.Choice(["ss5", "ss7", "brenner_monsky"]), default=None)
-@click.option("--p", "prime", type=int, required=True)
-@click.option("--r", "rspec", type=str, default=None,
-              help="raw sequence spec r0,r1,r2 instead of a family")
-@click.option("--e", "e_range", type=str, required=True, help="N or N..M")
-@_common
-@_guard
-def cmd_census(family_name, prime, rspec, e_range, **opts):
+@_command(
+    "census",
+    click.option("--family", "family_name",
+                 type=click.Choice(["ss5", "ss7", "brenner_monsky"]), default=None),
+    click.option("--p", "prime", type=int, required=True),
+    click.option("--r", "rspec", type=str, default=None,
+                 help="raw sequence spec r0,r1,r2 instead of a family"),
+    click.option("--e", "e_range", type=str, required=True, help="N or N..M"),
+)
+def cmd_census(seed, budgets, family_name, prime, rspec, e_range):
     """Irreducible-factor census across q = p^e."""
-    cfg = _config(**opts)
-    t0 = time.monotonic()
     p = PrimeModulus(prime)
     exponents = _parse_e_range(e_range)
     if family_name is None and rspec is None:
@@ -293,7 +301,7 @@ def cmd_census(family_name, prime, rspec, e_range, **opts):
         fam = family("brenner_monsky", p)
         for e in exponents:
             q = PrimePower(p, e)
-            cert = compute_hq(fam.ring, q, cfg.budgets.minor_subsets, cfg.seed)
+            cert = compute_hq(fam.ring, q, budgets.minor_subsets, seed)
             labelled.append((f"h_{q.q}", cert.h))
     elif family_name in ("ss5", "ss7"):
         fam = family(family_name, p)
@@ -301,7 +309,7 @@ def cmd_census(family_name, prime, rspec, e_range, **opts):
             q = PrimePower(p, e)
             if q.q < 2:
                 raise InputError("census exponents need q >= 2")
-            w = witness_colon(fam, q, cfg.budgets)
+            w = witness_colon(fam, q, budgets)
             labelled.append((f"witness_{q.q}", w))
     else:
         spec = _parse_rspec(p, rspec)
@@ -316,7 +324,7 @@ def cmd_census(family_name, prime, rspec, e_range, **opts):
     rows = []
     seen = set()
     for (label, factors), (_, poly) in zip(
-        factor_census(labelled, cfg.seed).entries, labelled
+        factor_census(labelled, seed).entries, labelled
     ):
         seen.update(f for f, _ in factors)
         rows.append(
@@ -327,41 +335,22 @@ def cmd_census(family_name, prime, rspec, e_range, **opts):
                 "new_and_old_distinct_irreducibles": len(seen),
             }
         )
-    payload = {
-        "command": "census",
-        "p": p.p,
-        "family": family_name,
-        "rows": rows,
-        "timings": {"seconds": time.monotonic() - t0},
-    }
+    payload = {"command": "census", "p": p.p, "family": family_name, "rows": rows}
     text = [
         f"{r['label']}: {r['factors']} (cumulative distinct: "
         f"{r['new_and_old_distinct_irreducibles']})"
         for r in rows
     ]
-    _emit(cfg, payload, rows, text)
+    return Result(payload, rows, text)
 
 
-@main.command("hq")
-@click.option("--family", "family_name", type=click.Choice(FAMILY_NAMES), default=None)
-@click.option("--ring-file", type=click.Path(exists=False), default=None)
-@click.option("--p", "prime", type=int, required=True)
-@click.option("--q", "q_value", type=int, required=True)
-@_common
-@_guard
-def cmd_hq(family_name, ring_file, prime, q_value, **opts):
+@_command("hq", *_RING_OPTIONS, click.option("--q", "q_value", type=int, required=True))
+def cmd_hq(seed, budgets, family_name, ring_file, prime, q_value):
     """Separating-polynomial certificate from the minors construction."""
-    cfg = _config(**opts)
-    t0 = time.monotonic()
     fam = _resolve_family(family_name, ring_file, prime)
     q = PrimePower.from_value(prime, q_value)
-    cert = compute_hq(fam.ring, q, cfg.budgets.minor_subsets, cfg.seed)
-    payload = {
-        "command": "hq",
-        "family": fam.name,
-        "certificate": cert.to_json_dict(),
-        "timings": {"seconds": time.monotonic() - t0},
-    }
+    cert = compute_hq(fam.ring, q, budgets.minor_subsets, seed)
+    payload = {"command": "hq", "family": fam.name, "certificate": cert.to_json_dict()}
     rows = [
         {
             "q": q.q,
@@ -376,33 +365,29 @@ def cmd_hq(family_name, ring_file, prime, q_value, **opts):
         f"minors examined = {cert.minors_examined}"
         + (" (PARTIAL)" if cert.partial else ""),
     ]
-    _emit(cfg, payload, rows, text)
+    return Result(payload, rows, text)
 
 
-@main.command("decompose")
-@click.option("--family", "family_name", type=click.Choice(FAMILY_NAMES), default=None)
-@click.option("--ring-file", type=click.Path(exists=False), default=None)
-@click.option("--p", "prime", type=int, required=True)
-@click.option("--q", "q_value", type=int, required=True)
-@click.option("--h", "h_source", type=str, default="minors", show_default=True,
-              help="'minors', 'closed-form', or an explicit polynomial in t")
-@click.option("--panel", type=int, default=10, show_default=True,
-              help="primary-sanity panel size")
-@click.option("--method", type=click.Choice(["auto", "groebner", "certified"]),
-              default="auto", show_default=True,
-              help="intersection-equality proof route")
-@_common
-@_guard
-def cmd_decompose(family_name, ring_file, prime, q_value, h_source, panel, method,
-                  **opts):
+@_command(
+    "decompose",
+    *_RING_OPTIONS,
+    click.option("--q", "q_value", type=int, required=True),
+    click.option("--h", "h_source", type=str, default="minors", show_default=True,
+                 help="'minors', 'closed-form', or an explicit polynomial in t"),
+    click.option("--panel", type=int, default=10, show_default=True,
+                 help="primary-sanity panel size"),
+    click.option("--method", type=click.Choice(["auto", "groebner", "certified"]),
+                 default="auto", show_default=True,
+                 help="intersection-equality proof route"),
+)
+def cmd_decompose(seed, budgets, family_name, ring_file, prime, q_value, h_source,
+                  panel, method):
     """Stable decomposition of I^[q] with full verification."""
-    cfg = _config(**opts)
-    t0 = time.monotonic()
     fam = _resolve_family(family_name, ring_file, prime)
     q = PrimePower.from_value(prime, q_value)
     cert = None
     if h_source == "minors":
-        cert = compute_hq(fam.ring, q, cfg.budgets.minor_subsets, cfg.seed)
+        cert = compute_hq(fam.ring, q, budgets.minor_subsets, seed)
         h = cert.h
         source = "minors"
     elif h_source == "closed-form":
@@ -416,13 +401,13 @@ def cmd_decompose(family_name, ring_file, prime, q_value, h_source, panel, metho
             raise InputError("h must be nonzero")
         source = "explicit"
     report = stable_decomposition(
-        fam, q, h, source, cert, seed=cfg.seed, budgets=cfg.budgets, method=method
+        fam, q, h, source, cert, seed=seed, budgets=budgets, method=method
     )
-    sanity = primary_sanity(report.isolated, panel, cfg.seed, cfg.budgets)
+    sanity = primary_sanity(report.isolated, panel, seed, budgets)
     sanity_all = sanity.passed
     sanity_witness = sanity.witness
     for comp in report.embedded:
-        v = primary_sanity(comp, panel, cfg.seed, cfg.budgets)
+        v = primary_sanity(comp, panel, seed, budgets)
         if not v.passed and sanity_all:
             sanity_all, sanity_witness = False, v.witness
     payload = {
@@ -430,7 +415,6 @@ def cmd_decompose(family_name, ring_file, prime, q_value, h_source, panel, metho
         "family": fam.name,
         "report": report.to_json_dict(),
         "primary_sanity": {"passed": sanity_all, "witness": sanity_witness},
-        "timings": {"seconds": time.monotonic() - t0},
     }
     rows = [
         {
@@ -466,36 +450,29 @@ def cmd_decompose(family_name, ring_file, prime, q_value, h_source, panel, metho
         f"growth bounds: {report.growth_bound_checked}; "
         f"primary sanity: {sanity_all}"
     )
-    _emit(cfg, payload, rows, text)
     if not report.intersection_verified:
-        raise _Fail(
-            EXIT_VERIFICATION,
-            f"intersection equality failed (witness: {report.witness})",
-        )
-    if not report.growth_bound_checked or not sanity_all:
-        raise _Fail(EXIT_VERIFICATION, "verification failed; see report")
+        failure = f"intersection equality failed (witness: {report.witness})"
+    elif not report.growth_bound_checked or not sanity_all:
+        failure = "verification failed; see report"
+    else:
+        failure = ""
+    return Result(payload, rows, text, failure)
 
 
-@main.command("verify-lemmas")
-@click.option("--p", "prime", type=int, required=True)
-@click.option("--r", "rspec", type=str, required=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--panel", type=int, default=5, show_default=True)
-@_common
-@_guard
-def cmd_verify_lemmas(prime, rspec, n, panel, **opts):
+@_command(
+    "verify-lemmas",
+    click.option("--p", "prime", type=int, required=True),
+    click.option("--r", "rspec", type=str, required=True),
+    click.option("--n", "n", type=int, required=True),
+    click.option("--panel", type=int, default=5, show_default=True),
+    budgets=False,
+)
+def cmd_verify_lemmas(seed, prime, rspec, n, panel):
     """Membership suites behind the inclusion and colon lemmas."""
-    cfg = _config(**opts)
-    t0 = time.monotonic()
     p = PrimeModulus(prime)
     spec = _parse_rspec(p, rspec)
-    report = lemma_membership_suite(spec, n, cfg.seed, panel)
-    payload = {
-        "command": "verify-lemmas",
-        "p": p.p,
-        "report": report.to_json_dict(),
-        "timings": {"seconds": time.monotonic() - t0},
-    }
+    report = lemma_membership_suite(spec, n, seed, panel)
+    payload = {"command": "verify-lemmas", "p": p.p, "report": report.to_json_dict()}
     rows = [
         {"item": i.name, "passed": i.passed, "checked": i.checked}
         for i in report.items
@@ -505,24 +482,18 @@ def cmd_verify_lemmas(prime, rspec, n, panel, **opts):
         f" ({i.checked} checks)"
         for i in report.items
     ]
-    _emit(cfg, payload, rows, text)
-    if not report.all_pass:
-        raise _Fail(EXIT_VERIFICATION, "membership suite failed")
+    return Result(payload, rows, text, "" if report.all_pass else "membership suite failed")
 
 
-@main.command("saturate")
-@click.option("--family", "family_name", type=click.Choice(FAMILY_NAMES), default=None)
-@click.option("--ring-file", type=click.Path(exists=False), default=None)
-@click.option("--p", "prime", type=int, required=True)
-@click.option("--z", "z_expr", type=str, required=True,
-              help="the element to saturate by")
-@click.option("--q-list", type=str, required=True, help="comma-separated q values")
-@_common
-@_guard
-def cmd_saturate(family_name, ring_file, prime, z_expr, q_list, **opts):
+@_command(
+    "saturate",
+    *_RING_OPTIONS,
+    click.option("--z", "z_expr", type=str, required=True,
+                 help="the element to saturate by"),
+    click.option("--q-list", type=str, required=True, help="comma-separated q values"),
+)
+def cmd_saturate(seed, budgets, family_name, ring_file, prime, z_expr, q_list):
     """Stabilization exponents N_q of I^[q] : z^infinity."""
-    cfg = _config(**opts)
-    t0 = time.monotonic()
     fam = _resolve_family(family_name, ring_file, prime)
     z = parse_poly(z_expr, fam.ring)
     if z.is_zero:
@@ -533,7 +504,7 @@ def cmd_saturate(family_name, ring_file, prime, z_expr, q_list, **opts):
         raise InputError(f"bad --q-list {q_list!r}") from None
     if not qs:
         raise InputError("--q-list is empty")
-    results, ratio = saturation_growth(fam, z, qs, cfg.budgets)
+    results, ratio = saturation_growth(fam, z, qs, budgets)
     rows = [{"q": q.q, "N_q": n} for q, n in results]
     payload = {
         "command": "saturate",
@@ -541,30 +512,28 @@ def cmd_saturate(family_name, ring_file, prime, z_expr, q_list, **opts):
         "z": z_expr,
         "rows": rows,
         "max_ratio": ratio,
-        "timings": {"seconds": time.monotonic() - t0},
     }
     text = [f"q = {r['q']}: N_q = {r['N_q']}" for r in rows] + [
         f"max N_q / q = {ratio}"
     ]
-    _emit(cfg, payload, rows, text)
+    return Result(payload, rows, text)
 
 
-@main.command("witness")
-@click.option("--family", "family_name", type=click.Choice(["ss5", "ss7"]), required=True)
-@click.option("--p", "prime", type=int, required=True)
-@click.option("--q", "q_value", type=int, required=True)
-@click.option("--method", type=click.Choice(["module", "groebner"]),
-              default="module", show_default=True,
-              help="contraction route for the colon ideal")
-@_common
-@_guard
-def cmd_witness(family_name, prime, q_value, method, **opts):
+@_command(
+    "witness",
+    click.option("--family", "family_name", type=click.Choice(["ss5", "ss7"]),
+                 required=True),
+    click.option("--p", "prime", type=int, required=True),
+    click.option("--q", "q_value", type=int, required=True),
+    click.option("--method", type=click.Choice(["module", "groebner"]),
+                 default="module", show_default=True,
+                 help="contraction route for the colon ideal"),
+)
+def cmd_witness(seed, budgets, family_name, prime, q_value, method):
     """The k[t]-contraction of the witness colon; checked against P_{q-2}."""
-    cfg = _config(**opts)
-    t0 = time.monotonic()
     fam = family(family_name, prime)
     q = PrimePower.from_value(prime, q_value)
-    w = witness_colon(fam, q, cfg.budgets, method=method)
+    w = witness_colon(fam, q, budgets, method=method)
     expected = p_seq(fam.seq, q.q - 2).monic()
     matches = w == expected
     payload = {
@@ -574,7 +543,6 @@ def cmd_witness(family_name, prime, q_value, method, **opts):
         "generator": format_unipoly(w),
         "expected_P": format_unipoly(expected),
         "matches": matches,
-        "timings": {"seconds": time.monotonic() - t0},
     }
     rows = [{"q": q.q, "generator": format_unipoly(w), "matches": matches}]
     text = [
@@ -582,9 +550,8 @@ def cmd_witness(family_name, prime, q_value, method, **opts):
         f"P_{q.q - 2} = {format_unipoly(expected)}",
         f"match: {matches}",
     ]
-    _emit(cfg, payload, rows, text)
-    if not matches:
-        raise _Fail(EXIT_VERIFICATION, "witness generator differs from P_{q-2}")
+    return Result(payload, rows, text,
+                  "" if matches else "witness generator differs from P_{q-2}")
 
 
 if __name__ == "__main__":

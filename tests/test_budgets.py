@@ -1,0 +1,58 @@
+import json
+from dataclasses import fields
+
+import pytest
+from click.testing import CliRunner
+
+from frobgrow.budgets import Budgets
+from frobgrow.cli import main
+from frobgrow.errors import InputError
+
+SMALL = Budgets(gb_pairs=3, gb_basis=7, minor_subsets=10, oracle_dim=1,
+                saturation_steps=5, power_products=100, wall_seconds=2.0)
+
+
+class TestScaled:
+    # integer limits round down and stay at least 1; wall_seconds is a float
+    @pytest.mark.parametrize(
+        "base, factor, expected",
+        [
+            (Budgets(), 1e-9, (1, 1, 1, 1, 1, 1, 6e-7)),
+            (Budgets(), 0.37, (74_000, 7_400, 92_500, 7_400, 94, 1_850_000, 222.0)),
+            (Budgets(), 2.5, (500_000, 50_000, 625_000, 50_000, 640, 12_500_000, 1500.0)),
+            (SMALL, 1e-9, (1, 1, 1, 1, 1, 1, 2e-9)),
+            (SMALL, 0.37, (1, 2, 3, 1, 1, 37, 0.74)),
+            (SMALL, 2.5, (7, 17, 25, 2, 12, 250, 5.0)),
+        ],
+    )
+    def test_hand_computed(self, base, factor, expected):
+        got = base.scaled(factor)
+        values = tuple(getattr(got, f.name) for f in fields(got))
+        assert values[:-1] == expected[:-1]
+        assert all(type(v) is int for v in values[:-1])
+        assert values[-1] == pytest.approx(expected[-1])
+
+    @pytest.mark.parametrize("factor", [0, -1.0])
+    def test_factor_must_be_positive(self, factor):
+        with pytest.raises(InputError, match="budget scale must be positive"):
+            Budgets().scaled(factor)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Budgets)])
+def test_zero_limit_names_its_field(name):
+    with pytest.raises(InputError) as exc:
+        Budgets(**{name: 0})
+    assert str(exc.value) == f"budget {name} must be positive"
+
+
+def test_environment_scale_applies_to_cli_runs():
+    runner = CliRunner()
+    argv = ["hq", "--family", "katzman", "--p", "3", "--q", "9", "--no-timings"]
+    bad = runner.invoke(main, argv, env={"FROBGROW_BUDGET_SCALE": "lots"})
+    assert bad.exit_code == 2
+    assert bad.stdout == ""
+    assert bad.stderr == "error: FROBGROW_BUDGET_SCALE must be numeric, got 'lots'\n"
+    # 250 000 * 1e-4 = 25 minors per M_d: the scan stops short
+    tiny = runner.invoke(main, argv, env={"FROBGROW_BUDGET_SCALE": "1e-4"})
+    assert tiny.exit_code == 0
+    assert json.loads(tiny.stdout)["certificate"]["partial"]

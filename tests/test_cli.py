@@ -61,6 +61,14 @@ class TestPseq:
         res = invoke(runner, "pseq", "--p", "2", "--r", "1,t", "--n", "1")
         assert res.exit_code == 2
 
+    def test_unwritable_output_is_input_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "out.json"
+        res = invoke(runner, "pseq", "--p", "5", "--r", "1,t,1", "--n", "2",
+                     "--output", str(out))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: cannot write {out}: No such file or directory\n"
+
 
 class TestCensus:
     def test_cumulative_counts_increase(self, runner):
@@ -183,13 +191,6 @@ class TestVerifyLemmas:
         assert res.exit_code == 2
         assert res.stdout == "" and res.stderr == "error: panel size must be at least 1\n"
 
-    def test_consults_no_budget(self, runner):
-        # the suite builds no Groebner basis, so a one-pair limit is moot
-        res = invoke(runner, "verify-lemmas", "--p", "3", "--r", "1,t,1",
-                     "--n", "2", "--gb-pairs", "1", "--no-timings")
-        assert res.exit_code == 0
-        assert json.loads(res.output)["report"]["all_pass"]
-
 
 class TestSaturate:
     def test_ring_file(self, runner, tmp_path):
@@ -252,6 +253,30 @@ class TestSaturate:
         res = invoke(runner, "saturate", "--ring-file", str(ring), "--p", "2",
                      "--z", "y", "--q-list", "two")
         assert res.exit_code == 2
+
+
+BUDGET_OPTIONS = {"--budget": "2", "--gb-pairs": "1", "--minor-subsets": "1",
+                  "--wall-seconds": "1"}
+
+
+class TestOptionPolicy:
+    def test_unbudgeted_commands_refuse_budget_options(self, runner):
+        # pseq and verify-lemmas read no budget, so they take no budget option
+        argvs = [
+            ("pseq", "--p", "3", "--r", "1,t,1", "--n", "2"),
+            ("verify-lemmas", "--p", "3", "--r", "1,t,1", "--n", "2"),
+        ]
+        for argv in argvs:
+            for option, value in BUDGET_OPTIONS.items():
+                res = invoke(runner, *argv, option, value, "--no-timings")
+                assert res.exit_code == 2, (argv[0], option)
+                assert res.stdout == ""
+                assert "No such option" in res.stderr and option in res.stderr
+
+    @pytest.mark.parametrize("name", ["census", "hq", "decompose", "saturate", "witness"])
+    def test_budgeted_commands_take_budget_options(self, name):
+        opts = {o for param in main.commands[name].params for o in param.opts}
+        assert set(BUDGET_OPTIONS) <= opts
 
 
 class TestRelationErrors:
