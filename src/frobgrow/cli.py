@@ -5,8 +5,9 @@ witness.  Rings come from named families or JSON ring files; output is
 json (canonical machine format), csv, or text.
 
 Each subcommand body is a plain function that returns a Result.  One
-runner, `_command`, registers the body with its options, builds its
-Budgets, times it, writes its output and owns the exit codes: 0 success,
+runner, `_command`, registers the body with its options, builds the
+Budgets of a budgeted command (only those read FROBGROW_BUDGET_SCALE),
+times it, writes its output and owns the exit codes: 0 success,
 1 mathematical verification failure (a VerificationError, or a Result
 whose `failure` is set, reported after the output is written), 2 input
 error (an InputError or other FrobgrowError, an --output that cannot be
@@ -63,6 +64,7 @@ class Result(NamedTuple):
     rows: list  # csv rows, one dict each
     text: list  # text lines
     failure: str = ""  # set: printed to stderr after the output, exit 1
+    columns: tuple = ()  # csv header when there are no rows
 
 
 def _parse_e_range(text: str):
@@ -151,13 +153,13 @@ def _render(fmt: str, result: Result) -> str:
         return json.dumps(result.payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        if result.rows:
-            writer = csv.DictWriter(buf, fieldnames=list(result.rows[0].keys()))
+        columns = list(result.rows[0].keys()) if result.rows else result.columns
+        if columns:
+            writer = csv.DictWriter(buf, fieldnames=columns)
             writer.writeheader()
             writer.writerows(result.rows)
         return buf.getvalue()
-    text = result.text or [json.dumps(result.payload, indent=2, sort_keys=True)]
-    return "\n".join(text) + "\n"
+    return "".join(line + "\n" for line in result.text)
 
 
 def _write(out: str, path: str | None) -> None:
@@ -215,11 +217,12 @@ def _command(name: str, *options, budgets: bool = True):
                 minor_subsets=None, wall_seconds=None, **own):
             t0 = time.monotonic()
             try:
-                # built for every command, so each rejects a malformed
-                # FROBGROW_BUDGET_SCALE alike
-                b = _budgets(budget_scale, gb_pairs=gb_pairs,
-                             minor_subsets=minor_subsets, wall_seconds=wall_seconds)
-                result = body(seed, b, **own) if budgets else body(seed, **own)
+                if budgets:
+                    b = _budgets(budget_scale, gb_pairs=gb_pairs,
+                                 minor_subsets=minor_subsets, wall_seconds=wall_seconds)
+                    result = body(seed, b, **own)
+                else:
+                    result = body(seed, **own)
                 if not no_timings:
                     result.payload["timings"] = {"seconds": time.monotonic() - t0}
                 _write(_render(fmt, result), output)
@@ -278,7 +281,8 @@ def cmd_pseq(seed, prime, rspec, n):
         "r2": format_unipoly(spec.r2),
         "rows": rows,
     }
-    return Result(payload, rows, [f"P_{r['n']} = {r['P']} = {r['factors']}" for r in rows])
+    text = [f"P_{r['n']} = {r['P']} = {r['factors']}" for r in rows]
+    return Result(payload, rows, text, columns=("n", "P", "degree", "factors"))
 
 
 @_command(

@@ -11,15 +11,17 @@ construction.
 
 The minors scan counts positions in a fixed (size, row set, column set)
 order, and the `minor_subsets` budget bounds that count, not the number
-of determinants computed.  Only minors that can be nonzero are computed
-(no zero row or column), each by one Laplace expansion over the scan's
-own minors of the size below.  `bareiss_det` is the determinant for
-`minor_lift` and the tests' independent reference.
+of determinants computed; the count and the budget's cut are arithmetic
+on binomial coefficients.  The scan's work is in proportion to the
+nonzero minors: each k-minor is built from the nonzero (k-1)-minors of
+its rows below the first, one term per nonzero entry of the first row,
+so row sets and column sets without a nonzero minor are never visited.
+`bareiss_det` is the determinant for `minor_lift` and the tests'
+independent reference.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -52,7 +54,7 @@ def bareiss_det(matrix) -> UniPoly:
     The entries are converted to coefficient lists once and eliminated
     with the list kernels; only the result is wrapped as a UniPoly.
     `minor_lift` solves with it; the minors scan does not call it (it
-    expands along rows over its own smaller minors), so it also serves
+    builds each minor from its own smaller minors), so it also serves
     as the scan's independent reference in the tests."""
     n = len(matrix)
     if n == 0:
@@ -136,7 +138,8 @@ class MinorMatrix:
 def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
     """The matrix M_d, rows and columns in a fixed grevlex order: each
     column is a relation multiple from ktmodule's `_columns_of` on the
-    standard rows, kept when that leaves it zero."""
+    standard rows, kept when that leaves it zero.  A multiplier with an
+    exponent >= q reaches no standard row, so its column is zero unread."""
     w1 = ring.weight1_indices()
     n = len(w1)
     if n == 0:
@@ -163,6 +166,8 @@ def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
         for w in grevlex_desc(orders.monomials_of_degree(n, d - degs[i])):
             ci = len(cols)
             cols.append((i, w))
+            if max(w) >= q.q:
+                continue  # every row it reaches has that exponent
             for u, a in _columns_of(rel, ti, w1, w).items():
                 ri = row_index.get(u)
                 if ri is not None:
@@ -183,79 +188,111 @@ class MinorScan:
     partial: bool
 
 
+def _unrank(rank: int, items, size: int) -> int:
+    """Bits of the size-subset of `items` (ascending) at lexicographic
+    `rank` among all of them."""
+    bits = 0
+    j = 0
+    for left in range(size, 0, -1):
+        while rank >= (below := comb(len(items) - j - 1, left - 1)):
+            rank -= below
+            j += 1
+        bits |= 1 << items[j]
+        j += 1
+    return bits
+
+
+def _lex_below(a: int, b: int) -> bool:
+    """Whether the set with bits `a` comes before the equally large set
+    with bits `b` in lexicographic order of their ascending elements: the
+    least element they do not share is in `a`."""
+    x = a ^ b
+    return bool(a & x & -x)
+
+
 def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> MinorScan:
     """Monic lcm of all nonzero minors of all sizes, with incremental
     gcd-dedup.  The empty matrix contributes 1.
 
     Minors are positioned by increasing size, then row set, then column
     set, each in lexicographic order, skipping row sets with a zero row
-    of M.  `examined` counts positions reached in that order, not
-    determinants computed: a row set advances it by C(ncols, size) at
-    once, and only column sets inside the row set's nonzero columns are
-    visited, since any other has a zero column.  Exhausting the budget
-    flags the scan PARTIAL instead of failing, after exactly the first
-    `budget` positions, with `examined = budget + 1`.
+    of M.  `examined` counts positions in that order, not determinants
+    computed: a size adds C(live rows, size) * C(ncols, size) at once.
+    Exhausting the budget flags the scan PARTIAL instead of failing,
+    after exactly the first `budget` positions, with
+    `examined = budget + 1`.  Positions are counted through every size up
+    to min(live rows, ncols), even once the nonzero minors have run out,
+    so a budget can cut inside an all-zero size.
 
-    Each k x k minor is expanded along its first row; its cofactors are
-    the (k-1)-minors of the scan's previous size, kept by position.  Every
-    nonzero (k-1)-minor is at a position that size visited (rows in
-    `live`, columns among their nonzero ones, no zero row), and a budget
-    cut ends the scan inside its size, so a position not kept is a zero
-    minor.  Only the minors of the previous and the current size are
-    kept, and each distinct determinant is folded into the lcm once.
+    The work follows the nonzero minors.  Those of the previous size are
+    kept grouped by row set.  A k-row set is formed as a first row r0
+    placed before a row set of that size with nonzero minors, its rest;
+    each nonzero (k-1)-minor of the rest at column set C contributes
+    (-1)^j * M[r0][c] * minor to the k-minor at C + {c}, for every
+    nonzero entry M[r0][c] with c not in C (j is the number of columns
+    of C below c).  That is the expansion of the k-minor along its first
+    row with its zero terms left out, so a row set or column set that
+    carries no nonzero minor is never visited.  In a size the budget
+    cuts, row sets after the cut one are never formed, and in the cut
+    row set only the terms of admitted column sets are computed.  Each
+    distinct determinant is folded into the lcm once.
     """
     nr, nc = M.shape
     p_mod = M.p
     p = p_mod.p
-    row_coeffs = [{} for _ in range(nr)]  # col -> nonzero coefficient list
+    # per row, its nonzero entries as (column bit, bits of the columns
+    # below it, entry, -entry)
+    first_terms = [[] for _ in range(nr)]
     for (r, c), a in M.entries.items():
-        row_coeffs[r][c] = a.coeffs
-    row_mask = [sum(1 << c for c in row) for row in row_coeffs]
-    live = [r for r in range(nr) if row_mask[r]]
+        first_terms[r].append((1 << c, (1 << c) - 1, a.coeffs, uni_sub([], a.coeffs, p)))
+    live = [r for r in range(nr) if first_terms[r]]
     acc = UniPoly.one(p_mod)
     examined = 0
     folded = set()  # determinants already folded into acc
-    # nonzero minors of the previous size, keyed by position as
-    # (row set bits << nc) | column set bits
-    prev = {0: (1,)}
-    for size in range(1, min(nr, nc) + 1):
+    # nonzero minors of the previous size: row set bits -> column set
+    # bits -> coefficient list
+    prev = {0: {0: [1]}}
+    for size in range(1, min(len(live), nc) + 1):
         n_cols = comb(nc, size)
+        positions = comb(len(live), size) * n_cols
+        left = budget - examined
+        # when the budget ends inside this size: the row set it cuts and
+        # the first column set of that row set it does not admit
+        cut_rows = cut_cols = None
+        if positions <= left:
+            examined += positions
+        else:
+            cut, left = divmod(left, n_cols)
+            cut_rows = _unrank(cut, live, size)
+            cut_cols = _unrank(left, range(nc), size)
         cur = {}
-        for rows in itertools.combinations(live, size):
-            left = budget - examined
-            cut = n_cols > left
-            if not cut:
-                examined += n_cols
-            rkey = sum(1 << r for r in rows) << nc
-            rest = rkey ^ 1 << (rows[0] + nc)  # rows[1:]
-            first = row_coeffs[rows[0]]
-            active = sorted(set().union(*(row_coeffs[r] for r in rows)))
-            for cols in itertools.combinations(active, size):
-                # past the budget: the lexicographic rank of cols among all
-                # size-subsets of range(nc) is its position in this row set
-                if cut and n_cols - 1 - sum(
-                    comb(nc - 1 - c, size - i) for i, c in enumerate(cols)
-                ) >= left:
-                    break
-                # a fully zero row inside the submatrix: det 0
-                cbits = 0
-                for c in cols:
-                    cbits |= 1 << c
-                if any(not (row_mask[r] & cbits) for r in rows):
-                    continue
-                det = []
-                for j, c in enumerate(cols):
-                    a = first.get(c)
-                    if a is None:
-                        continue
-                    cof = prev.get(rest | cbits ^ 1 << c)
-                    if cof is None:
-                        continue
-                    term = uni_mul(a, cof, p)
-                    det = uni_sub(det, term, p) if j & 1 else uni_add(det, term, p)
+        for rest, cofactors in prev.items():
+            below_rest = rest & -rest or 1 << nr
+            for r0 in live:
+                rows = rest | 1 << r0
+                if 1 << r0 >= below_rest or (
+                    cut_rows is not None and rows != cut_rows
+                    and not _lex_below(rows, cut_rows)
+                ):
+                    break  # so is every later r0
+                only_before = rows == cut_rows
+                dets = cur.setdefault(rows, {})
+                for cbits, cof in cofactors.items():
+                    for bit, below, a, neg_a in first_terms[r0]:
+                        if cbits & bit:
+                            continue
+                        key = cbits | bit
+                        if only_before and not _lex_below(key, cut_cols):
+                            continue
+                        term = uni_mul(neg_a if (cbits & below).bit_count() & 1 else a, cof, p)
+                        det = dets.get(key)
+                        dets[key] = term if det is None else uni_add(det, term, p)
+        prev = {}
+        for rows, dets in cur.items():
+            for cbits, det in dets.items():
                 if not det:
                     continue
-                cur[rkey | cbits] = det
+                prev.setdefault(rows, {})[cbits] = det
                 key = tuple(det)
                 if key in folded:
                     continue
@@ -263,9 +300,8 @@ def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> M
                 det = UniPoly(p_mod, det).monic()
                 if not (acc % det).is_zero:
                     acc = uni_lcm(acc, det)
-            if cut:
-                return MinorScan(lcm=acc, examined=budget + 1, partial=True)
-        prev = cur
+        if cut_rows is not None:
+            return MinorScan(lcm=acc, examined=budget + 1, partial=True)
     return MinorScan(lcm=acc, examined=examined, partial=False)
 
 

@@ -53,6 +53,15 @@ class TestPseq:
         assert res.exit_code == 0
         assert res.output.splitlines()[0] == "n,P,degree,factors"
 
+    def test_no_rows_in_text_and_csv(self, runner):
+        # --n 0 has no rows: text prints no line, csv only its header
+        argv = ("pseq", "--p", "5", "--r", "1,t,1", "--n", "0", "--no-timings")
+        text = invoke(runner, *argv, "--format", "text")
+        assert text.exit_code == 0 and text.stdout == ""
+        csv_out = invoke(runner, *argv, "--format", "csv")
+        assert csv_out.exit_code == 0
+        assert csv_out.stdout.splitlines() == ["n,P,degree,factors"]
+
     def test_negative_n_is_input_error(self, runner):
         res = invoke(runner, "pseq", "--p", "2", "--r", "1,t,1", "--n", "-1")
         assert res.exit_code == 2
@@ -272,6 +281,18 @@ class TestOptionPolicy:
                 assert res.exit_code == 2, (argv[0], option)
                 assert res.stdout == ""
                 assert "No such option" in res.stderr and option in res.stderr
+
+    def test_only_budgeted_commands_read_the_budget_scale(self, runner):
+        env = {"FROBGROW_BUDGET_SCALE": "lots"}
+        for argv in (("pseq", "--p", "5", "--r", "1,t,1", "--n", "2"),
+                     ("verify-lemmas", "--p", "3", "--r", "1,t,1", "--n", "2")):
+            res = runner.invoke(main, [*argv, "--no-timings"], env=env)
+            assert res.exit_code == 0, argv[0]
+            assert res.stdout == invoke(runner, *argv, "--no-timings").stdout
+        res = runner.invoke(main, ["hq", "--family", "katzman", "--p", "2", "--q", "2"],
+                            env=env)
+        assert res.exit_code == 2
+        assert res.stderr == "error: FROBGROW_BUDGET_SCALE must be numeric, got 'lots'\n"
 
     @pytest.mark.parametrize("name", ["census", "hq", "decompose", "saturate", "witness"])
     def test_budgeted_commands_take_budget_options(self, name):

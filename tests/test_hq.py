@@ -120,6 +120,32 @@ def full_positions(M):
     return sum(comb(live, k) * comb(nc, k) for k in range(1, min(nr, nc) + 1))
 
 
+def expansion_terms(M, budget):
+    """Nonzero terms of the first-row expansions at the first `budget`
+    positions of the scan's order: pairs (position, c) with M[r0][c]
+    nonzero and the minor on the other rows and columns nonzero (the
+    empty minor is 1)."""
+    nr, nc = M.shape
+    zero = UniPoly.zero(M.p)
+    live = sorted({r for (r, _) in M.entries})
+    positions = (
+        (rows, cols)
+        for size in range(1, min(len(live), nc) + 1)
+        for rows in itertools.combinations(live, size)
+        for cols in itertools.combinations(range(nc), size)
+    )
+    terms = 0
+    for rows, cols in itertools.islice(positions, budget):
+        r0, rest = rows[0], rows[1:]
+        for c in cols:
+            if (r0, c) not in M.entries:
+                continue
+            others = [x for x in cols if x != c]
+            sub = [[M.entries.get((r, x), zero) for x in others] for r in rest]
+            terms += not rest or not bareiss_det(sub).is_zero
+    return terms
+
+
 class TestBareissDet:
     def test_small_sizes(self):
         t = parse_unipoly("t", P5)
@@ -210,7 +236,8 @@ def dense_Md_entries(ring, M):
 class TestMdByDefinition:
     @pytest.mark.parametrize(
         "name,p,e",
-        [("katzman", 3, 2), ("ss5", 3, 1), ("brenner_monsky", 2, 2), ("ss7", 2, 1)],
+        [("katzman", 3, 2), ("ss5", 3, 1), ("ss5", 2, 2), ("brenner_monsky", 2, 2),
+         ("ss7", 2, 1)],
     )
     def test_matches_dense_builder(self, name, p, e):
         # rows: every degree-d monomial with exponents < q; columns: every
@@ -295,6 +322,34 @@ class TestMinorsLcm:
                 got = minors_lcm(M, budget)
                 assert got == reference_minors_lcm(M, budget), (A, budget)
                 assert got.partial == (budget < full)
+
+    def test_multiplies_only_the_terms_of_admitted_positions(self, rng, monkeypatch):
+        # one uni_mul per nonzero expansion term at a position the budget
+        # admits: no product for a term that is zero, and none for a
+        # column set past the cut inside the cut row set
+        calls = []
+        real = hq.uni_mul
+
+        def counting(a, b, p):
+            calls.append(1)
+            return real(a, b, p)
+
+        cuts = 0
+        for _ in range(40):
+            p = PrimeModulus((2, 3, 5)[rng.randrange(3)])
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            A = rand_sparse_matrix(rng, p, nr, nc, rng.choice((0.3, 0.5, 0.8)), deg=1)
+            M = as_minor_matrix(A, p)
+            full = full_positions(M)
+            for budget in sorted(b for b in {rng.randint(1, full + 1), full} if b >= 1):
+                expected = expansion_terms(M, budget)
+                calls.clear()
+                monkeypatch.setattr(hq, "uni_mul", counting)
+                scan = minors_lcm(M, budget)
+                monkeypatch.setattr(hq, "uni_mul", real)
+                assert len(calls) == expected, (A, budget)
+                cuts += scan.partial
+        assert cuts >= 20
 
     def test_every_budget_on_small_matrices(self, rng):
         # each cut position of a few small matrices, so a cut that admits
