@@ -5,13 +5,15 @@ witness.  Rings come from named families or JSON ring files; output is
 json (canonical machine format), csv, or text.
 
 Each subcommand body is a plain function that returns a Result.  One
-runner, `_command`, registers the body with its options, builds the
-Budgets of a budgeted command (only those read FROBGROW_BUDGET_SCALE),
-times it, writes its output and owns the exit codes: 0 success,
-1 mathematical verification failure (a VerificationError, or a Result
-whose `failure` is set, reported after the output is written), 2 input
-error (an InputError or other FrobgrowError, an --output that cannot be
-written, or a click usage error), 3 budget exhausted.
+runner, `_command`, registers the body with its options (a budgeted
+command also takes --budget, --wall-seconds and the override of each
+limit it reads), builds the Budgets of a budgeted command (only those
+read FROBGROW_BUDGET_SCALE), times it, writes its output and owns the
+exit codes: 0 success, 1 mathematical verification failure (a
+VerificationError, or a Result whose `failure` is set, reported after
+the output is written), 2 input error (an InputError or other
+FrobgrowError, an --output that cannot be written, or a click usage
+error), 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -187,13 +189,15 @@ _OUTPUT_OPTIONS = (
     click.option("--output", type=click.Path(dir_okay=False), default=None),
     click.option("--no-timings", is_flag=True, default=False),
 )
-_BUDGET_OPTIONS = (
-    click.option("--budget", "budget_scale", type=float, default=None,
-                 help="multiply every budget by this factor"),
-    click.option("--gb-pairs", type=int, default=None),
-    click.option("--minor-subsets", type=int, default=None),
-    click.option("--wall-seconds", type=float, default=None),
-)
+# every budgeted command takes --budget and --wall-seconds, and the
+# override of each limit it reads
+_BUDGET_OPTIONS = {
+    "budget_scale": click.option("--budget", "budget_scale", type=float, default=None,
+                                 help="multiply every budget by this factor"),
+    "gb_pairs": click.option("--gb-pairs", type=int, default=None),
+    "minor_subsets": click.option("--minor-subsets", type=int, default=None),
+    "wall_seconds": click.option("--wall-seconds", type=float, default=None),
+}
 # the ring of hq, decompose and saturate: a built-in family or a ring file
 _RING_OPTIONS = (
     click.option("--family", "family_name", type=click.Choice(FAMILY_NAMES), default=None),
@@ -207,22 +211,24 @@ def main():
     """Exact primary decompositions of Frobenius powers."""
 
 
-def _command(name: str, *options, budgets: bool = True):
+def _command(name: str, *options, limits=None):
     """Register a body `(seed, [budgets,] **own options) -> Result` as
-    subcommand `name`, with its own options, the output options and,
-    when `budgets`, the budget options."""
+    subcommand `name`, with its own options and the output options.  A
+    body that takes budgets names the Budgets fields it reads in
+    `limits` and gets --budget, --wall-seconds and an override option
+    for each of those fields."""
+    taken = () if limits is None else ("budget_scale", *limits, "wall_seconds")
 
     def register(body):
-        def run(seed, fmt, output, no_timings, budget_scale=None, gb_pairs=None,
-                minor_subsets=None, wall_seconds=None, **own):
+        def run(seed, fmt, output, no_timings, **own):
             t0 = time.monotonic()
             try:
-                if budgets:
-                    b = _budgets(budget_scale, gb_pairs=gb_pairs,
-                                 minor_subsets=minor_subsets, wall_seconds=wall_seconds)
-                    result = body(seed, b, **own)
-                else:
+                if limits is None:
                     result = body(seed, **own)
+                else:
+                    given = {k: own.pop(k) for k in taken}
+                    b = _budgets(given.pop("budget_scale"), **given)
+                    result = body(seed, b, **own)
                 if not no_timings:
                     result.payload["timings"] = {"seconds": time.monotonic() - t0}
                 _write(_render(fmt, result), output)
@@ -239,7 +245,9 @@ def _command(name: str, *options, budgets: bool = True):
                 click.echo(result.failure, err=True)
                 sys.exit(EXIT_VERIFICATION)
 
-        params = options + _OUTPUT_OPTIONS + (_BUDGET_OPTIONS if budgets else ())
+        params = options + _OUTPUT_OPTIONS + tuple(
+            o for k, o in _BUDGET_OPTIONS.items() if k in taken
+        )
         for option in reversed(params):
             run = option(run)
         return main.command(name, help=body.__doc__)(run)
@@ -253,7 +261,6 @@ def _command(name: str, *options, budgets: bool = True):
     click.option("--r", "rspec", type=str, required=True,
                  help="r0,r1,r2 as polynomials in t"),
     click.option("--n", "n", type=int, required=True),
-    budgets=False,
 )
 def cmd_pseq(seed, prime, rspec, n):
     """Table of P_1..P_n with degrees and factorizations."""
@@ -293,6 +300,7 @@ def cmd_pseq(seed, prime, rspec, n):
     click.option("--r", "rspec", type=str, default=None,
                  help="raw sequence spec r0,r1,r2 instead of a family"),
     click.option("--e", "e_range", type=str, required=True, help="N or N..M"),
+    limits=("minor_subsets",),
 )
 def cmd_census(seed, budgets, family_name, prime, rspec, e_range):
     """Irreducible-factor census across q = p^e."""
@@ -348,7 +356,12 @@ def cmd_census(seed, budgets, family_name, prime, rspec, e_range):
     return Result(payload, rows, text)
 
 
-@_command("hq", *_RING_OPTIONS, click.option("--q", "q_value", type=int, required=True))
+@_command(
+    "hq",
+    *_RING_OPTIONS,
+    click.option("--q", "q_value", type=int, required=True),
+    limits=("minor_subsets",),
+)
 def cmd_hq(seed, budgets, family_name, ring_file, prime, q_value):
     """Separating-polynomial certificate from the minors construction."""
     fam = _resolve_family(family_name, ring_file, prime)
@@ -383,6 +396,7 @@ def cmd_hq(seed, budgets, family_name, ring_file, prime, q_value):
     click.option("--method", type=click.Choice(["auto", "groebner", "certified"]),
                  default="auto", show_default=True,
                  help="intersection-equality proof route"),
+    limits=("gb_pairs", "minor_subsets"),
 )
 def cmd_decompose(seed, budgets, family_name, ring_file, prime, q_value, h_source,
                   panel, method):
@@ -469,7 +483,6 @@ def cmd_decompose(seed, budgets, family_name, ring_file, prime, q_value, h_sourc
     click.option("--r", "rspec", type=str, required=True),
     click.option("--n", "n", type=int, required=True),
     click.option("--panel", type=int, default=5, show_default=True),
-    budgets=False,
 )
 def cmd_verify_lemmas(seed, prime, rspec, n, panel):
     """Membership suites behind the inclusion and colon lemmas."""
@@ -495,6 +508,7 @@ def cmd_verify_lemmas(seed, prime, rspec, n, panel):
     click.option("--z", "z_expr", type=str, required=True,
                  help="the element to saturate by"),
     click.option("--q-list", type=str, required=True, help="comma-separated q values"),
+    limits=("gb_pairs",),
 )
 def cmd_saturate(seed, budgets, family_name, ring_file, prime, z_expr, q_list):
     """Stabilization exponents N_q of I^[q] : z^infinity."""
@@ -532,6 +546,7 @@ def cmd_saturate(seed, budgets, family_name, ring_file, prime, z_expr, q_list):
     click.option("--method", type=click.Choice(["module", "groebner"]),
                  default="module", show_default=True,
                  help="contraction route for the colon ideal"),
+    limits=("gb_pairs",),
 )
 def cmd_witness(seed, budgets, family_name, prime, q_value, method):
     """The k[t]-contraction of the witness colon; checked against P_{q-2}."""

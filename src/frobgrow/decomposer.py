@@ -837,16 +837,12 @@ def lemma_membership_suite(
         m = u ** exps[0] * v ** exps[1] * x ** exps[2] * y ** exps[3]
         if not cache_In.member(m * mult):
             wit_ii.append(format_multipoly(m))
-    # (iii) colon stability of I_n + (u,v,x,y)^{2n} under random g(t):
-    # (big : c*g) == (big : c) for c = (r0 r2)^{2n}, decided for the whole
-    # panel by one pass of slice invariants; big contains every monomial
-    # of degree 2n, so the degrees below 2n settle it, and there g passes
-    # iff it is coprime to T / gcd(T, c), T the torsion exponent
-    big = IdealHandle(
-        S,
-        list(In.generators)
-        + [u ** e[0] * v ** e[1] * x ** e[2] * y ** e[3] for e in degree_2n],
-    )
+    # (iii) colon stability of J = I_n + (u,v,x,y)^{2n} under random g(t):
+    # (J : c*g) == (J : c) for c = (r0 r2)^{2n}, decided for the whole
+    # panel by one pass of slice invariants; J contains every monomial of
+    # degree 2n, so the degrees below 2n settle it, and there J agrees
+    # with I_n: g passes iff it is coprime to T / gcd(T, c), T the torsion
+    # exponent of I_n below degree 2n
     rng = random.Random(seed)
     panel = []
     while len(panel) < panel_size:
@@ -854,7 +850,7 @@ def lemma_membership_suite(
         if not g.is_zero:
             panel.append(g)
     stable = univariate_colon_trivial_panel(
-        big, panel, 2 * n, (spec.r0 * spec.r2) ** (2 * n)
+        In, panel, 2 * n, (spec.r0 * spec.r2) ** (2 * n)
     )
     wit_iii = [format_unipoly(g) for g, ok in zip(panel, stable) if not ok]
     checked_iii = len(panel)

@@ -553,13 +553,11 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self, order: orders.MonomialOrder | None = None):
-        """Terms as (monomial, coefficient), descending in the order."""
-        order = order or self.ring.default_order
-        return tuple(
-            (m, self._terms[m])
-            for m in sorted(self._terms, key=order.key, reverse=True)
-        )
+    def terms(self):
+        """Terms as (monomial, coefficient), descending in the ring's
+        default order."""
+        key = self.ring.default_order.key
+        return tuple((m, self._terms[m]) for m in sorted(self._terms, key=key, reverse=True))
 
     def term_dict(self) -> dict:
         return dict(self._terms)

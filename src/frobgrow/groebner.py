@@ -24,67 +24,14 @@ from .orders import monomials_of_degree
 
 DEFAULT_BUDGETS = budgets_mod.DEFAULT
 
-_FIELD_BITS = 24
-_FIELD_MAX = (1 << _FIELD_BITS) - 1
+
+def _to_raw(f: MultiPoly, order: orders.MonomialOrder):
+    """Term list of f as (key, coefficient), leading term first."""
+    return sorted(((order.key(m), c) for m, c in f._terms.items()), reverse=True)
 
 
-# ---------------------------------------------------------------------------
-# packed monomial contexts
-#
-# Monomials are packed into Python ints so that plain integer comparison
-# realizes the monomial order and monomial multiplication is key addition
-# (up to the constant key of the unit monomial).
-
-
-class _Ctx:
-    __slots__ = ("nvars", "order", "fields", "key_one")
-
-    def __init__(self, nvars: int, order: orders.MonomialOrder):
-        self.nvars = nvars
-        self.order = order
-        # fields, most significant first: ("deg", indices) | ("comp", i)
-        fields = []
-        if order.kind == "grevlex":
-            fields.append(("deg", order.precedence))
-            for i in reversed(order.precedence):
-                fields.append(("comp", i))
-        else:  # block: two grevlex blocks
-            front = order.precedence[: order.front_size]
-            back = order.precedence[order.front_size :]
-            for blk in (front, back):
-                fields.append(("deg", blk))
-                for i in reversed(blk):
-                    fields.append(("comp", i))
-        self.fields = tuple(fields)
-        self.key_one = self.encode((0,) * nvars)
-
-    def encode(self, exps) -> int:
-        key = 0
-        for kind, arg in self.fields:
-            if kind == "deg":
-                v = sum(exps[i] for i in arg)
-            else:
-                v = _FIELD_MAX - exps[arg]
-            key = (key << _FIELD_BITS) | v
-        return key
-
-    def decode(self, key: int):
-        exps = [0] * self.nvars
-        for kind, arg in reversed(self.fields):
-            v = key & _FIELD_MAX
-            key >>= _FIELD_BITS
-            if kind == "comp":
-                exps[arg] = _FIELD_MAX - v
-        return tuple(exps)
-
-    def to_raw(self, f: MultiPoly):
-        """Sorted term list, leading term first."""
-        raw = [(self.encode(m), c) for m, c in f._terms.items()]
-        raw.sort(reverse=True)
-        return raw
-
-    def from_raw(self, ring: RingSpec, raw) -> MultiPoly:
-        return MultiPoly(ring, {self.decode(k): c for k, c in raw})
+def _from_raw(ring: RingSpec, order: orders.MonomialOrder, raw) -> MultiPoly:
+    return MultiPoly(ring, {order.exps(k): c for k, c in raw})
 
 
 def _divides(lead_exps, exps) -> bool:
@@ -97,9 +44,9 @@ def _divides(lead_exps, exps) -> bool:
 class _BasisElt:
     __slots__ = ("lead_key", "lead_exps", "terms", "sugar")
 
-    def __init__(self, ctx: _Ctx, raw, sugar=None):
+    def __init__(self, order: orders.MonomialOrder, raw, sugar=None):
         self.lead_key = raw[0][0]
-        self.lead_exps = ctx.decode(self.lead_key)
+        self.lead_exps = order.exps(self.lead_key)
         self.terms = raw
         self.sugar = sugar if sugar is not None else sum(self.lead_exps)
 
@@ -112,7 +59,7 @@ def _make_monic(raw, p):
     return [(k, (c * inv) % p) for k, c in raw]
 
 
-def _nf_raw(fraw, basis, ctx: _Ctx, p: int, quotients=None):
+def _nf_raw(fraw, basis, order: orders.MonomialOrder, p: int, quotients=None):
     """Full normal form of a raw polynomial against monic basis elements.
 
     With a `quotients` dict, each reduction also records its quotient
@@ -139,7 +86,7 @@ def _nf_raw(fraw, basis, ctx: _Ctx, p: int, quotients=None):
         c = D.get(k)
         if not c:
             continue
-        exps = ctx.decode(k)
+        exps = order.exps(k)
         reducer = None
         for g in basis:
             if _divides(g.lead_exps, exps):
@@ -151,7 +98,7 @@ def _nf_raw(fraw, basis, ctx: _Ctx, p: int, quotients=None):
             continue
         shift = k - reducer.lead_key
         if quotients is not None:
-            quotients.setdefault(reducer, {})[shift + ctx.key_one] = c
+            quotients.setdefault(reducer, {})[shift + order.one] = c
         for k2, c2 in reducer.terms:
             kk = k2 + shift
             prev = D.get(kk, 0)
@@ -165,9 +112,9 @@ def _nf_raw(fraw, basis, ctx: _Ctx, p: int, quotients=None):
     return out
 
 
-def _spoly_raw(f: _BasisElt, g: _BasisElt, ctx: _Ctx, p: int):
+def _spoly_raw(f: _BasisElt, g: _BasisElt, order: orders.MonomialOrder, p: int):
     lcm_exps = tuple(max(a, b) for a, b in zip(f.lead_exps, g.lead_exps))
-    kl = ctx.encode(lcm_exps)
+    kl = order.key(lcm_exps)
     D: dict[int, int] = {}
     shift_f = kl - f.lead_key
     for k, c in f.terms:
@@ -182,7 +129,7 @@ def _spoly_raw(f: _BasisElt, g: _BasisElt, ctx: _Ctx, p: int):
     return raw
 
 
-def _buchberger(gens_raw, ctx: _Ctx, p: int, budgets) -> list[_BasisElt]:
+def _buchberger(gens_raw, order: orders.MonomialOrder, p: int, budgets) -> list[_BasisElt]:
     """Reduced Groebner basis from raw generators, deterministic.
 
     Pairs are taken from a heap keyed by (sugar, lcm, (i, j)); a pair's
@@ -190,7 +137,7 @@ def _buchberger(gens_raw, ctx: _Ctx, p: int, budgets) -> list[_BasisElt]:
     G: list[_BasisElt] = []
     for raw in sorted(gens_raw, reverse=True):
         if raw:
-            G.append(_BasisElt(ctx, _make_monic(raw, p)))
+            G.append(_BasisElt(order, _make_monic(raw, p)))
 
     # pending holds the pairs not yet taken, for the chain criterion;
     # queue holds (sugar, lcm key, (i, j), lcm exponents) for selection
@@ -205,7 +152,7 @@ def _buchberger(gens_raw, ctx: _Ctx, p: int, budgets) -> list[_BasisElt]:
             G[j].sugar + d - sum(G[j].lead_exps),
         )
         pending.add((i, j))
-        heapq.heappush(queue, (sugar, ctx.encode(L), (i, j), L))
+        heapq.heappush(queue, (sugar, order.key(L), (i, j), L))
 
     for i, j in itertools.combinations(range(len(G)), 2):
         add_pair(i, j)
@@ -235,11 +182,11 @@ def _buchberger(gens_raw, ctx: _Ctx, p: int, budgets) -> list[_BasisElt]:
         reductions += 1
         if reductions > budgets.gb_pairs:
             raise BudgetExceeded("gb_pairs", budgets.gb_pairs)
-        s = _spoly_raw(G[i], G[j], ctx, p)
-        r = _nf_raw(s, G, ctx, p)
+        s = _spoly_raw(G[i], G[j], order, p)
+        r = _nf_raw(s, G, order, p)
         if not r:
             continue
-        elt = _BasisElt(ctx, _make_monic(r, p), sugar=sugar)
+        elt = _BasisElt(order, _make_monic(r, p), sugar=sugar)
         new_index = len(G)
         G.append(elt)
         if len(G) > budgets.gb_basis:
@@ -262,9 +209,9 @@ def _buchberger(gens_raw, ctx: _Ctx, p: int, budgets) -> list[_BasisElt]:
     reduced = []
     for idx, g in enumerate(keep):
         others = keep[:idx] + keep[idx + 1 :]
-        r = _nf_raw(g.terms, others, ctx, p)
+        r = _nf_raw(g.terms, others, order, p)
         if r:
-            reduced.append(_BasisElt(ctx, _make_monic(r, p)))
+            reduced.append(_BasisElt(order, _make_monic(r, p)))
     reduced.sort(key=lambda g: g.lead_key, reverse=True)
     return reduced
 
@@ -274,9 +221,10 @@ def _buchberger(gens_raw, ctx: _Ctx, p: int, budgets) -> list[_BasisElt]:
 
 
 class IdealHandle:
-    """An ideal given by generators in a RingSpec, with cached reduced
-    Groebner bases per monomial order.  The ring's quotient relations are
-    appended to the generators in every computation."""
+    """An ideal given by generators in a RingSpec, with its reduced
+    Groebner basis in the ring's default order cached (keyed by that
+    order).  The ring's quotient relations are appended to the
+    generators in every computation."""
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -297,14 +245,14 @@ class IdealHandle:
     def effective_generators(self):
         return self.generators + self.ring.relations
 
-    def groebner_basis(self, order=None, budgets=DEFAULT_BUDGETS):
-        order = order or self.ring.default_order
+    def groebner_basis(self, budgets=DEFAULT_BUDGETS):
+        """The reduced basis in the ring's default order."""
+        order = self.ring.default_order
         cached = self._cache.get(order)
         if cached is None:
-            ctx = _Ctx(self.ring.nvars, order)
-            raws = [ctx.to_raw(g) for g in self.effective_generators() if not g.is_zero]
-            basis = _buchberger(raws, ctx, self.ring.p.p, budgets)
-            cached = tuple(ctx.from_raw(self.ring, g.terms) for g in basis)
+            raws = [_to_raw(g, order) for g in self.effective_generators() if not g.is_zero]
+            basis = _buchberger(raws, order, self.ring.p.p, budgets)
+            cached = tuple(_from_raw(self.ring, order, g.terms) for g in basis)
             self._cache[order] = cached
         return cached
 
@@ -325,19 +273,18 @@ class SaturationResult:
     stabilization_exponent: int
 
 
-def _basis_for(I: IdealHandle, order, budgets):
-    order = order or I.ring.default_order
-    gb = I.groebner_basis(order, budgets)
-    ctx = _Ctx(I.ring.nvars, order)
-    return ctx, [_BasisElt(ctx, ctx.to_raw(g)) for g in gb]
+def _basis_for(I: IdealHandle, budgets):
+    order = I.ring.default_order
+    gb = I.groebner_basis(budgets=budgets)
+    return order, [_BasisElt(order, _to_raw(g, order)) for g in gb]
 
 
-def normal_form(f: MultiPoly, I: IdealHandle, order=None, budgets=DEFAULT_BUDGETS):
+def normal_form(f: MultiPoly, I: IdealHandle, budgets=DEFAULT_BUDGETS):
     """Remainder of f under full division by the reduced basis; zero iff
     f is in the ideal."""
-    ctx, basis = _basis_for(I, order, budgets)
-    raw = _nf_raw(ctx.to_raw(f), basis, ctx, I.ring.p.p)
-    return ctx.from_raw(I.ring, raw)
+    order, basis = _basis_for(I, budgets)
+    raw = _nf_raw(_to_raw(f, order), basis, order, I.ring.p.p)
+    return _from_raw(I.ring, order, raw)
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> bool:
@@ -366,11 +313,10 @@ def _intersect_gens(ring: RingSpec, gens_a, gens_b, budgets):
     ext_gens = [w * lift(g) for g in gens_a if not g.is_zero]
     ext_gens += [one_minus_w * lift(g) for g in gens_b if not g.is_zero]
     order = orders.block(ext.weights, (wi,))
-    ctx = _Ctx(ext.nvars, order)
-    basis = _buchberger([ctx.to_raw(g) for g in ext_gens], ctx, ring.p.p, budgets)
+    basis = _buchberger([_to_raw(g, order) for g in ext_gens], order, ring.p.p, budgets)
     out = []
     for g in basis:
-        mp = ctx.from_raw(ext, g.terms)
+        mp = _from_raw(ext, order, g.terms)
         if not mp.uses_variable(wi):
             out.append(MultiPoly(ring, {m[:-1]: c for m, c in mp._terms.items()}))
     return out
@@ -388,14 +334,15 @@ def intersect(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> IdealH
 def _exact_div_multi(g: MultiPoly, f: MultiPoly) -> MultiPoly:
     """Exact division g / f in the ambient polynomial ring."""
     ring = g.ring
-    ctx = _Ctx(ring.nvars, ring.default_order)
+    order = ring.default_order
     p = ring.p.p
-    basis = [_BasisElt(ctx, _make_monic(ctx.to_raw(f), p))]
+    fraw = _to_raw(f, order)
+    basis = [_BasisElt(order, _make_monic(fraw, p))]
     quotients: dict = {}
-    if _nf_raw(ctx.to_raw(g), basis, ctx, p, quotients):
+    if _nf_raw(_to_raw(g, order), basis, order, p, quotients):
         raise InputError("inexact multivariate division")
-    lc = ctx.to_raw(f)[0][1]
-    q = ctx.from_raw(ring, quotients.get(basis[0], {}).items())
+    lc = fraw[0][1]
+    q = _from_raw(ring, order, quotients.get(basis[0], {}).items())
     if lc != 1:
         q = q * pow(lc, p - 2, p)
     return q
@@ -440,13 +387,12 @@ def eliminate(I: IdealHandle, front, budgets=DEFAULT_BUDGETS) -> IdealHandle:
         if not 0 <= i < ring.nvars:
             raise InputError(f"variable index {i} out of range")
     order = orders.block(ring.weights, front_idx)
-    ctx = _Ctx(ring.nvars, order)
-    raws = [ctx.to_raw(g) for g in I.effective_generators() if not g.is_zero]
-    basis = _buchberger(raws, ctx, ring.p.p, budgets)
+    raws = [_to_raw(g, order) for g in I.effective_generators() if not g.is_zero]
+    basis = _buchberger(raws, order, ring.p.p, budgets)
     out = []
     front_set = set(front_idx)
     for g in basis:
-        mp = ctx.from_raw(ring, g.terms)
+        mp = _from_raw(ring, order, g.terms)
         if not any(mp.uses_variable(i) for i in front_set):
             out.append(mp)
     return IdealHandle(ring, out)
@@ -459,17 +405,17 @@ def power_containment(
     modulo Q.  Products are enumerated combinatorially with subtree
     pruning by the monomial part of Q's basis; intended for generator
     sets that are monomials or univariate polynomials in the t-block."""
-    ctx, basis = _basis_for(Q, None, budgets)
+    order, basis = _basis_for(Q, budgets)
     p = P.ring.p.p
     mono_leads = [b.lead_exps for b in basis if len(b.terms) == 1]
     # monomial generators first so pruning bites early
     gens = sorted(
         (g for g in P.generators if not g.is_zero),
-        key=lambda g: (len(g._terms), ctx.to_raw(g)[0][0]),
+        key=lambda g: (len(g._terms), max(map(order.key, g._terms))),
     )
     return _power_search(
         P.ring, gens, k,
-        member=lambda f: not _nf_raw(ctx.to_raw(f), basis, ctx, p),
+        member=lambda f: not _nf_raw(_to_raw(f, order), basis, order, p),
         covered=lambda m: any(_divides(lead, m) for lead in mono_leads),
         limit=budgets.power_products,
     )

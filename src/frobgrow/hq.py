@@ -4,10 +4,7 @@ For a ring k[t, x_1..x_n]/(f_1..f_r) with homogeneous relations, the
 matrix M_d presents degree d of S/I^[q] as ktmodule's slices do: rows
 the standard monomials (every exponent < q), columns the relation
 multiples.  The lcm of all nonzero minors of all M_d (1 <= d <= n(q-1))
-separates the isolated component of (x_1^q..x_n^q, f_1..f_r).  The
-Cramer-lift solver rewrites fraction-field solutions with base-ring
-ones and serves as the internal verification oracle for that
-construction.
+separates the isolated component of (x_1^q..x_n^q, f_1..f_r).
 
 The minors scan counts positions in a fixed (size, row set, column set)
 order, and the `minor_subsets` budget bounds that count, not the number
@@ -16,8 +13,8 @@ on binomial coefficients.  The scan's work is in proportion to the
 nonzero minors: each k-minor is built from the nonzero (k-1)-minors of
 its rows below the first, one term per nonzero entry of the first row,
 so row sets and column sets without a nonzero minor are never visited.
-`bareiss_det` is the determinant for `minor_lift` and the tests'
-independent reference.
+`bareiss_det`, an elimination determinant the scan does not call, is
+the tests' independent reference for it.
 """
 
 from __future__ import annotations
@@ -26,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import orders
 from ._kernels import uni_add, uni_divmod, uni_mul, uni_sub
 from .budgets import DEFAULT as DEFAULT_BUDGETS
-from .errors import InputError, VerificationError
+from .errors import InputError
 from .fpoly import (
     FactorList,
     PrimePower,
@@ -41,6 +37,7 @@ from .fpoly import (
     x_degree,
 )
 from .ktmodule import _columns_of, _single_t_index
+from .orders import monomials_of_degree
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +50,9 @@ def bareiss_det(matrix) -> UniPoly:
 
     The entries are converted to coefficient lists once and eliminated
     with the list kernels; only the result is wrapped as a UniPoly.
-    `minor_lift` solves with it; the minors scan does not call it (it
-    builds each minor from its own smaller minors), so it also serves
-    as the scan's independent reference in the tests."""
+    The minors scan does not call it (it builds each minor from its own
+    smaller minors), so it serves as the scan's independent reference in
+    the tests."""
     n = len(matrix)
     if n == 0:
         raise InputError("determinant of an empty matrix")
@@ -151,19 +148,20 @@ def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
     for rel, dd in zip(ring.relations, degs):
         if dd <= 0:
             raise InputError(f"relation not homogeneous of positive degree: {rel}")
-    prec = tuple(range(n))
 
-    def grevlex_desc(exps):
-        return sorted(exps, key=lambda e: orders._grevlex_key(e, prec), reverse=True)
+    def grevlex_desc(total, cap=None):
+        # at a fixed degree, descending grevlex is ascending lex on the
+        # reversed vectors: the enumerator's order, backwards
+        return [e[::-1] for e in reversed(monomials_of_degree(n, total, cap))]
 
-    rows = tuple(grevlex_desc(orders.monomials_of_degree(n, d, cap=q.q - 1)))
+    rows = tuple(grevlex_desc(d, q.q - 1))
     row_index = {u: ri for ri, u in enumerate(rows)}
     cols = []
     entries = {}
     for i, rel in enumerate(ring.relations):
         if d - degs[i] < 0:
             continue
-        for w in grevlex_desc(orders.monomials_of_degree(n, d - degs[i])):
+        for w in grevlex_desc(d - degs[i]):
             ci = len(cols)
             cols.append((i, w))
             if max(w) >= q.q:
@@ -373,77 +371,3 @@ def h_q(
         minors_examined=examined,
         budget_exhausted=partial,
     )
-
-
-# ---------------------------------------------------------------------------
-# the Cramer lift
-
-
-def minor_lift(A, sums):
-    """Given a k x l matrix over k[t] and right-hand sides divisible by
-    every nonzero minor, produce base-ring multipliers b' with A b' = sums.
-
-    Selects a maximal nonsingular square submatrix, appends identity rows
-    for the free columns with zero right-hand side, and solves by
-    Cramer's rule with exact division.
-    """
-    if not A or not A[0]:
-        raise InputError("matrix must be nonempty")
-    k, l = len(A), len(A[0])
-    if any(len(row) != l for row in A):
-        raise InputError("ragged matrix")
-    if len(sums) != k:
-        raise InputError("right-hand side length must match the row count")
-    p = A[0][0].p
-    zero = UniPoly.zero(p)
-    one = UniPoly.one(p)
-
-    # greedy maximal nonsingular submatrix
-    sel_rows: list[int] = []
-    sel_cols: list[int] = []
-    for c in range(l):
-        for r in range(k):
-            if r in sel_rows:
-                continue
-            trial_rows = sel_rows + [r]
-            trial_cols = sel_cols + [c]
-            sub = [[A[i][j] for j in trial_cols] for i in trial_rows]
-            if not bareiss_det(sub).is_zero:
-                sel_rows, sel_cols = trial_rows, trial_cols
-                break
-
-    free_cols = [c for c in range(l) if c not in sel_cols]
-    # bordered l x l system: selected rows of A, then identity rows
-    rows = [[A[r][c] for c in range(l)] for r in sel_rows]
-    rhs = [sums[r] for r in sel_rows]
-    for c in free_cols:
-        rows.append([one if j == c else zero for j in range(l)])
-        rhs.append(zero)
-    det = bareiss_det(rows) if rows else one
-    if det.is_zero:
-        raise VerificationError("bordered system is singular")
-    solution = []
-    for j in range(l):
-        numer_rows = [
-            [rhs[i] if jj == j else rows[i][jj] for jj in range(l)]
-            for i in range(l)
-        ]
-        numer = bareiss_det(numer_rows)
-        quot, rem = divmod(numer, det)
-        if not rem.is_zero:
-            raise VerificationError(
-                "right-hand side not divisible by the selected minor",
-                witness=format_unipoly(det),
-            )
-        solution.append(quot)
-    # the lift must reproduce every equation, including unselected rows
-    for r in range(k):
-        acc = zero
-        for j in range(l):
-            acc = acc + A[r][j] * solution[j]
-        if acc != sums[r]:
-            raise VerificationError(
-                f"inconsistent system at row {r}",
-                witness=format_unipoly(sums[r] - acc),
-            )
-    return solution

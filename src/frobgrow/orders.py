@@ -1,55 +1,75 @@
 """Monomial orders on exponent vectors.
 
-Orders work on plain exponent tuples; a key function maps a monomial to a
-tuple that compares the same way the order does (larger key = larger
-monomial).  The default order everywhere is grevlex with the weight-0
-block (the t-variables) smallest, so leading terms stay in the
-weight-1 variables and k[t] behaves like a coefficient ring.
+An order is its packed key: `key` maps an exponent tuple to an int that
+compares the way the order does (larger key = larger monomial), and
+`exps` maps the int back.  The key is a row of 24-bit fields, most
+significant first: per block of variables (an elimination order's front
+block first), the block's total degree, then 2^24 - 1 - e_i for its
+variables from the least significant up.  That is linear in the exponents,
+key(e) = one + sum of e_i * w_i, so monomial multiplication is key
+addition less `one`, and each exponent is read back with one shift and
+mask.  Keys are exact while every exponent and every block's total
+degree stays below 2^24.
+
+The default order everywhere is grevlex with the weight-0 block (the
+t-variables) smallest, so leading terms stay in the weight-1 variables
+and k[t] behaves like a coefficient ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
+
+_BITS = 24
+_MASK = (1 << _BITS) - 1
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: grevlex or a two-block elimination order.
+    """Grevlex on `precedence`, variable indices from most to least
+    significant; with a `front_size` > 0, the elimination order whose
+    front block is the first `front_size` of them, each block grevlex and
+    the front block compared first."""
 
-    `precedence` lists variable indices from most to least significant.
-    For `block`, the first `front_size` entries of `precedence` form the
-    eliminated front block; front and back blocks are internally grevlex.
-    """
-
-    kind: str
     precedence: tuple[int, ...]
     front_size: int = 0
+    one: int = field(init=False, repr=False, compare=False)  # key of 1
+    weights: tuple = field(init=False, repr=False, compare=False)
+    shifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("grevlex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if sorted(self.precedence) != list(range(len(self.precedence))):
+        n = len(self.precedence)
+        if sorted(self.precedence) != list(range(n)):
             raise ValueError("precedence must be a permutation of all variables")
-        if self.kind == "block":
-            if not (0 < self.front_size < len(self.precedence)):
-                raise ValueError("block order needs a proper nonempty front block")
-        elif self.front_size:
-            raise ValueError("front_size only applies to block orders")
+        if self.front_size and not 0 < self.front_size < n:
+            raise ValueError("a front block must be a proper nonempty part of the variables")
+        # fields from the least significant up: per block (the back one
+        # first), the components from its most significant variable on,
+        # then the block's degree
+        weights, shifts = [0] * n, [0] * n
+        one = bit = 0
+        front, back = self.precedence[: self.front_size], self.precedence[self.front_size :]
+        for blk in (back, front) if front else (back,):
+            for i in blk:
+                shifts[i] = bit
+                one += _MASK << bit
+                bit += _BITS
+            for i in blk:
+                weights[i] = (1 << bit) - (1 << shifts[i])
+            bit += _BITS
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "shifts", tuple(shifts))
 
-    def key(self, exps):
-        """Sort key; max(key) picks the leading monomial."""
-        if self.kind == "grevlex":
-            return _grevlex_key(exps, self.precedence)
-        front = self.precedence[: self.front_size]
-        back = self.precedence[self.front_size :]
-        return _grevlex_key(exps, front) + _grevlex_key(exps, back)
+    def key(self, exps) -> int:
+        """The packed key; max(key) picks the leading monomial."""
+        return self.one + sum(map(mul, exps, self.weights))
 
-
-def _grevlex_key(exps, prec):
-    total = 0
-    for i in prec:
-        total += exps[i]
-    return (total,) + tuple(-exps[i] for i in reversed(prec))
+    def exps(self, key: int) -> tuple:
+        """The exponent tuple whose key is `key`."""
+        flipped = ~key  # a component field holds 2^24 - 1 - e_i
+        return tuple([flipped >> s & _MASK for s in self.shifts])
 
 
 def default_precedence(weights):
@@ -60,7 +80,7 @@ def default_precedence(weights):
 
 
 def grevlex(weights):
-    return MonomialOrder("grevlex", default_precedence(weights))
+    return MonomialOrder(default_precedence(weights))
 
 
 def block(weights, front_indices):
@@ -71,7 +91,7 @@ def block(weights, front_indices):
     rest = [i for i in default_precedence(weights) if i not in set(front)]
     if not rest:
         raise ValueError("front block must not cover all variables")
-    return MonomialOrder("block", front + tuple(rest), front_size=len(front))
+    return MonomialOrder(front + tuple(rest), front_size=len(front))
 
 
 def monomials_of_degree(nvars: int, total: int, cap: int | None = None):

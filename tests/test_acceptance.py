@@ -33,7 +33,7 @@ from frobgrow.groebner import (
     member_bounded_oracle,
     normal_form,
 )
-from frobgrow.hq import h_q, minor_lift
+from frobgrow.hq import h_q
 from frobgrow.ktmodule import univariate_colon_trivial_panel
 from frobgrow.sequences import SequenceSpec, factor_census, p_seq, tridiag_det
 
@@ -250,39 +250,6 @@ def test_criterion_08_colon_stability():
             ok, bad = False, f"n={n} g={format_unipoly(failing)}"
             break
     report(8, "key-colon-stability", ok, t0, 120, bad)
-
-
-def test_criterion_09_minor_lift():
-    t0 = time.monotonic()
-    rng = random.Random(109)
-    from frobgrow.hq import bareiss_det
-
-    ok = True
-    for _ in range(100):
-        p = PrimeModulus((2, 3, 5)[rng.randrange(3)])
-
-        def poly():
-            return UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 3))])
-
-        l = rng.randint(1, 3)
-        while True:
-            A = [[poly() for _ in range(l)] for _ in range(l)]
-            if not bareiss_det(A).is_zero:
-                break
-        for _ in range(rng.randint(0, 2)):
-            mults = [poly() for _ in range(l)]
-            A.append(
-                [
-                    sum((mults[i] * A[i][j] for i in range(l)), UniPoly.zero(p))
-                    for j in range(l)
-                ]
-            )
-        b = [poly() for _ in range(l)]
-        sums = [sum((row[j] * b[j] for j in range(l)), UniPoly.zero(p)) for row in A]
-        if minor_lift(A, sums) != b:
-            ok = False
-            break
-    report(9, "minor-lift-reproduction", ok, t0, 5)
 
 
 def test_criterion_10_oracle_equivalence():

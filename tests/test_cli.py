@@ -296,8 +296,24 @@ class TestOptionPolicy:
 
     @pytest.mark.parametrize("name", ["census", "hq", "decompose", "saturate", "witness"])
     def test_budgeted_commands_take_budget_options(self, name):
+        # --budget and --wall-seconds everywhere, and the override of each
+        # limit the command reads, no other
+        reads = {
+            "census": {"--minor-subsets"},
+            "hq": {"--minor-subsets"},
+            "decompose": {"--gb-pairs", "--minor-subsets"},
+            "saturate": {"--gb-pairs"},
+            "witness": {"--gb-pairs"},
+        }[name]
         opts = {o for param in main.commands[name].params for o in param.opts}
-        assert set(BUDGET_OPTIONS) <= opts
+        assert opts & set(BUDGET_OPTIONS) == {"--budget", "--wall-seconds"} | reads
+
+    def test_unread_limit_option_is_refused(self, runner):
+        res = invoke(runner, "hq", "--family", "katzman", "--p", "2", "--q", "2",
+                     "--gb-pairs", "1", "--no-timings")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "No such option" in res.stderr and "--gb-pairs" in res.stderr
 
 
 class TestRelationErrors:

@@ -6,7 +6,7 @@ import pytest
 
 from frobgrow import hq
 from frobgrow.decomposer import family
-from frobgrow.errors import InputError, VerificationError
+from frobgrow.errors import InputError
 from frobgrow.fpoly import (
     PrimeModulus,
     PrimePower,
@@ -16,7 +16,7 @@ from frobgrow.fpoly import (
     uni_lcm,
     x_degree,
 )
-from frobgrow.hq import MinorMatrix, MinorScan, bareiss_det, build_Md, h_q, minor_lift, minors_lcm
+from frobgrow.hq import MinorMatrix, MinorScan, bareiss_det, build_Md, h_q, minors_lcm
 from frobgrow.orders import monomials_of_degree
 from frobgrow.sequences import cofactor_det
 
@@ -413,56 +413,3 @@ class TestHq:
         assert d["q"] == 4 and d["h_text"] == "t^4 + t"
         assert d["h_coefficients"] == list(cert.h.coeffs)
         assert not d["partial"]
-
-
-class TestMinorLift:
-    def test_identity_system(self):
-        one = UniPoly.one(P3)
-        t = parse_unipoly("t", P3)
-        sol = minor_lift([[one, UniPoly.zero(P3)], [UniPoly.zero(P3), one]], [t, one])
-        assert sol == [t, one]
-
-    def test_shape_errors(self):
-        one = UniPoly.one(P2)
-        with pytest.raises(InputError):
-            minor_lift([], [])
-        with pytest.raises(InputError):
-            minor_lift([[one], [one, one]], [one, one])
-        with pytest.raises(InputError):
-            minor_lift([[one]], [one, one])
-
-    def test_inconsistent_system(self):
-        zero = UniPoly.zero(P2)
-        one = UniPoly.one(P2)
-        with pytest.raises(VerificationError):
-            minor_lift([[one], [zero]], [zero, one])
-
-    def test_recovers_random_solutions(self, rng):
-        # criterion-9 shape: a full-column-rank system whose right-hand
-        # side comes from known base-ring multipliers has a unique
-        # solution, which the Cramer lift must reproduce exactly
-        for _ in range(30):
-            p = PrimeModulus((2, 3, 5)[rng.randrange(3)])
-            l = rng.randint(1, 3)
-            extra = rng.randint(0, 2)
-
-            def poly():
-                return UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 3))])
-
-            while True:
-                A = [[poly() for _ in range(l)] for _ in range(l)]
-                if not bareiss_det(A).is_zero:
-                    break
-            for _ in range(extra):  # dependent rows keep the rank at l
-                mults = [poly() for _ in range(l)]
-                A.append(
-                    [
-                        sum((mults[i] * A[i][j] for i in range(l)), UniPoly.zero(p))
-                        for j in range(l)
-                    ]
-                )
-            b = [poly() for _ in range(l)]
-            sums = [
-                sum((row[j] * b[j] for j in range(l)), UniPoly.zero(p)) for row in A
-            ]
-            assert minor_lift(A, sums) == b
