@@ -2,16 +2,24 @@
 
 Exceeding a budget raises BudgetExceeded (or flags PARTIAL where the spec
 of the operation says so) and is always distinguishable from a wrong
-answer.  wall_seconds is the exception: it is parsed and scaled, but no
-computation checks it yet.  FROBGROW_BUDGET_SCALE multiplies every limit.
+answer.  FROBGROW_BUDGET_SCALE multiplies every limit.
+
+wall_seconds is a deadline, started by `wall_clock` (each CLI command
+runs inside one) and read by `check_deadline`.  The Groebner engine
+checks it once per S-pair it reduces and once per product a power
+containment tests; the degree-slice engine and the minors scan do not
+check it yet.  Outside a `wall_clock` block nothing checks it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import os
+import time
 from dataclasses import dataclass, fields, replace
 
-from .errors import InputError
+from .errors import BudgetExceeded, InputError
 
 
 @dataclass(frozen=True)
@@ -58,3 +66,26 @@ def from_environment(base: Budgets | None = None) -> Budgets:
 
 
 DEFAULT = Budgets()
+
+
+# (monotonic deadline, wall_seconds) of the enclosing wall_clock block
+_deadline: contextvars.ContextVar = contextvars.ContextVar("deadline", default=None)
+
+
+@contextlib.contextmanager
+def wall_clock(budgets: Budgets):
+    """Within the block, check_deadline raises once budgets.wall_seconds
+    have passed."""
+    token = _deadline.set((time.monotonic() + budgets.wall_seconds, budgets.wall_seconds))
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise BudgetExceeded("wall_seconds") past the deadline of the
+    enclosing wall_clock block; a no-op outside one."""
+    deadline = _deadline.get()
+    if deadline is not None and time.monotonic() > deadline[0]:
+        raise BudgetExceeded("wall_seconds", deadline[1])

@@ -8,12 +8,12 @@ Each subcommand body is a plain function that returns a Result.  One
 runner, `_command`, registers the body with its options (a budgeted
 command also takes --budget, --wall-seconds and the override of each
 limit it reads), builds the Budgets of a budgeted command (only those
-read FROBGROW_BUDGET_SCALE), times it, writes its output and owns the
-exit codes: 0 success, 1 mathematical verification failure (a
-VerificationError, or a Result whose `failure` is set, reported after
-the output is written), 2 input error (an InputError or other
-FrobgrowError, an --output that cannot be written, or a click usage
-error), 3 budget exhausted.
+read FROBGROW_BUDGET_SCALE) and runs it within their wall-clock
+deadline, times it, writes its output and owns the exit codes: 0
+success, 1 mathematical verification failure (a VerificationError, or
+a Result whose `failure` is set, reported after the output is written),
+2 input error (an InputError or other FrobgrowError, an --output that
+cannot be written, or a click usage error), 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -228,7 +228,8 @@ def _command(name: str, *options, limits=None):
                 else:
                     given = {k: own.pop(k) for k in taken}
                     b = _budgets(given.pop("budget_scale"), **given)
-                    result = body(seed, b, **own)
+                    with budgets_mod.wall_clock(b):
+                        result = body(seed, b, **own)
                 if not no_timings:
                     result.payload["timings"] = {"seconds": time.monotonic() - t0}
                 _write(_render(fmt, result), output)

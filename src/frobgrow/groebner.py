@@ -34,21 +34,19 @@ def _from_raw(ring: RingSpec, order: orders.MonomialOrder, raw) -> MultiPoly:
     return MultiPoly(ring, {order.exps(k): c for k, c in raw})
 
 
-def _divides(lead_exps, exps) -> bool:
-    for a, b in zip(lead_exps, exps):
-        if a > b:
-            return False
-    return True
-
-
 class _BasisElt:
-    __slots__ = ("lead_key", "lead_exps", "terms", "sugar")
+    """A monic raw polynomial with its leading monomial as key, exponent
+    word (see `orders`), exponent tuple and total degree."""
+
+    __slots__ = ("lead_key", "lead_word", "lead_exps", "lead_deg", "terms", "sugar")
 
     def __init__(self, order: orders.MonomialOrder, raw, sugar=None):
         self.lead_key = raw[0][0]
+        self.lead_word = ~self.lead_key & order.cmask
         self.lead_exps = order.exps(self.lead_key)
+        self.lead_deg = sum(self.lead_exps)
         self.terms = raw
-        self.sugar = sugar if sugar is not None else sum(self.lead_exps)
+        self.sugar = self.lead_deg if sugar is None else sugar
 
 
 def _make_monic(raw, p):
@@ -64,7 +62,9 @@ def _nf_raw(fraw, basis, order: orders.MonomialOrder, p: int, quotients=None):
 
     With a `quotients` dict, each reduction also records its quotient
     term, so that f = sum over g of quotients[g] * g + the normal form,
-    each quotients[g] a raw {key: coefficient} dict."""
+    each quotients[g] a raw {key: coefficient} dict.  A term is reduced
+    by the first element of `basis` whose lead divides it."""
+    cmask, guard = order.cmask, order.guard
     D: dict[int, int] = {}
     heap: list[int] = []
     for k, c in fraw:
@@ -86,20 +86,18 @@ def _nf_raw(fraw, basis, order: orders.MonomialOrder, p: int, quotients=None):
         c = D.get(k)
         if not c:
             continue
-        exps = order.exps(k)
-        reducer = None
+        word = ~k & cmask | guard
         for g in basis:
-            if _divides(g.lead_exps, exps):
-                reducer = g
+            if (word - g.lead_word) & guard == guard:
                 break
-        if reducer is None:
+        else:
             out.append((k, c))
             del D[k]
             continue
-        shift = k - reducer.lead_key
+        shift = k - g.lead_key
         if quotients is not None:
-            quotients.setdefault(reducer, {})[shift + order.one] = c
-        for k2, c2 in reducer.terms:
+            quotients.setdefault(g, {})[shift + order.one] = c
+        for k2, c2 in g.terms:
             kk = k2 + shift
             prev = D.get(kk, 0)
             nc = (prev - c * c2) % p
@@ -112,9 +110,8 @@ def _nf_raw(fraw, basis, order: orders.MonomialOrder, p: int, quotients=None):
     return out
 
 
-def _spoly_raw(f: _BasisElt, g: _BasisElt, order: orders.MonomialOrder, p: int):
-    lcm_exps = tuple(max(a, b) for a, b in zip(f.lead_exps, g.lead_exps))
-    kl = order.key(lcm_exps)
+def _spoly_raw(f: _BasisElt, g: _BasisElt, kl: int, p: int):
+    """The S-polynomial of f and g, whose leads have lcm key kl."""
     D: dict[int, int] = {}
     shift_f = kl - f.lead_key
     for k, c in f.terms:
@@ -133,45 +130,42 @@ def _buchberger(gens_raw, order: orders.MonomialOrder, p: int, budgets) -> list[
     """Reduced Groebner basis from raw generators, deterministic.
 
     Pairs are taken from a heap keyed by (sugar, lcm, (i, j)); a pair's
-    key is fixed when the pair is made."""
+    key is fixed when the pair is made.  Each pair that survives the
+    criteria counts against budgets.gb_pairs and checks the wall-clock
+    deadline."""
+    one, cmask, guard = order.one, order.cmask, order.guard
     G: list[_BasisElt] = []
     for raw in sorted(gens_raw, reverse=True):
         if raw:
             G.append(_BasisElt(order, _make_monic(raw, p)))
 
     # pending holds the pairs not yet taken, for the chain criterion;
-    # queue holds (sugar, lcm key, (i, j), lcm exponents) for selection
+    # queue holds (sugar, lcm key, (i, j)) for selection
     pending = set()
     queue = []
 
     def add_pair(i, j):
-        L = tuple(max(a, b) for a, b in zip(G[i].lead_exps, G[j].lead_exps))
-        d = sum(L)
-        sugar = max(
-            G[i].sugar + d - sum(G[i].lead_exps),
-            G[j].sugar + d - sum(G[j].lead_exps),
-        )
+        gi, gj = G[i], G[j]
+        L = tuple(map(max, gi.lead_exps, gj.lead_exps))
+        sugar = sum(L) + max(gi.sugar - gi.lead_deg, gj.sugar - gj.lead_deg)
         pending.add((i, j))
-        heapq.heappush(queue, (sugar, order.key(L), (i, j), L))
+        heapq.heappush(queue, (sugar, order.key(L), (i, j)))
 
     for i, j in itertools.combinations(range(len(G)), 2):
         add_pair(i, j)
 
     reductions = 0
     while queue:
-        sugar, _, (i, j), L = heapq.heappop(queue)
+        sugar, kl, (i, j) = heapq.heappop(queue)
         pending.discard((i, j))
         # product criterion: coprime leading monomials
-        if all(
-            a + b == l for a, b, l in zip(G[i].lead_exps, G[j].lead_exps, L)
-        ):
+        if kl == G[i].lead_key + G[j].lead_key - one:
             continue
         # chain criterion
+        word = ~kl & cmask | guard
         skip = False
-        for h in range(len(G)):
-            if h in (i, j):
-                continue
-            if _divides(G[h].lead_exps, L):
+        for h, g in enumerate(G):
+            if (word - g.lead_word) & guard == guard and h != i and h != j:
                 pih = (min(i, h), max(i, h))
                 pjh = (min(j, h), max(j, h))
                 if pih not in pending and pjh not in pending:
@@ -182,7 +176,8 @@ def _buchberger(gens_raw, order: orders.MonomialOrder, p: int, budgets) -> list[
         reductions += 1
         if reductions > budgets.gb_pairs:
             raise BudgetExceeded("gb_pairs", budgets.gb_pairs)
-        s = _spoly_raw(G[i], G[j], order, p)
+        budgets_mod.check_deadline()
+        s = _spoly_raw(G[i], G[j], kl, p)
         r = _nf_raw(s, G, order, p)
         if not r:
             continue
@@ -195,12 +190,13 @@ def _buchberger(gens_raw, order: orders.MonomialOrder, p: int, budgets) -> list[
             add_pair(k, new_index)
 
     # minimalize: drop elements whose lead is divisible by another lead
+    # (by an equal one only when that comes first)
     keep = []
     for i, g in enumerate(G):
+        word = g.lead_word | guard
         if any(
-            _divides(G[j].lead_exps, g.lead_exps)
-            and (G[j].lead_key != g.lead_key or j < i)
-            for j in range(len(G))
+            (word - f.lead_word) & guard == guard and (f.lead_key != g.lead_key or j < i)
+            for j, f in enumerate(G)
             if j != i
         ):
             continue
@@ -223,8 +219,9 @@ def _buchberger(gens_raw, order: orders.MonomialOrder, p: int, budgets) -> list[
 class IdealHandle:
     """An ideal given by generators in a RingSpec, with its reduced
     Groebner basis in the ring's default order cached (keyed by that
-    order).  The ring's quotient relations are appended to the
-    generators in every computation."""
+    order), both as MultiPolys and as the engine's basis elements.  The
+    ring's quotient relations are appended to the generators in every
+    computation."""
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -240,7 +237,8 @@ class IdealHandle:
                 raise RingMismatch("generator lives in a different ring")
             gens.append(g)
         self.generators = tuple(gens)
-        self._cache: dict[orders.MonomialOrder, tuple] = {}
+        # order -> (reduced basis as MultiPolys, the same as _BasisElts)
+        self._cache: dict[orders.MonomialOrder, tuple[tuple, list]] = {}
 
     def effective_generators(self):
         return self.generators + self.ring.relations
@@ -252,9 +250,9 @@ class IdealHandle:
         if cached is None:
             raws = [_to_raw(g, order) for g in self.effective_generators() if not g.is_zero]
             basis = _buchberger(raws, order, self.ring.p.p, budgets)
-            cached = tuple(_from_raw(self.ring, order, g.terms) for g in basis)
+            cached = (tuple(_from_raw(self.ring, order, g.terms) for g in basis), basis)
             self._cache[order] = cached
-        return cached
+        return cached[0]
 
     def contains(self, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> bool:
         return normal_form(f, self, budgets=budgets).is_zero
@@ -274,9 +272,12 @@ class SaturationResult:
 
 
 def _basis_for(I: IdealHandle, budgets):
+    """The default order and I's cached reduced basis as _BasisElts,
+    computed on first use."""
     order = I.ring.default_order
-    gb = I.groebner_basis(budgets=budgets)
-    return order, [_BasisElt(order, _to_raw(g, order)) for g in gb]
+    if order not in I._cache:
+        I.groebner_basis(budgets=budgets)
+    return order, I._cache[order][1]
 
 
 def normal_form(f: MultiPoly, I: IdealHandle, budgets=DEFAULT_BUDGETS):
@@ -404,10 +405,21 @@ def power_containment(
     """True iff every degree-k product of P's generators reduces to zero
     modulo Q.  Products are enumerated combinatorially with subtree
     pruning by the monomial part of Q's basis; intended for generator
-    sets that are monomials or univariate polynomials in the t-block."""
+    sets that are monomials or univariate polynomials in the t-block.
+    Each product checks the wall-clock deadline."""
     order, basis = _basis_for(Q, budgets)
     p = P.ring.p.p
-    mono_leads = [b.lead_exps for b in basis if len(b.terms) == 1]
+    cmask, guard = order.cmask, order.guard
+    mono_words = [b.lead_word for b in basis if len(b.terms) == 1]
+
+    def member(f):
+        budgets_mod.check_deadline()
+        return not _nf_raw(_to_raw(f, order), basis, order, p)
+
+    def covered(m):
+        word = ~order.key(m) & cmask | guard
+        return any((word - lead) & guard == guard for lead in mono_words)
+
     # monomial generators first so pruning bites early
     gens = sorted(
         (g for g in P.generators if not g.is_zero),
@@ -415,8 +427,8 @@ def power_containment(
     )
     return _power_search(
         P.ring, gens, k,
-        member=lambda f: not _nf_raw(_to_raw(f, order), basis, order, p),
-        covered=lambda m: any(_divides(lead, m) for lead in mono_leads),
+        member=member,
+        covered=covered,
         limit=budgets.power_products,
     )
 

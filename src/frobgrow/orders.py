@@ -11,6 +11,14 @@ addition less `one`, and each exponent is read back with one shift and
 mask.  Keys are exact while every exponent and every block's total
 degree stays below 2^24.
 
+The exponent word of a key, `~key & cmask`, keeps only the component
+fields, each holding its exponent e_i.  A monomial l divides m iff
+`((word(m) | guard) - word(l)) & guard == guard`, where `guard` is the
+top bit of each component field: one subtraction, in which no field
+borrows from the next.  That test is exact while every exponent stays
+below 2^23.  Two monomials are coprime iff the key of their lcm is the
+key of their product, key(l) + key(m) - one.
+
 The default order everywhere is grevlex with the weight-0 block (the
 t-variables) smallest, so leading terms stay in the weight-1 variables
 and k[t] behaves like a coefficient ring.
@@ -37,6 +45,8 @@ class MonomialOrder:
     one: int = field(init=False, repr=False, compare=False)  # key of 1
     weights: tuple = field(init=False, repr=False, compare=False)
     shifts: tuple = field(init=False, repr=False, compare=False)
+    cmask: int = field(init=False, repr=False, compare=False)  # component fields, = one
+    guard: int = field(init=False, repr=False, compare=False)  # their top bits
 
     def __post_init__(self):
         n = len(self.precedence)
@@ -59,6 +69,8 @@ class MonomialOrder:
                 weights[i] = (1 << bit) - (1 << shifts[i])
             bit += _BITS
         object.__setattr__(self, "one", one)
+        object.__setattr__(self, "cmask", one)
+        object.__setattr__(self, "guard", sum(1 << (s + _BITS - 1) for s in shifts))
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "shifts", tuple(shifts))
 

@@ -1,12 +1,15 @@
 import json
+import time
 from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
 
-from frobgrow.budgets import Budgets
+from frobgrow.budgets import Budgets, check_deadline, wall_clock
 from frobgrow.cli import main
-from frobgrow.errors import InputError
+from frobgrow.errors import BudgetExceeded, InputError
+from frobgrow.fpoly import PrimeModulus, RingSpec
+from frobgrow.groebner import IdealHandle, power_containment
 
 SMALL = Budgets(gb_pairs=3, gb_basis=7, minor_subsets=10, oracle_dim=1,
                 saturation_steps=5, power_products=100, wall_seconds=2.0)
@@ -56,3 +59,29 @@ def test_environment_scale_applies_to_cli_runs():
     tiny = runner.invoke(main, argv, env={"FROBGROW_BUDGET_SCALE": "1e-4"})
     assert tiny.exit_code == 0
     assert json.loads(tiny.stdout)["certificate"]["partial"]
+
+
+class TestWallClock:
+    def test_deadline_holds_only_inside_its_block(self):
+        check_deadline()  # no deadline: a no-op
+        with wall_clock(Budgets(wall_seconds=1e-9)):
+            time.sleep(0.001)
+            with pytest.raises(BudgetExceeded) as exc:
+                check_deadline()
+            assert exc.value.budget_name == "wall_seconds"
+        check_deadline()
+        with wall_clock(Budgets(wall_seconds=60.0)):
+            check_deadline()
+
+    def test_groebner_engine_checks_it(self):
+        R = RingSpec(PrimeModulus(3), (("t", 0), ("x", 1), ("y", 1)))
+        gens = ["x^2+t*x*y+y^2", "x^3+y^3", "t^2*x*y^2+x^2*y"]
+        P, Q = IdealHandle(R, ["x", "y"]), IdealHandle(R, ["x^2", "y^2"])
+        Q.groebner_basis()
+        with wall_clock(Budgets(wall_seconds=1e-9)):
+            time.sleep(0.001)
+            with pytest.raises(BudgetExceeded, match="wall_seconds"):
+                IdealHandle(R, gens).groebner_basis()
+            with pytest.raises(BudgetExceeded, match="wall_seconds"):
+                power_containment(P, 3, Q)
+        assert power_containment(P, 3, Q)

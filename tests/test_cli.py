@@ -153,6 +153,23 @@ class TestDecompose:
                      "--q", "4", "--method", "groebner", "--gb-pairs", "1")
         assert res.exit_code == 3
 
+    def test_wall_clock_is_exit_3(self, runner):
+        res = invoke(runner, "decompose", "--family", "katzman", "--p", "5",
+                     "--q", "5", "--method", "groebner", "--wall-seconds", "0.001")
+        assert res.exit_code == 3
+        assert "wall_seconds" in res.stderr
+
+    @pytest.mark.parametrize("args,least", [
+        (("--family", "katzman", "--p", "2", "--q", "4"), 36),
+        (("--family", "ss5", "--p", "2", "--q", "2", "--h", "closed-form"), 32),
+    ])
+    def test_least_gb_pairs(self, runner, args, least):
+        # pins the S-pair sequence: the most pairs any one basis reduces
+        argv = ("decompose", *args, "--method", "groebner", "--no-timings", "--gb-pairs")
+        assert invoke(runner, *argv, str(least)).exit_code == 0
+        short = invoke(runner, *argv, str(least - 1))
+        assert short.exit_code == 3 and "gb_pairs" in short.stderr
+
     def test_text_shows_partial_certificate(self, runner):
         # a tiny budget cuts the minors scan short; the h line must say so
         args = ("decompose", "--family", "ss5", "--p", "2", "--q", "4",

@@ -11,7 +11,9 @@ from frobgrow.fpoly import (
 )
 from frobgrow.groebner import (
     IdealHandle,
+    _BasisElt,
     _exact_div_multi,
+    _nf_raw,
     colon,
     eliminate,
     ideal_equal,
@@ -21,6 +23,7 @@ from frobgrow.groebner import (
     power_containment,
     saturate,
 )
+from frobgrow.orders import MonomialOrder
 from frobgrow.sequences import SequenceSpec, p_seq
 
 P2 = PrimeModulus(2)
@@ -118,6 +121,87 @@ class TestNormalForm:
         I = IdealHandle(R, ["x^3", "y^3", "x^2+t*x*y+y^2"])
         f = parse_poly("x*y^2", R) * MultiPoly.from_unipoly(R, p_seq(s, 2), "t")
         assert normal_form(f, I).is_zero
+
+
+def reference_division(f, divisors, order, p):
+    """Division of f by the monic `divisors`, all {exponent tuple:
+    coefficient} dicts, from the definition: the largest term left is
+    divided by the first divisor whose leading monomial divides it
+    componentwise, else moved to the remainder.  Returns the remainder
+    and the quotient of each divisor, as dicts of the same kind."""
+    leads = [max(g, key=order.key) for g in divisors]
+    rest, remainder = dict(f), {}
+    quotients = [{} for _ in divisors]
+    while rest:
+        m = max(rest, key=order.key)
+        c = rest.pop(m)
+        i = next((i for i, l in enumerate(leads) if all(a <= b for a, b in zip(l, m))), None)
+        if i is None:
+            remainder[m] = c
+            continue
+        shift = tuple(b - a for a, b in zip(leads[i], m))
+        quotients[i][shift] = (quotients[i].get(shift, 0) + c) % p
+        for e, d in divisors[i].items():
+            if e != leads[i]:
+                prod = tuple(x + y for x, y in zip(e, shift))
+                v = (rest.get(prod, 0) - c * d) % p
+                if v:
+                    rest[prod] = v
+                else:
+                    rest.pop(prod, None)
+    return remainder, quotients
+
+
+def random_terms(rng, n, p, count, offset):
+    return {
+        tuple(o + rng.randrange(4) for o in offset): rng.randrange(1, p)
+        for _ in range(count)
+    }
+
+
+class TestNfRaw:
+    @pytest.mark.parametrize("kind", ["grevlex", "block"])
+    def test_matches_reference_division(self, rng, kind):
+        for _ in range(80):
+            n = rng.randint(2, 4)
+            p = rng.choice((2, 3, 5, 7))
+            order = MonomialOrder(
+                tuple(rng.sample(range(n), n)), rng.randrange(1, n) if kind == "block" else 0
+            )
+            # a common offset puts the exponents near the top of their fields
+            offset = [0] * n if rng.random() < 0.5 else [rng.randrange(2**22) for _ in range(n)]
+            divisors = []
+            for _ in range(rng.randint(1, 4)):
+                g = random_terms(rng, n, p, rng.randint(1, 4), offset)
+                g[max(g, key=order.key)] = 1
+                divisors.append(g)
+            f = random_terms(rng, n, p, rng.randint(1, 8), offset)
+
+            def raw(terms):
+                return sorted(((order.key(e), c) for e, c in terms.items()), reverse=True)
+
+            basis = [_BasisElt(order, raw(g)) for g in divisors]
+            quotients = {}
+            remainder = _nf_raw(raw(f), basis, order, p, quotients)
+            want_remainder, want_quotients = reference_division(f, divisors, order, p)
+            assert remainder == raw(want_remainder)
+            got_quotients = [
+                {order.exps(k): c for k, c in quotients.get(g, {}).items()} for g in basis
+            ]
+            assert got_quotients == [{m: c for m, c in q.items() if c} for q in want_quotients]
+
+    def test_exact_division_matches_reference(self, rng):
+        R = RingSpec(P5, (("t", 0), ("x", 1), ("y", 1), ("z", 1)))
+        order = R.default_order
+        for _ in range(40):
+            f = MultiPoly(R, random_terms(rng, 4, 5, rng.randint(1, 4), [0] * 4))
+            h = MultiPoly(R, random_terms(rng, 4, 5, rng.randint(1, 4), [0] * 4))
+            terms = f.term_dict()
+            inv = pow(terms[max(terms, key=order.key)], 3, 5)
+            monic = {m: c * inv % 5 for m, c in terms.items()}
+            remainder, (quotient,) = reference_division((f * h).term_dict(), [monic], order, 5)
+            assert remainder == {}
+            assert _exact_div_multi(f * h, f) == MultiPoly(R, quotient) * inv
 
 
 class TestIdealEqual:

@@ -4,7 +4,9 @@ Each test compares `MonomialOrder.key` with a comparator written here
 from the definition of the orders: grevlex compares the total degree,
 then the exponent of the least significant variable (the smaller one
 wins), then the next one up; a block order compares its front block
-by grevlex, then the back block.
+by grevlex, then the back block.  The packed divisor test and the
+key-sum coprimality test are compared with their componentwise
+definitions.
 """
 
 import functools
@@ -87,6 +89,79 @@ def test_extreme_exponents_decode():
     for order in (MonomialOrder((2, 0, 1)), MonomialOrder((1, 2, 0), 1)):
         for e in ((0, 0, 0), (TOP, TOP, TOP), (TOP, 0, 1)):
             assert order.exps(order.key(e)) == e
+
+
+WORD_TOP = 2**23 - 1  # the divisor test is exact up to here
+
+
+def random_word_exps(rng, n):
+    """Exponents at 0, small, up to WORD_TOP or at WORD_TOP, with the
+    total degree kept below 2^24 so that every key is exact."""
+    while True:
+        e = tuple(
+            rng.choice((0, WORD_TOP, rng.randint(0, 3), rng.randint(0, WORD_TOP)))
+            for _ in range(n)
+        )
+        if sum(e) < 2**24:
+            return e
+
+
+def order_of(rng, n, kind):
+    prec = tuple(rng.sample(range(n), n))
+    return MonomialOrder(prec, rng.randrange(1, n) if kind == "block" else 0)
+
+
+ORDER_KINDS = [(n, "grevlex") for n in range(1, 8)] + [(n, "block") for n in range(2, 8)]
+
+
+def divides(order, a, b):
+    word_a = ~order.key(a) & order.cmask
+    word_b = ~order.key(b) & order.cmask
+    guard = order.guard
+    return ((word_b | guard) - word_a) & guard == guard
+
+
+@pytest.mark.parametrize("n,kind", ORDER_KINDS)
+def test_word_divisibility_is_componentwise(rng, n, kind):
+    for _ in range(300):
+        order = order_of(rng, n, kind)
+        b = random_word_exps(rng, n)
+        r = rng.random()
+        if r < 0.4:  # a divisor of b
+            a = tuple(rng.randint(0, x) for x in b)
+        elif r < 0.7:  # a divisor of b with one exponent raised by one
+            a = list(rng.randint(0, x) for x in b)
+            i = rng.randrange(n)
+            a[i] = min(b[i] + 1, WORD_TOP)
+            a = tuple(a)
+        else:
+            a = random_word_exps(rng, n)
+        # the word holds one exponent per component field
+        word = ~order.key(b) & order.cmask
+        assert word == sum(e << s for e, s in zip(b, order.shifts))
+        assert divides(order, a, b) == all(x <= y for x, y in zip(a, b)), (order, a, b)
+        assert divides(order, b, b)
+
+
+@pytest.mark.parametrize("n,kind", ORDER_KINDS)
+def test_key_sum_coprimality_is_componentwise(rng, n, kind):
+    for _ in range(300):
+        order = order_of(rng, n, kind)
+        a = random_word_exps(rng, n)
+        if rng.random() < 0.5:  # b zero wherever a is not
+            b = tuple(0 if x else y for x, y in zip(a, random_word_exps(rng, n)))
+        else:
+            b = random_word_exps(rng, n)
+        lcm = tuple(map(max, a, b))
+        coprime = order.key(lcm) == order.key(a) + order.key(b) - order.one
+        assert coprime == all(x == 0 or y == 0 for x, y in zip(a, b)), (order, a, b)
+
+
+def test_word_fields_at_the_exactness_bound():
+    for order in (MonomialOrder((2, 0, 1)), MonomialOrder((1, 2, 0), 1)):
+        top, one_less = (WORD_TOP, 0, WORD_TOP), (WORD_TOP - 1, 0, WORD_TOP)
+        assert divides(order, one_less, top) and not divides(order, top, one_less)
+        assert divides(order, (0, 0, 0), top) and not divides(order, top, (0, 0, 0))
 
 
 def test_orders_are_values():
