@@ -10,8 +10,8 @@ facts.
 On the certified route the degree K of the isolated component, the
 growth exponents and the colon panels are all read off the slice
 invariants of I^[q] (free rank and largest invariant factor of each
-S_b / I^[q]_b); the Groebner route searches by bisection over
-containment instead.
+S_b / I^[q]_b); the Groebner route finds each growth exponent by one
+ascending search over products of normal forms instead.
 """
 
 from __future__ import annotations
@@ -507,10 +507,10 @@ def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
       min(s, v_tau(d_b)) otherwise; once e_b = 0 it stays 0 above.  So
       the exponent is the largest b + e_b before the first e_b = 0, and
       at least 1.
-    These are the least k at which the doubling/bisection over
-    "radical^k inside C" turns true, so the measured exponents are the
-    ones that search gives (compared in the test suite).  Components
-    without cap_degree still run that search on Groebner reductions."""
+    Each is the least k with radical^k inside C, the k that a search
+    over the products of the radical generators finds (compared in the
+    test suite).  Components without cap_degree run that search, once,
+    on Groebner normal forms (groebner.power_containment)."""
     if not C.radical_generators:
         raise InputError("component has no radical generators")
     if C.cap_degree is not None:
@@ -522,23 +522,7 @@ def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
             return max(1, C.cap_degree)
         return max([1] + [b + e for b, e in _tau_exponents(C, slices)])
     radical = IdealHandle(C.ideal.ring, list(C.radical_generators))
-
-    def ok(k: int) -> bool:
-        return power_containment(radical, k, C.ideal, budgets)
-
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-        if hi > 1 << 20:
-            raise InputError("growth exponent search exceeded 2^20")
-    lo = hi // 2 if hi > 1 else 0  # ok(lo) is False (or lo == 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return power_containment(radical, C.ideal, budgets)
 
 
 def _slices_of(C: PrimaryComponent, own: SliceCache | None = None) -> SliceCache:

@@ -2,8 +2,8 @@
 
 Dense univariate polynomials (the k[t] world), sparse multivariate
 polynomials under the 0/1 grading, expression parsing, univariate
-factorization over F_p, and the search over products of powers that
-both power-containment tests (Groebner and degree slices) run.  All
+factorization over F_p, and the least-power search that both
+power-containment routes (Groebner and degree slices) run.  All
 values are immutable after construction and every operation is a pure
 function.
 """
@@ -25,6 +25,7 @@ from ._kernels import (
     uni_scale,
     uni_sub,
 )
+from .budgets import check_deadline
 from .errors import BudgetExceeded, InputError, ModulusMismatch, ParseError, RingMismatch
 
 EXPONENT_CAP = 1 << 16
@@ -694,59 +695,36 @@ def x_degree(f: MultiPoly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# products of powers
+# least powers
 
 
-def _power_search(ring: RingSpec, gens, k: int, member, covered, limit: int) -> bool:
-    """Whether every degree-k product of the nonzero polynomials `gens`
-    passes `member`.
+def _least_power(one, gens, step, limit: int) -> int:
+    """Least k >= 1 with every degree-k product of `gens` in an ideal C.
 
-    The products are the leaves of a tree that fixes each generator's
-    exponent in turn, in the order given, so callers list single-term
-    generators first: a partial product that is a single term whose
-    exponent vector `covered` accepts settles its whole subtree.
-    `member` sees only complete products (and 1 when k = 0); more than
-    `limit` of them raises BudgetExceeded("power_products")."""
-    if k < 0:
-        raise InputError("power must be non-negative")
-    one = MultiPoly.const(ring, 1)
-    if k == 0:
-        return member(one)
-    if not gens:
-        return True
+    `step(f, g)` returns the residue of f*g, or None when f*g lies in C.
+    Starting from `one`, each degree multiplies every survivor of the
+    one before by every generator and keeps the distinct residues: f in
+    C implies g*f in C, so only products outside C need extending, and
+    the first degree with no survivor is the answer.  Each product
+    checks the wall-clock deadline; more than `limit` of them raise
+    BudgetExceeded("power_products"), a degree past 2^20 InputError."""
+    frontier = [one]
     count = 0
-    pow_cache: dict[tuple[int, int], MultiPoly] = {}
-
-    def settled(f: MultiPoly) -> bool:
-        return len(f._terms) == 1 and covered(next(iter(f._terms)))
-
-    def gen_power(i: int, e: int) -> MultiPoly:
-        got = pow_cache.get((i, e))
-        if got is None:
-            got = gens[i] ** e
-            pow_cache[(i, e)] = got
-        return got
-
-    def rec(idx: int, remaining: int, current: MultiPoly) -> bool:
-        nonlocal count
-        if settled(current):
-            return True
-        if idx == len(gens) - 1:
-            count += 1
-            if count > limit:
-                raise BudgetExceeded("power_products", limit)
-            return member(current * gen_power(idx, remaining))
-        cur = current
-        for a in range(remaining + 1):
-            if a > 0:
-                cur = cur * gens[idx]
-                if settled(cur):
-                    return True
-            if not rec(idx + 1, remaining - a, cur):
-                return False
-        return True
-
-    return rec(0, k, one)
+    for k in range(1, (1 << 20) + 1):
+        survivors = {}  # distinct residues in first-seen order, so runs repeat
+        for f in frontier:
+            for g in gens:
+                count += 1
+                if count > limit:
+                    raise BudgetExceeded("power_products", limit)
+                check_deadline()
+                r = step(f, g)
+                if r is not None:
+                    survivors[r] = None
+        if not survivors:
+            return k
+        frontier = list(survivors)
+    raise InputError("growth exponent search exceeded 2^20")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import budgets as budgets_mod
 from . import orders
 from .errors import BudgetExceeded, InputError, RingMismatch
-from .fpoly import MultiPoly, RingSpec, _power_search
+from .fpoly import MultiPoly, RingSpec, _least_power
 from .orders import monomials_of_degree
 
 DEFAULT_BUDGETS = budgets_mod.DEFAULT
@@ -399,38 +399,21 @@ def eliminate(I: IdealHandle, front, budgets=DEFAULT_BUDGETS) -> IdealHandle:
     return IdealHandle(ring, out)
 
 
-def power_containment(
-    P: IdealHandle, k: int, Q: IdealHandle, budgets=DEFAULT_BUDGETS
-) -> bool:
-    """True iff every degree-k product of P's generators reduces to zero
-    modulo Q.  Products are enumerated combinatorially with subtree
-    pruning by the monomial part of Q's basis; intended for generator
-    sets that are monomials or univariate polynomials in the t-block.
-    Each product checks the wall-clock deadline."""
+def power_containment(P: IdealHandle, Q: IdealHandle, budgets=DEFAULT_BUDGETS) -> int:
+    """Least k >= 1 with P^k inside Q, by fpoly's ascending search over
+    products of P's generators.  Its survivors are normal forms modulo
+    Q's reduced basis, raw term tuples: NF(g*f) = NF(g*NF(f)), and a
+    product of terms is a key sum, so no MultiPoly is built per product."""
     order, basis = _basis_for(Q, budgets)
     p = P.ring.p.p
-    cmask, guard = order.cmask, order.guard
-    mono_words = [b.lead_word for b in basis if len(b.terms) == 1]
+    one = order.one
 
-    def member(f):
-        budgets_mod.check_deadline()
-        return not _nf_raw(_to_raw(f, order), basis, order, p)
+    def step(f, g):
+        r = _nf_raw([(kf + kg - one, cf * cg) for kf, cf in f for kg, cg in g], basis, order, p)
+        return tuple(r) if r else None
 
-    def covered(m):
-        word = ~order.key(m) & cmask | guard
-        return any((word - lead) & guard == guard for lead in mono_words)
-
-    # monomial generators first so pruning bites early
-    gens = sorted(
-        (g for g in P.generators if not g.is_zero),
-        key=lambda g: (len(g._terms), max(map(order.key, g._terms))),
-    )
-    return _power_search(
-        P.ring, gens, k,
-        member=member,
-        covered=covered,
-        limit=budgets.power_products,
-    )
+    gens = [_to_raw(g, order) for g in P.generators if not g.is_zero]
+    return _least_power(((one, 1),), gens, step, budgets.power_products)
 
 
 def _in_span_mod_p(columns, target: dict, p: int) -> bool:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from ._kernels import uni_add, uni_divmod, uni_mul, uni_sub
-from .budgets import DEFAULT as DEFAULT_BUDGETS
+from .budgets import DEFAULT as DEFAULT_BUDGETS, check_deadline
 from .errors import InputError
 from .fpoly import (
     FactorList,
@@ -251,6 +251,7 @@ def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> M
     # bits -> coefficient list
     prev = {0: {0: [1]}}
     for size in range(1, min(len(live), nc) + 1):
+        check_deadline()
         n_cols = comb(nc, size)
         positions = comb(len(live), size) * n_cols
         left = budget - examined
@@ -265,6 +266,7 @@ def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> M
             cut_cols = _unrank(left, range(nc), size)
         cur = {}
         for rest, cofactors in prev.items():
+            check_deadline()
             below_rest = rest & -rest or 1 << nr
             for r0 in live:
                 rows = rest | 1 << r0

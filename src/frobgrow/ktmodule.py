@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .budgets import DEFAULT as DEFAULT_BUDGETS
+from .budgets import DEFAULT as DEFAULT_BUDGETS, check_deadline
 from .errors import InputError
 from .fpoly import (
     MultiPoly,
     RingSpec,
     UniPoly,
-    _power_search,
+    _least_power,
     uni_gcd,
     uni_lcm,
     x_degree,
@@ -104,6 +104,7 @@ class DegreeSlice:
     that build many slices of one ideal."""
 
     def __init__(self, ideal, degree: int, seeds, generators=None):
+        check_deadline()
         ring = ideal.ring
         self._ti = _single_t_index(ring)
         self._w1 = ring.weight1_indices()
@@ -341,6 +342,7 @@ class SliceCache:
             return DegreeInvariants(0, self._one)
         got = self._degrees.get(b)
         if got is None:
+            check_deadline()
             free, largest = 0, self._one
             covered = _cover_test(self._generators[0], b)
             todo = {m for m in monomials_of_degree(len(self._w1), b) if not covered(m)}
@@ -372,25 +374,21 @@ class SliceCache:
         return acc
 
 
-def slice_power_containment(radical_gens, k: int, cache: SliceCache) -> bool:
-    """True iff every degree-k product of the radical generators lies in
-    the cache's ideal: fpoly's product search, pruned by the covers of
-    the cache's generator data, with slice membership at the leaves.
+def slice_power_containment(radical_gens, cache: SliceCache) -> int:
+    """Least k >= 1 with every degree-k product of the radical generators
+    in the cache's ideal, by fpoly's ascending search with slice
+    membership; its survivors are the products themselves.
 
     No production caller: growth exponents are read off SliceCache.at;
     the test suite keeps this search as the independent cross-check."""
-    covers = cache._generators[0]
-    w1 = cache._w1
-    gens = sorted(
-        (g for g in radical_gens if not g.is_zero),
-        key=lambda g: (len(g.term_dict()), min(g.term_dict())),
-    )
-    return _power_search(
-        cache.ideal.ring, gens, k,
-        member=cache.member,
-        covered=lambda m: any(all(m[i] >= e for i, e in zip(w1, c)) for c in covers),
-        limit=DEFAULT_BUDGETS.power_products,
-    )
+
+    def step(f, g):
+        fg = f * g
+        return None if cache.member(fg) else fg
+
+    one = MultiPoly.const(cache.ideal.ring, 1)
+    gens = [g for g in radical_gens if not g.is_zero]
+    return _least_power(one, gens, step, DEFAULT_BUDGETS.power_products)
 
 
 def univariate_colon_trivial_panel(ideal, gs, max_degree: int, multiplier=None) -> list[bool]:

@@ -8,8 +8,10 @@ from click.testing import CliRunner
 from frobgrow.budgets import Budgets, check_deadline, wall_clock
 from frobgrow.cli import main
 from frobgrow.errors import BudgetExceeded, InputError
-from frobgrow.fpoly import PrimeModulus, RingSpec
+from frobgrow.fpoly import PrimeModulus, RingSpec, parse_unipoly
 from frobgrow.groebner import IdealHandle, power_containment
+from frobgrow.hq import MinorMatrix, minors_lcm
+from frobgrow.ktmodule import DegreeSlice, SliceCache
 
 SMALL = Budgets(gb_pairs=3, gb_basis=7, minor_subsets=10, oracle_dim=1,
                 saturation_steps=5, power_products=100, wall_seconds=2.0)
@@ -83,5 +85,30 @@ class TestWallClock:
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 IdealHandle(R, gens).groebner_basis()
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
-                power_containment(P, 3, Q)
-        assert power_containment(P, 3, Q)
+                power_containment(P, Q)
+        assert power_containment(P, Q) == 3
+
+    def test_slice_engine_checks_it(self):
+        R = RingSpec(PrimeModulus(3), (("t", 0), ("x", 1), ("y", 1)))
+        I = IdealHandle(R, ["x^2+t*x*y", "y^2"])
+        # every degree-2 monomial of (x^2, xy, y^2) is covered, so `at`
+        # builds no slice there and only its per-degree check can fire
+        full = SliceCache(IdealHandle(R, ["x^2", "x*y", "y^2"]))
+        with wall_clock(Budgets(wall_seconds=1e-9)):
+            time.sleep(0.001)
+            with pytest.raises(BudgetExceeded, match="wall_seconds"):
+                DegreeSlice(I, 2, [(1, 1)])
+            with pytest.raises(BudgetExceeded, match="wall_seconds"):
+                full.at(2)
+        assert DegreeSlice(I, 2, [(1, 1)]).rows
+        assert full.at(2).full
+
+    def test_minors_scan_checks_it(self):
+        P3 = PrimeModulus(3)
+        t, t1 = parse_unipoly("t", P3), parse_unipoly("t+1", P3)
+        M = MinorMatrix(P3, 0, (0, 1), (0, 1), {(0, 0): t, (0, 1): t1, (1, 1): t})
+        with wall_clock(Budgets(wall_seconds=1e-9)):
+            time.sleep(0.001)
+            with pytest.raises(BudgetExceeded, match="wall_seconds"):
+                minors_lcm(M)
+        assert minors_lcm(M).lcm == t * t * t1  # lcm of t, t+1 and the det t^2

@@ -127,6 +127,13 @@ class TestHq:
         assert res.exit_code == 2
         assert "weight-zero variable" in res.output
 
+    def test_wall_clock_is_exit_3(self, runner):
+        # the minors scan checks the deadline
+        res = invoke(runner, "hq", "--family", "katzman", "--p", "3", "--q", "9",
+                     "--wall-seconds", "1e-9")
+        assert res.exit_code == 3
+        assert "wall_seconds" in res.stderr
+
 
 class TestDecompose:
     def test_katzman_verifies(self, runner):
@@ -156,6 +163,14 @@ class TestDecompose:
     def test_wall_clock_is_exit_3(self, runner):
         res = invoke(runner, "decompose", "--family", "katzman", "--p", "5",
                      "--q", "5", "--method", "groebner", "--wall-seconds", "0.001")
+        assert res.exit_code == 3
+        assert "wall_seconds" in res.stderr
+
+    def test_certified_route_wall_clock_is_exit_3(self, runner):
+        # the certified route builds no Groebner basis: the slice engine
+        # checks the deadline
+        res = invoke(runner, "decompose", "--family", "ss5", "--p", "3", "--q", "3",
+                     "--h", "closed-form", "--wall-seconds", "1e-9")
         assert res.exit_code == 3
         assert "wall_seconds" in res.stderr
 

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import itertools
+import operator
 import random
 
 import pytest
@@ -214,24 +217,36 @@ class TestGrowthExponent:
         with pytest.raises(InputError):
             growth_exponent(PrimaryComponent(IdealHandle(R, ["x"]), ()))
 
-
-def bisected_exponent(C):
-    """Least k >= 1 with radical^k inside C, by doubling and bisection
-    over slice_power_containment: the reference search that the
-    slice-invariant formulas of growth_exponent are checked against."""
-    cache = SliceCache(C.ideal)
-
-    def ok(k):
-        return slice_power_containment(list(C.radical_generators), k, cache)
-
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-    lo = hi // 2 if hi > 1 else 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
-    return hi
+    def test_searches_meet_the_definition(self, rng):
+        # both least-power searches against the least k at which every
+        # product in combinations_with_replacement(radical, k) lies in Q,
+        # for Q = m^cap plus random x-homogeneous generators of lower
+        # degree (and a power of t+1 for the radical that has it)
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        radicals = [("x+y", "x-y"), ("x+t*y", "y"), ("x", "y", "t+1")]
+        for _ in range(12):
+            for names in radicals:
+                cap = rng.randint(2, 4)
+                gens = [MultiPoly(R, {(0, i, cap - i): 1}) for i in range(cap + 1)]
+                for _ in range(rng.randint(1, 3)):
+                    d = rng.randint(1, cap - 1)
+                    terms = {}
+                    for _ in range(rng.randint(1, 3)):
+                        xe = rng.randrange(d + 1)
+                        terms[(rng.randrange(3), xe, d - xe)] = rng.randrange(1, 3)
+                    gens.append(MultiPoly(R, terms))
+                if "t+1" in names:
+                    gens.append(parse_poly("t+1", R) ** rng.randint(1, 3))
+                Q = IdealHandle(R, gens)
+                rad = [parse_poly(g, R) for g in names]
+                k = 1
+                while not all(
+                    Q.contains(functools.reduce(operator.mul, c))
+                    for c in itertools.combinations_with_replacement(rad, k)
+                ):
+                    k += 1
+                assert groebner.power_containment(IdealHandle(R, rad), Q) == k
+                assert slice_power_containment(rad, SliceCache(Q)) == k
 
 
 def random_cap3_ideal(rng, R):
@@ -373,7 +388,7 @@ class TestRouteAgreement:
 
     def test_hand_built_components_random(self, rng):
         # isolated B and embedded B + (tau^s), measured over their own
-        # ideal and over B's shared invariants, against the bisection over
+        # ideal and over B's shared invariants, against the search of
         # slice_power_containment and the Groebner route
         R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
         rad = (parse_poly("x", R), parse_poly("y", R))
@@ -381,14 +396,15 @@ class TestRouteAgreement:
         for _ in range(10):
             B = IdealHandle(R, random_cap3_ideal(rng, R))
             iso = PrimaryComponent(B, rad, cap_degree=3)
-            assert growth_exponent(iso) == bisected_exponent(iso)
+            k = slice_power_containment(iso.radical_generators, SliceCache(B))
+            assert growth_exponent(iso) == k
             tau, s = rng.choice(taus), rng.randint(1, 3)
             tau_multi = MultiPoly.from_unipoly(R, tau, "t")
             ideal = IdealHandle(R, list(B.generators) + [tau_multi**s])
             own = PrimaryComponent(ideal, rad + (tau_multi,), (tau, s), cap_degree=3)
             shared = dataclasses.replace(own, slices=SliceCache(B))
             slow = dataclasses.replace(own, cap_degree=None)
-            k = bisected_exponent(own)
+            k = slice_power_containment(own.radical_generators, SliceCache(own.ideal))
             assert growth_exponent(own) == growth_exponent(shared) == k
             assert growth_exponent(slow) == k
             for seed in (0, 1):
@@ -416,7 +432,8 @@ class TestRouteAgreement:
             slices=SliceCache(B),
         )
         assert not C.slices.at(2).full
-        assert growth_exponent(C) == bisected_exponent(C) == 1
+        k = slice_power_containment(C.radical_generators, SliceCache(C.ideal))
+        assert growth_exponent(C) == k == 1
 
     def test_cap_degree_needs_slice_radical(self):
         R = RingSpec(P2, (("t", 0), ("x", 1), ("y", 1)))

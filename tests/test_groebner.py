@@ -365,15 +365,28 @@ class TestPowerContainment:
     def test_examples(self):
         R = ring_xy()
         P = IdealHandle(R, ["x", "y"])
-        assert power_containment(P, 2, IdealHandle(R, ["x^2", "x*y", "y^2"]))
-        assert not power_containment(P, 1, IdealHandle(R, ["x^2", "y^2"]))
-        assert power_containment(P, 3, IdealHandle(R, ["x^2", "y^2"]))
+        assert power_containment(P, IdealHandle(R, ["x^2", "x*y", "y^2"])) == 2
+        assert power_containment(P, IdealHandle(R, ["x^2", "y^2"])) == 3
+        assert power_containment(P, IdealHandle(R, ["x", "y^3"])) == 3
+        assert power_containment(IdealHandle(R, ["x", "x+y"]), IdealHandle(R, ["x^2", "y^2"])) == 3
 
-    def test_k_zero_checks_unit(self):
+    def test_unit_ideal_takes_one(self):
         R = ring_xy()
-        P = IdealHandle(R, ["x"])
-        assert power_containment(P, 0, IdealHandle(R, ["x", "x+1"]))
-        assert not power_containment(P, 0, IdealHandle(R, ["x"]))
+        assert power_containment(IdealHandle(R, ["x"]), IdealHandle(R, ["x", "x+1"])) == 1
+
+    def test_products_count_against_the_budget(self):
+        # t^k never lies in (x): one product per degree until the budget
+        R = ring_txy()
+        P, C = IdealHandle(R, ["t"]), IdealHandle(R, ["x"])
+        with pytest.raises(BudgetExceeded) as exc:
+            power_containment(P, C, Budgets(power_products=100))
+        assert exc.value.budget_name == "power_products"
+        # (x, y)^2 in (x^2, xy, y^2): x and y survive degree 1, and
+        # their four products end the search, 6 products in all
+        P, C = IdealHandle(R, ["x", "y"]), IdealHandle(R, ["x^2", "x*y", "y^2"])
+        assert power_containment(P, C, Budgets(power_products=6)) == 2
+        with pytest.raises(BudgetExceeded, match="power_products"):
+            power_containment(P, C, Budgets(power_products=5))
 
 
 class TestMemberBoundedOracle:

@@ -381,20 +381,13 @@ class TestSlicePowerContainment:
     def test_frobenius_power_exponent(self):
         R = ring_txy()
         I = IdealHandle(R, ["x^2", "y^2"])
-        cache = SliceCache(I)
         gens = [parse_poly("x", R), parse_poly("y", R)]
-        assert slice_power_containment(gens, 3, cache)
-        assert not slice_power_containment(gens, 2, cache)
+        assert slice_power_containment(gens, SliceCache(I)) == 3
 
-    def test_k_zero_checks_unit(self):
+    def test_unit_ideal_takes_one(self):
         R = ring_txy()
-        cache = SliceCache(IdealHandle(R, ["x"]))
-        assert not slice_power_containment([parse_poly("x", R)], 0, cache)
-
-    def test_negative_rejected(self):
-        R = ring_txy()
-        with pytest.raises(InputError):
-            slice_power_containment([], -1, SliceCache(IdealHandle(R, ["x"])))
+        cache = SliceCache(IdealHandle(R, ["1"]))
+        assert slice_power_containment([parse_poly("x", R)], cache) == 1
 
 
 class TestUnivariateColonTrivial:
