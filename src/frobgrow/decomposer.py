@@ -8,10 +8,12 @@ k[t]-contraction is P_{q-2}, and runs the membership suites behind those
 facts.
 
 On the certified route the degree K of the isolated component, the
-growth exponents and the colon panels are all read off the slice
-invariants of I^[q] (free rank and largest invariant factor of each
-S_b / I^[q]_b); the Groebner route finds each growth exponent by one
-ascending search over products of normal forms instead.
+growth exponents and the isolated component's colon panel are all read
+off the slice invariants of I^[q] (free rank and largest invariant
+factor of each S_b / I^[q]_b); the Groebner route finds each growth
+exponent by one ascending search over products of normal forms
+instead.  On both routes an embedded component's colons are settled by
+the power of its tau that the radical check finds (see primary_sanity).
 """
 
 from __future__ import annotations
@@ -520,7 +522,22 @@ def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
                 if slices.at(b).full:
                     return max(1, b)
             return max(1, C.cap_degree)
-        return max([1] + [b + e for b, e in _tau_exponents(C, slices)])
+        tau, s = C.tau
+        k = 1
+        for b in range(C.cap_degree):
+            inv = slices.at(b)
+            e = s
+            if not inv.free_rank:  # e = min(s, v_tau(d_b))
+                e, d = 0, inv.largest
+                while e < s:
+                    d, rem = divmod(d, tau)
+                    if not rem.is_zero:
+                        break
+                    e += 1
+            if e == 0:
+                break
+            k = max(k, b + e)
+        return k
     radical = IdealHandle(C.ideal.ring, list(C.radical_generators))
     return power_containment(radical, C.ideal, budgets)
 
@@ -544,26 +561,6 @@ def _slices_of(C: PrimaryComponent, own: SliceCache | None = None) -> SliceCache
     return own if own is not None else SliceCache(C.ideal)
 
 
-def _tau_exponents(C: PrimaryComponent, slices: SliceCache):
-    """(b, e_b) for the degrees b before the first with e_b = 0, where
-    tau^e_b is the exponent of (S_b / B_b) / tau^s."""
-    tau, s = C.tau
-    for b in range(C.cap_degree):
-        inv = slices.at(b)
-        if inv.free_rank:
-            e = s
-        else:
-            e, d = 0, inv.largest
-            while e < s:
-                d, rem = divmod(d, tau)
-                if not rem.is_zero:
-                    break
-                e += 1
-        if e == 0:
-            return
-        yield b, e
-
-
 # ---------------------------------------------------------------------------
 # primaryness regression panel
 
@@ -577,31 +574,41 @@ class SanityVerdict:
 def primary_sanity(
     C: PrimaryComponent, panel_size: int = 10, seed: int = 0, budgets=DEFAULT_BUDGETS
 ) -> SanityVerdict:
-    """Necessary-condition Monte Carlo test, not a primality proof: every
-    radical generator has some power in the ideal, and colon by random
-    g(t) coprime to the component's tau leaves the ideal unchanged.
+    """Necessary-condition test, not a primality proof: the component is
+    not the unit ideal, every radical generator has some power in the
+    ideal, and, on a component without a tau, colon by random g(t) leaves
+    the ideal unchanged.
 
-    Components carrying cap_degree check the unit and the radical powers
-    by slice membership and answer the colons from the slice invariants
-    of their base ideal B (see growth_exponent): (C : g) = C below
-    cap_degree exactly when g is coprime to the torsion exponent of every
-    S_b / C_b, b < cap_degree, which is d_b for the isolated component and
-    tau^e_b for an embedded one.  That is the verdict of the degreewise
-    colon computation, so the same g fails first and the witness is the
-    same.
+    A component with a tau lists tau among its radical generators, so
+    once the radical check has found a power tau^m in C, colon by any g
+    prime to tau leaves C unchanged: a*g + b*tau^m = 1 in k[t], and
+    g*v in C gives v = a*(g*v) + b*tau^m*v in C.  Such a component passes
+    there, with no panel drawn.
 
-    Other components take one Groebner colon, by the panel's product
-    g_1 ... g_n, and test it by containment: C lies in C : f for every f,
-    so C : f = C exactly when every generator of C : f reduces to zero
-    modulo C's basis.  A product of non-zero-divisors on S/C is one
-    again, and a zero divisor among the g_i makes the product one too,
-    so the product passes exactly when every g passes.  Only when it
-    fails are the g's tested one at a time, in panel order, to name the
-    first that fails as the witness; if none before the last fails, the
-    last is a zero divisor and needs no colon of its own."""
+    A component without a tau carrying cap_degree checks the unit and
+    the radical powers by slice membership and answers the colons from
+    the slice invariants of its base ideal B (see growth_exponent):
+    (C : g) = C below cap_degree exactly when g is coprime to d_b, the
+    torsion exponent of every S_b / C_b, b < cap_degree.  That is the
+    verdict of the degreewise colon computation, so the same g fails
+    first and the witness is the same.
+
+    A component with neither takes one Groebner colon, by the panel's
+    product g_1 ... g_n, and tests it by containment: C lies in C : f
+    for every f, so C : f = C exactly when every generator of C : f
+    reduces to zero modulo C's basis.  A product of non-zero-divisors on
+    S/C is one again, and a zero divisor among the g_i makes the product
+    one too, so the product passes exactly when every g passes.  Only
+    when it fails are the g's tested one at a time, in panel order, to
+    name the first that fails as the witness; if none before the last
+    fails, the last is a zero divisor and needs no colon of its own."""
     if panel_size < 1:
         raise InputError("panel size must be at least 1")
     ring = C.ideal.ring
+    if C.tau is not None and (
+        MultiPoly.from_unipoly(ring, C.tau[0], "t") not in C.radical_generators
+    ):
+        raise InputError("a component with a tau has tau among its radical generators")
     cache = SliceCache(C.ideal) if C.cap_degree is not None else None
 
     def member(f):
@@ -624,23 +631,17 @@ def primary_sanity(
             return SanityVerdict(
                 False, f"no power of {format_multipoly(g)} found in the ideal"
             )
-    taus = [C.tau[0]] if C.tau is not None else []
+    if C.tau is not None:  # the power of tau just found proves the colons
+        return SanityVerdict(True)
     p = ring.p
     rng = random.Random(seed)
     panel = []
     while len(panel) < panel_size:
         g = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 4))])
-        if g.is_zero or g.degree == 0:
-            continue
-        if any(uni_gcd(g, tau).degree > 0 for tau in taus):
-            continue
-        panel.append(g)
+        if not g.is_zero and g.degree > 0:
+            panel.append(g)
     if cache is not None:
-        slices = _slices_of(C, cache)
-        if C.tau is None:
-            torsion = slices.torsion_exponent(C.cap_degree)
-        else:
-            torsion = C.tau[0] ** max([0] + [e for _, e in _tau_exponents(C, slices)])
+        torsion = _slices_of(C, cache).torsion_exponent(C.cap_degree)
         bad = next((g for g in panel if uni_gcd(g, torsion).degree > 0), None)
     else:
 

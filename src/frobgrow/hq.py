@@ -45,8 +45,7 @@ from .orders import monomials_of_degree
 
 
 def bareiss_det(matrix) -> UniPoly:
-    """Fraction-free determinant of a square UniPoly matrix; cofactor
-    expansion for dimension <= 3.
+    """Fraction-free (Bareiss) determinant of a square UniPoly matrix.
 
     The entries are converted to coefficient lists once and eliminated
     with the list kernels; only the result is wrapped as a UniPoly.
@@ -57,22 +56,8 @@ def bareiss_det(matrix) -> UniPoly:
     if n == 0:
         raise InputError("determinant of an empty matrix")
     P = matrix[0][0].p
-    if n == 1:
-        return matrix[0][0]
     p = P.p
     A = [[list(e.coeffs) for e in row] for row in matrix]
-    if n == 2:
-        (a, b), (c, d) = A
-        return UniPoly(P, uni_sub(uni_mul(a, d, p), uni_mul(b, c, p), p))
-    if n == 3:
-        a, b, c = A[0]
-        d, e, f = A[1]
-        g, h, i = A[2]
-        ei_fh = uni_sub(uni_mul(e, i, p), uni_mul(f, h, p), p)
-        di_fg = uni_sub(uni_mul(d, i, p), uni_mul(f, g, p), p)
-        dh_eg = uni_sub(uni_mul(d, h, p), uni_mul(e, g, p), p)
-        det = uni_sub(uni_mul(a, ei_fh, p), uni_mul(b, di_fg, p), p)
-        return UniPoly(P, uni_add(det, uni_mul(c, dh_eg, p), p))
     prev = [1]
     sign = 1
     for k in range(n - 1):

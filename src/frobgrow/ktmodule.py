@@ -21,10 +21,10 @@ automatically.
 
 SliceCache is the one store per ideal: it answers membership from the
 slices it keeps, and reduces each degree further, to the Smith normal
-form of S_d / I_d (free rank and invariant factors).  Growth exponents
-and colon panels of the components of a decomposition are read off
-those invariants, computed once per degree and shared by every
-component.
+form of S_d / I_d (free rank and invariant factors).  The growth
+exponents of the components of a decomposition, and the isolated
+component's colon panel, are read off those invariants, computed once
+per degree and shared by every component.
 """
 
 from __future__ import annotations

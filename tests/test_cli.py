@@ -175,8 +175,9 @@ class TestDecompose:
         assert "wall_seconds" in res.stderr
 
     @pytest.mark.parametrize("args,least", [
-        (("--family", "katzman", "--p", "2", "--q", "4"), 36),
-        (("--family", "ss5", "--p", "2", "--q", "2", "--h", "closed-form"), 32),
+        (("--family", "katzman", "--p", "2", "--q", "4"), 24),
+        (("--family", "ss5", "--p", "2", "--q", "2", "--h", "closed-form"), 31),
+        (("--family", "katzman", "--p", "5", "--q", "5"), 36),
     ])
     def test_least_gb_pairs(self, runner, args, least):
         # pins the S-pair sequence: the most pairs any one basis reduces

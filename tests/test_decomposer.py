@@ -33,7 +33,7 @@ from frobgrow.fpoly import (
     parse_unipoly,
     uni_gcd,
 )
-from frobgrow import groebner
+from frobgrow import decomposer, groebner
 from frobgrow.groebner import IdealHandle, ideal_equal
 from frobgrow.hq import h_q
 from frobgrow.ktmodule import SliceCache, slice_power_containment
@@ -445,8 +445,9 @@ class TestRouteAgreement:
 
 
 def sanity_panel(p, tau, size, seed):
-    """The panel primary_sanity draws: random non-constant g(t) of degree
-    at most 3, prime to tau."""
+    """Random non-constant g(t) of degree at most 3, prime to tau: the
+    panel primary_sanity draws on a component without a tau, and the
+    Monte Carlo cross-check of its tau-power argument on one with a tau."""
     rng = random.Random(seed)
     panel = []
     while len(panel) < size:
@@ -532,6 +533,68 @@ class TestPrimarySanity:
         assert primary_sanity(rep.isolated, 5).passed
         for comp in rep.embedded:
             assert primary_sanity(comp, 5).passed
+
+    def test_tau_component_takes_no_colon(self, monkeypatch):
+        # the power of tau found by the radical check settles the panel
+        def refuse(*args, **kwargs):
+            raise AssertionError("primary_sanity took a Groebner colon")
+
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        tau = parse_unipoly("t+1", P3)
+        tau_multi = MultiPoly.from_unipoly(R, tau, "t")
+        C = PrimaryComponent(
+            IdealHandle(R, ["x^2", "y^2", tau_multi**2]),
+            (parse_poly("x", R), parse_poly("y", R), tau_multi),
+            (tau, 2),
+        )
+        monkeypatch.setattr(decomposer, "colon", refuse)
+        for seed in (0, 1, 2):
+            assert primary_sanity(C, 10, seed) == SanityVerdict(True)
+
+    @pytest.mark.parametrize(
+        "name,p,e,closed_form",
+        [("katzman", 2, 2, False), ("katzman", 5, 1, False), ("ss5", 2, 2, True)],
+        ids=["katzman_p2_q4", "katzman_p5_q5", "ss5_p2_q4_closed_form"],
+    )
+    def test_embedded_components_pass_the_per_g_colons(self, name, p, e, closed_form):
+        # the Monte Carlo cross-check of the tau-power argument: colon by
+        # every panel g prime to tau leaves each embedded component of the
+        # Groebner decomposition unchanged
+        fam = family(name, p)
+        q = q_of(fam, e)
+        h = ss_hq_closed_form(fam.seq, q) if closed_form else h_q(fam.ring, q).h
+        rep = stable_decomposition(fam, q, h, measure=False, method="groebner")
+        assert rep.embedded
+        for comp in rep.embedded:
+            assert primary_sanity(comp, 10) == SanityVerdict(True)
+            for seed in (0, 1, 2):
+                assert per_g_sanity(comp, 10, seed) == SanityVerdict(True)
+
+    def test_tau_component_without_a_tau_power_fails(self):
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        t = parse_poly("t", R)
+        for cap in (None, 2):
+            C = PrimaryComponent(
+                IdealHandle(R, ["x^2", "x*y", "y^2"]),
+                (parse_poly("x", R), parse_poly("y", R), t),
+                (parse_unipoly("t", P3), 1),
+                cap_degree=cap,
+            )
+            assert primary_sanity(C, 5) == SanityVerdict(
+                False, "no power of t found in the ideal"
+            )
+
+    def test_tau_must_be_a_radical_generator(self):
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        for cap in (None, 2):
+            C = PrimaryComponent(
+                IdealHandle(R, ["x^2", "x*y", "y^2", "t"]),
+                (parse_poly("x", R), parse_poly("y", R)),
+                (parse_unipoly("t", P3), 1),
+                cap_degree=cap,
+            )
+            with pytest.raises(InputError):
+                primary_sanity(C, 5)
 
     def test_unit_ideal_fails(self):
         R = RingSpec(P2, (("t", 0), ("x", 1)))
