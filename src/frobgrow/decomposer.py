@@ -7,13 +7,15 @@ for the five-variable hypersurface family, computes witness colons whose
 k[t]-contraction is P_{q-2}, and runs the membership suites behind those
 facts.
 
-On the certified route the degree K of the isolated component, the
-growth exponents and the isolated component's colon panel are all read
-off the slice invariants of I^[q] (free rank and largest invariant
-factor of each S_b / I^[q]_b); the Groebner route finds each growth
-exponent by one ascending search over products of normal forms
-instead.  On both routes an embedded component's colons are settled by
-the power of its tau that the radical check finds (see primary_sanity).
+The two routes run one pipeline (stable_decomposition) and differ only
+in the isolated component Q and in the proof of the intersection
+equality.  On the certified route the degree K of Q, the growth
+exponents and Q's colon panel are all read off the slice invariants of
+I^[q] (free rank and largest invariant factor of each S_b / I^[q]_b);
+the Groebner route finds each growth exponent by one ascending search
+over products of normal forms instead.  On both routes an embedded
+component's colons are settled by the power of its tau that the
+radical check finds (see primary_sanity).
 """
 
 from __future__ import annotations
@@ -219,7 +221,8 @@ def _weight1_variables(ring: RingSpec):
 def _certifiable(fam: FamilySpec) -> bool:
     """Whether the degreewise certificate route applies: one weight-zero
     variable, the ideal generated by single weighted variables, and all
-    generators/relations homogeneous in the weighted variables."""
+    generators/relations homogeneous of positive degree in the weighted
+    variables."""
     ring = fam.ring
     if len(ring.weight0_indices()) != 1:
         return False
@@ -236,11 +239,9 @@ def _certifiable(fam: FamilySpec) -> bool:
     if gen_exps != w1:
         return False
     try:
-        for rel in ring.relations:
-            x_degree(rel)
+        return all(x_degree(rel) > 0 for rel in ring.relations)
     except InputError:
         return False
-    return True
 
 
 def stable_decomposition(
@@ -256,17 +257,16 @@ def stable_decomposition(
 ) -> DecompositionReport:
     """I^[q] = Q meet the components I^[q] + (tau_i^{s_i}).
 
-    method "groebner" takes Q = colon(I^[q], h) and recomputes the
-    intersection equality from scratch by elimination.  method
-    "certified" builds Q = I^[q] + (weighted vars)^K for the least K
-    with h * m in I^[q] for every degree-K monomial m, reduces the
-    multi-component intersection to I^[q] + (h) by an exact Bezout
-    certificate, and settles the remaining equality degree by degree;
-    this keeps Q inside colon(I^[q], h) by construction.  K is read off
-    the Smith form of the slices of I^[q]: the least K at which
-    S_K / I^[q]_K has free rank 0 and a largest invariant factor
-    dividing h.  "auto" picks certified whenever the family shape
-    supports it.
+    One pipeline: h is factored once, its product checked, each
+    irreducible factor tau^s gives one embedded component, and every
+    growth exponent is measured.  The routes differ only in Q and in the
+    proof of the intersection equality.  method "groebner" takes
+    Q = colon(I^[q], h) and recomputes the equality from scratch by
+    elimination.  method "certified" builds Q = I^[q] + (weighted vars)^K
+    (see _certified_isolated), inside colon(I^[q], h) by construction,
+    reduces the multi-component intersection to I^[q] + (h) by an exact
+    Bezout certificate, and settles the remaining equality degree by
+    degree.  "auto" picks certified whenever the family shape supports it.
     """
     if h.is_zero:
         raise InputError("the separating polynomial h must be nonzero")
@@ -277,54 +277,88 @@ def stable_decomposition(
         raise InputError(f"unknown decomposition method {method!r}")
     if method == "auto":
         method = "certified" if _certifiable(fam) else "groebner"
-    if method == "certified":
-        if not _certifiable(fam):
-            raise InputError(
-                "certified decomposition needs a variable-generated ideal, "
-                "one weight-zero variable, and weighted-homogeneous relations"
-            )
-        return _certified_decomposition(
-            fam, q, h, h_source, hq_certificate, seed, measure, budgets
+    certified = method == "certified"
+    if certified and not _certifiable(fam):
+        raise InputError(
+            "certified decomposition needs a variable-generated ideal, "
+            "one weight-zero variable, and weighted-homogeneous relations"
         )
     Iq = frobenius_generators(fam.ideal, q)
-    h_multi = MultiPoly.from_unipoly(ring, h, "t")
-    Q = colon(Iq, h_multi, budgets)
+    h_monic = h.monic()
     w1 = _weight1_variables(ring)
-    isolated = PrimaryComponent(ideal=Q, radical_generators=w1)
-    factors = uni_factor(h.monic(), seed) if h.degree > 0 else None
-    embedded = []
     notes = []
-    if factors is not None:
-        for tau, s in factors:
-            tau_pow = MultiPoly.from_unipoly(ring, tau**s, "t")
-            Qi = IdealHandle(ring, list(Iq.generators) + [tau_pow])
-            if Qi.is_unit_ideal(budgets):
-                notes.append(f"dropped unit component for tau = {format_unipoly(tau)}")
-                continue
-            tau_multi = MultiPoly.from_unipoly(ring, tau, "t")
-            embedded.append(
-                PrimaryComponent(
-                    ideal=Qi,
-                    radical_generators=w1 + (tau_multi,),
-                    tau=(tau, s),
-                )
+    if certified:
+        # one slice store of I^[q] gives K and measures every component
+        slices = SliceCache(Iq)
+        cap = len(w1) * (q.q - 1) + 1  # every monomial of this degree is in I^[q]
+        Q, K = _certified_isolated(Iq, h_monic, slices, cap, notes)
+    else:
+        slices = cap = K = None
+        Q = colon(Iq, MultiPoly.from_unipoly(ring, h, "t"), budgets)
+    isolated = PrimaryComponent(ideal=Q, radical_generators=w1, cap_degree=K, slices=slices)
+    factors = list(uni_factor(h_monic, seed)) if h.degree > 0 else []
+    prod = UniPoly.one(ring.p)
+    for tau, s in factors:
+        prod = prod * tau**s
+    if prod != h_monic:
+        raise VerificationError(
+            "factorization certificate failed", witness=format_unipoly(prod)
+        )
+    embedded = []
+    for tau, s in factors:
+        tau_pow = MultiPoly.from_unipoly(ring, tau**s, "t")
+        Qi = IdealHandle(ring, list(Iq.generators) + [tau_pow])
+        # only here can Qi be the unit ideal: a certified family's relations
+        # have positive x-degree, so there (S / Qi)_0 = k[t]/(tau^s) is not 0
+        if not certified and Qi.is_unit_ideal(budgets):
+            notes.append(f"dropped unit component for tau = {format_unipoly(tau)}")
+            continue
+        tau_multi = MultiPoly.from_unipoly(ring, tau, "t")
+        embedded.append(
+            PrimaryComponent(
+                ideal=Qi,
+                radical_generators=w1 + (tau_multi,),
+                tau=(tau, s),
+                cap_degree=cap,
+                slices=slices,
             )
-    inter = Q
-    for comp in embedded:
-        inter = intersect(inter, comp.ideal, budgets)
-    verified = ideal_equal(inter, Iq, budgets)
-    witness = None
-    if not verified:
-        for g in inter.groebner_basis(budgets=budgets):
-            if not Iq.contains(g, budgets):
-                witness = format_multipoly(g)
-                break
-        else:
-            for g in Iq.groebner_basis(budgets=budgets):
-                if not inter.contains(g, budgets):
-                    witness = format_multipoly(g)
-                    break
-    bound_ok = _measure_growth(isolated, embedded, q, notes, budgets) if measure else True
+        )
+    verified, witness = True, None
+    if certified:
+        if len(factors) > 1:
+            _bezout_one_certificate(factors, h_monic)
+            notes.append(
+                "multi-component intersection reduced to I^[q] + (h) by an "
+                "exact Bezout certificate over k[t]"
+            )
+        notes.append(
+            "intersection equality settled degree by degree: below the "
+            "monomial degree the isolated component adds nothing, above it "
+            "the boundary reductions push I^[q] + (h) into I^[q]"
+        )
+    else:
+        inter = Q
+        for comp in embedded:
+            inter = intersect(inter, comp.ideal, budgets)
+        verified = ideal_equal(inter, Iq, budgets)
+        if not verified:  # a basis element of one side outside the other
+            witness = next(
+                (format_multipoly(g) for A, B in ((inter, Iq), (Iq, inter))
+                 for g in A.groebner_basis(budgets=budgets) if not B.contains(g, budgets)),
+                None,
+            )
+    bound_ok = True  # the paper bounds each embedded exponent by n*q + s_i, n = len(w1)
+    if measure:
+        isolated.measured_exponent = growth_exponent(isolated, budgets)
+        for comp in embedded:
+            comp.measured_exponent = growth_exponent(comp, budgets)
+            bound = len(w1) * q.q + comp.tau[1]
+            if comp.measured_exponent > bound:
+                bound_ok = False
+                notes.append(
+                    f"growth exponent {comp.measured_exponent} exceeds "
+                    f"{bound} for tau = {format_unipoly(comp.tau[0])}"
+                )
     return DecompositionReport(
         q=q,
         hq=hq_certificate if hq_certificate is not None else h,
@@ -335,27 +369,38 @@ def stable_decomposition(
         growth_bound_checked=bound_ok,
         witness=witness,
         notes=tuple(notes),
-        method="groebner",
+        method=method,
     )
 
 
-def _measure_growth(isolated, embedded, q, notes, budgets) -> bool:
-    """Set every component's measured exponent; False, with a note for
-    each, when an embedded exponent exceeds n*q + s_i (n the number of
-    weighted variables, s_i the multiplicity of its tau)."""
-    n = len(isolated.ideal.ring.weight1_indices())
-    isolated.measured_exponent = growth_exponent(isolated, budgets)
-    bound_ok = True
-    for comp in embedded:
-        comp.measured_exponent = growth_exponent(comp, budgets)
-        bound = n * q.q + comp.tau[1]
-        if comp.measured_exponent > bound:
-            bound_ok = False
-            notes.append(
-                f"growth exponent {comp.measured_exponent} exceeds "
-                f"{bound} for tau = {format_unipoly(comp.tau[0])}"
-            )
-    return bound_ok
+def _certified_isolated(Iq, h_monic: UniPoly, slices: SliceCache, cap: int, notes):
+    """(Q, K) with Q = I^[q] + (weighted vars)^K for the least K with
+    h * m in I^[q] for every degree-K monomial m, and the note that says
+    so.  h kills S_K / I^[q]_K exactly when that slice has free rank 0
+    and its largest invariant factor divides h; this holds at K = cap,
+    where the slice is full."""
+    ring = Iq.ring
+    w1 = ring.weight1_indices()
+    for K in range(cap + 1):
+        inv = slices.at(K)
+        if inv.free_rank == 0 and (h_monic % inv.largest).is_zero:
+            break
+    # the generators of I^[q] are the x_i^q, with q - 1 = (cap - 1) / n,
+    # so these are the degree-K monomials outside it
+    extra = []
+    for exps in monomials_of_degree(len(w1), K, cap=(cap - 1) // len(w1)):
+        full = [0] * ring.nvars
+        for i, e in zip(w1, exps):
+            full[i] = e
+        extra.append(MultiPoly.monomial(ring, tuple(full)))
+    notes.append(
+        f"isolated component taken as I^[q] + (weighted vars)^{K}; "
+        f"certified h*m in I^[q] for every degree-{K} monomial m "
+        f"(S_{K} / I^[q]_{K} has free rank 0 and largest invariant factor "
+        f"{format_unipoly(inv.largest)}, which divides h), so it sits inside "
+        f"colon(I^[q], h)"
+    )
+    return IdealHandle(ring, list(Iq.generators) + extra), K
 
 
 def _uni_xgcd(a: UniPoly, b: UniPoly):
@@ -400,97 +445,6 @@ def _bezout_one_certificate(factors, h_monic: UniPoly):
             witness=format_unipoly(total),
         )
     return coeffs
-
-
-def _monomial(ring: RingSpec, w1, exps):
-    full = [0] * ring.nvars
-    for i, e in zip(w1, exps):
-        full[i] = e
-    return MultiPoly.monomial(ring, tuple(full))
-
-
-def _certified_decomposition(
-    fam, q, h, h_source, hq_certificate, seed, measure, budgets
-) -> DecompositionReport:
-    ring = fam.ring
-    Iq = frobenius_generators(fam.ideal, q)
-    w1 = ring.weight1_indices()
-    n = len(w1)
-    cap = n * (q.q - 1) + 1  # every monomial of this degree is in I^[q]
-    h_monic = h.monic()
-    # one slice store of I^[q] gives K and measures every component
-    slices = SliceCache(Iq)
-    # least K with h * (weighted vars)^K inside I^[q]: h kills S_K / I_K
-    # exactly when that slice has free rank 0 and its largest invariant
-    # factor divides h; this holds at K = cap, where the slice is full
-    for K in range(cap + 1):
-        inv = slices.at(K)
-        if inv.free_rank == 0 and (h_monic % inv.largest).is_zero:
-            break
-    # the generators of I^[q] are the x_i^q, so these are the degree-K
-    # monomials outside it
-    extra = [_monomial(ring, w1, exps) for exps in monomials_of_degree(n, K, cap=q.q - 1)]
-    Q = IdealHandle(ring, list(Iq.generators) + extra)
-    w1_vars = _weight1_variables(ring)
-    isolated = PrimaryComponent(
-        ideal=Q, radical_generators=w1_vars, cap_degree=K, slices=slices
-    )
-    notes = [
-        f"isolated component taken as I^[q] + (weighted vars)^{K}; "
-        f"certified h*m in I^[q] for every degree-{K} monomial m "
-        f"(S_{K} / I^[q]_{K} has free rank 0 and largest invariant factor "
-        f"{format_unipoly(inv.largest)}, which divides h), so it sits inside "
-        f"colon(I^[q], h)",
-    ]
-    factors = uni_factor(h_monic, seed) if h.degree > 0 else None
-    embedded = []
-    factor_list = []
-    if factors is not None:
-        prod = UniPoly.one(ring.p)
-        for tau, s in factors:
-            prod = prod * tau**s
-        if prod != h_monic:
-            raise VerificationError(
-                "factorization certificate failed", witness=format_unipoly(prod)
-            )
-        for tau, s in factors:
-            tau_pow = MultiPoly.from_unipoly(ring, tau**s, "t")
-            Qi = IdealHandle(ring, list(Iq.generators) + [tau_pow])
-            factor_list.append((tau, s))
-            tau_multi = MultiPoly.from_unipoly(ring, tau, "t")
-            embedded.append(
-                PrimaryComponent(
-                    ideal=Qi,
-                    radical_generators=w1_vars + (tau_multi,),
-                    tau=(tau, s),
-                    cap_degree=cap,
-                    slices=slices,
-                )
-            )
-        if len(factor_list) > 1:
-            _bezout_one_certificate(factor_list, h_monic)
-            notes.append(
-                "multi-component intersection reduced to I^[q] + (h) by an "
-                "exact Bezout certificate over k[t]"
-            )
-    notes.append(
-        "intersection equality settled degree by degree: below the "
-        "monomial degree the isolated component adds nothing, above it "
-        "the boundary reductions push I^[q] + (h) into I^[q]"
-    )
-    bound_ok = _measure_growth(isolated, embedded, q, notes, budgets) if measure else True
-    return DecompositionReport(
-        q=q,
-        hq=hq_certificate if hq_certificate is not None else h,
-        h_source=h_source,
-        isolated=isolated,
-        embedded=embedded,
-        intersection_verified=True,
-        growth_bound_checked=bound_ok,
-        witness=None,
-        notes=tuple(notes),
-        method="certified",
-    )
 
 
 def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
@@ -587,9 +541,10 @@ def primary_sanity(
 
     A component without a tau carrying cap_degree checks the unit and
     the radical powers by slice membership and answers the colons from
-    the slice invariants of its base ideal B (see growth_exponent):
-    (C : g) = C below cap_degree exactly when g is coprime to d_b, the
-    torsion exponent of every S_b / C_b, b < cap_degree.  That is the
+    the slice invariants of its base ideal B (see growth_exponent) by
+    univariate_colon_trivial_panel: (C : g) = C below cap_degree exactly
+    when g is coprime to d_b, the torsion exponent of every S_b / C_b,
+    b < cap_degree.  That is the
     verdict of the degreewise colon computation, so the same g fails
     first and the witness is the same.
 
@@ -614,10 +569,7 @@ def primary_sanity(
     def member(f):
         return cache.member(f) if cache is not None else C.ideal.contains(f, budgets)
 
-    if cache is not None:
-        if member(MultiPoly.const(ring, 1)):
-            return SanityVerdict(False, "component is the unit ideal")
-    elif C.ideal.is_unit_ideal(budgets):
+    if member(MultiPoly.const(ring, 1)):
         return SanityVerdict(False, "component is the unit ideal")
     for g in C.radical_generators:
         power = g
@@ -641,8 +593,8 @@ def primary_sanity(
         if not g.is_zero and g.degree > 0:
             panel.append(g)
     if cache is not None:
-        torsion = _slices_of(C, cache).torsion_exponent(C.cap_degree)
-        bad = next((g for g in panel if uni_gcd(g, torsion).degree > 0), None)
+        stable = univariate_colon_trivial_panel(_slices_of(C, cache), panel, C.cap_degree)
+        bad = next((g for g, ok in zip(panel, stable) if not ok), None)
     else:
 
         def unchanged(g):  # C lies in C : g, so equality is the reverse containment
@@ -835,7 +787,7 @@ def lemma_membership_suite(
         if not g.is_zero:
             panel.append(g)
     stable = univariate_colon_trivial_panel(
-        In, panel, 2 * n, (spec.r0 * spec.r2) ** (2 * n)
+        cache_In, panel, 2 * n, (spec.r0 * spec.r2) ** (2 * n)
     )
     wit_iii = [format_unipoly(g) for g, ok in zip(panel, stable) if not ok]
     checked_iii = len(panel)

@@ -304,11 +304,7 @@ class HqCertificate:
     s_max: int
     bound_constant: Fraction
     minors_examined: int
-    budget_exhausted: bool
-
-    @property
-    def partial(self) -> bool:
-        return self.budget_exhausted
+    partial: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,7 +320,7 @@ class HqCertificate:
             "s_max": self.s_max,
             "bound_constant": str(self.bound_constant),
             "minors_examined": self.minors_examined,
-            "partial": self.budget_exhausted,
+            "partial": self.partial,
         }
 
 
@@ -356,5 +352,5 @@ def h_q(
         s_max=s_max,
         bound_constant=Fraction(s_max, q.q ** (n - 1)),
         minors_examined=examined,
-        budget_exhausted=partial,
+        partial=partial,
     )

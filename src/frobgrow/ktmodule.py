@@ -189,10 +189,6 @@ class DegreeSlice:
         this route as the independent cross-check."""
         if g.is_zero:
             raise InputError("colon by zero is undefined")
-        # the torsion of the quotient divides the product of the pivot
-        # entries, so coprimality with every pivot settles it at once
-        if all(uni_gcd(g, piv[row]).degree == 0 for row, piv in self._echelon_pivots):
-            return True
         order = sorted(self.rows, reverse=True)
         one = UniPoly.one(self.p)
         columns = [dict(piv) for _, piv in self._echelon_pivots]
@@ -391,11 +387,14 @@ def slice_power_containment(radical_gens, cache: SliceCache) -> int:
     return _least_power(one, gens, step, DEFAULT_BUDGETS.power_products)
 
 
-def univariate_colon_trivial_panel(ideal, gs, max_degree: int, multiplier=None) -> list[bool]:
+def univariate_colon_trivial_panel(
+    cache: SliceCache, gs, max_degree: int, multiplier=None
+) -> list[bool]:
     """(I : c*g) == (I : c) in every x-degree below max_degree, for each g
     in the panel and the multiplier c (default 1, where this reads
-    (I : g) == I).  When the caller knows I contains every monomial of
-    degree >= max_degree, this decides the equality outright.
+    (I : g) == I), I the ideal of the slice store `cache`.  When the
+    caller knows I contains every monomial of degree >= max_degree, this
+    decides the equality outright.
 
     One pass of SliceCache.at answers the whole panel: with T the torsion
     exponent below max_degree, g passes iff gcd(g, T / gcd(T, c)) = 1.
@@ -406,7 +405,7 @@ def univariate_colon_trivial_panel(ideal, gs, max_degree: int, multiplier=None) 
     verdict of the tracked-kernel route of DegreeSlice.colon_is_trivial."""
     if any(g.is_zero for g in gs):
         raise InputError("colon by zero is undefined")
-    torsion = SliceCache(ideal).torsion_exponent(max_degree)
+    torsion = cache.torsion_exponent(max_degree)
     if multiplier is not None:
         torsion = torsion.exact_div(uni_gcd(torsion, multiplier))
     return [uni_gcd(g, torsion).degree == 0 for g in gs]

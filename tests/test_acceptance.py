@@ -34,7 +34,7 @@ from frobgrow.groebner import (
     normal_form,
 )
 from frobgrow.hq import h_q
-from frobgrow.ktmodule import univariate_colon_trivial_panel
+from frobgrow.ktmodule import SliceCache, univariate_colon_trivial_panel
 from frobgrow.sequences import SequenceSpec, factor_census, p_seq, tridiag_det
 
 
@@ -244,7 +244,7 @@ def test_criterion_08_colon_stability():
                 panel.append(g)
         # r0 = r2 = 1, so the multiplier is the unit 1 and stability says
         # (big : g) = big; the ideal contains every monomial of degree 2n
-        results = univariate_colon_trivial_panel(big, panel, 2 * n)
+        results = univariate_colon_trivial_panel(SliceCache(big), panel, 2 * n)
         if not all(results):
             failing = next(g for g, r in zip(panel, results) if not r)
             ok, bad = False, f"n={n} g={format_unipoly(failing)}"

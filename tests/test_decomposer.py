@@ -172,6 +172,33 @@ class TestStableDecomposition:
         rep = stable_decomposition(fam, q_of(fam, 1), UniPoly.one(P2))
         assert rep.method == "groebner" and rep.intersection_verified
 
+    def test_x_degree_zero_relation_takes_the_groebner_route(self):
+        # t^2 - 1 makes t a unit, so I^[q] + (t) is the unit ideal; the
+        # certified route cannot see that, so it refuses the ring
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        rels = tuple(parse_poly(r, R) for r in ("t^2-1", "x*y*(x-t*y)"))
+        R = RingSpec(P3, R.variables, rels)
+        fam = FamilySpec("custom", R, IdealHandle(R, ["x", "y"]))
+        q, h = q_of(fam, 1), parse_unipoly("t*(t-1)", P3)
+        with pytest.raises(InputError):
+            stable_decomposition(fam, q, h, method="certified")
+        rep = stable_decomposition(fam, q, h)
+        assert rep.method == "groebner"
+        assert [format_unipoly(c.tau[0]) for c in rep.embedded] == ["t + 2"]
+        assert rep.notes[0] == "dropped unit component for tau = t"
+
+    @pytest.mark.parametrize("method", ["certified", "groebner"])
+    def test_factorization_is_checked_on_both_routes(self, method, monkeypatch):
+        fam = family("katzman", 2)
+        real = decomposer.uni_factor
+        monkeypatch.setattr(
+            decomposer, "uni_factor", lambda a, seed: list(real(a, seed))[:-1]
+        )
+        with pytest.raises(VerificationError):
+            stable_decomposition(
+                fam, q_of(fam, 2), parse_unipoly("t^4+t", P2), method=method
+            )
+
     def test_report_json_fields(self):
         fam = family("katzman", 2)
         d = stable_decomposition(fam, q_of(fam, 2), parse_unipoly("t^4+t", P2)).to_json_dict()
@@ -385,6 +412,37 @@ class TestRouteAgreement:
             assert growth_exponent(comp) == growth_exponent(slow)
             for seed in (0, 1, 2):
                 assert primary_sanity(comp, 5, seed) == primary_sanity(slow, 5, seed)
+
+    @pytest.mark.parametrize(
+        "name,p,e,h",
+        [
+            ("katzman", 2, 2, "minors"),
+            ("katzman", 2, 2, "t^3+t"),
+            ("katzman", 3, 1, "minors"),
+            ("katzman", 3, 2, "minors"),
+            ("ss5", 2, 1, "closed-form"),
+            ("ss5", 2, 2, "closed-form"),
+            ("ss5", 3, 1, "closed-form"),
+            ("ss7", 2, 1, "minors"),
+            ("brenner_monsky", 2, 2, "minors"),
+        ],
+    )
+    def test_routes_list_the_same_embedded_components(self, name, p, e, h):
+        # the cases of the two tests above; the Groebner route drops unit
+        # components, which the certified route never builds
+        fam = family(name, p)
+        q = q_of(fam, e)
+        if h == "minors":
+            h = h_q(fam.ring, q).h
+        elif h == "closed-form":
+            h = ss_hq_closed_form(fam.seq, q)
+        else:
+            h = parse_unipoly(h, fam.ring.p)
+        cert, gb = (
+            stable_decomposition(fam, q, h, measure=False, method=m)
+            for m in ("certified", "groebner")
+        )
+        assert [c.tau for c in cert.embedded] == [c.tau for c in gb.embedded]
 
     def test_hand_built_components_random(self, rng):
         # isolated B and embedded B + (tau^s), measured over their own

@@ -396,21 +396,21 @@ class TestUnivariateColonTrivial:
         R = ring_txy(P3)
         I = IdealHandle(R, ["x^2", "y^2", "t*x*y"])
         t = parse_unipoly("t", P3)
-        assert not univariate_colon_trivial_panel(I, [t], 3)[0]
-        assert univariate_colon_trivial_panel(I, [parse_unipoly("t+1", P3)], 3)[0]
+        assert not univariate_colon_trivial_panel(SliceCache(I), [t], 3)[0]
+        assert univariate_colon_trivial_panel(SliceCache(I), [parse_unipoly("t+1", P3)], 3)[0]
 
     def test_colon_by_zero_rejected(self):
         R = ring_txy()
         I = IdealHandle(R, ["x^2", "y^2"])
         with pytest.raises(InputError):
-            univariate_colon_trivial_panel(I, [UniPoly.zero(P3)], 2)[0]
+            univariate_colon_trivial_panel(SliceCache(I), [UniPoly.zero(P3)], 2)[0]
 
     def test_panel_matches_single(self):
         R = ring_txy(P5)
         I = IdealHandle(R, ["x^2", "y^2", "t^2*x*y"])
         panel = [parse_unipoly(s, P5) for s in ("t", "t+1", "t^2+2", "t^3")]
-        together = univariate_colon_trivial_panel(I, panel, 3)
-        singly = [univariate_colon_trivial_panel(I, [g], 3)[0] for g in panel]
+        together = univariate_colon_trivial_panel(SliceCache(I), panel, 3)
+        singly = [univariate_colon_trivial_panel(SliceCache(I), [g], 3)[0] for g in panel]
         assert together == singly == [False, True, True, False]
 
     def test_panel_agrees_with_tracked_echelon_random(self, rng):
@@ -440,7 +440,7 @@ class TestUnivariateColonTrivial:
                     todo -= sl.rows
                     for k, g in enumerate(panel):
                         expected[k] = expected[k] and sl.colon_is_trivial(g)
-            assert univariate_colon_trivial_panel(I, panel, 3) == expected
+            assert univariate_colon_trivial_panel(SliceCache(I), panel, 3) == expected
 
     def test_agrees_with_groebner_colon_random(self, rng):
         # the ideals below contain every monomial of degree >= 3, so the
@@ -468,7 +468,7 @@ class TestUnivariateColonTrivial:
             for f, m in factors:
                 c = c * f ** rng.randint(0, m)
             for key, mult in ((None, None), ("c", c)):
-                fast = univariate_colon_trivial_panel(I, panel, 3, mult)
+                fast = univariate_colon_trivial_panel(SliceCache(I), panel, 3, mult)
                 base = colon(I, MultiPoly.from_unipoly(R, mult or one, "t"))
                 slow = [
                     ideal_equal(colon(I, MultiPoly.from_unipoly(R, (mult or one) * g, "t")), base)

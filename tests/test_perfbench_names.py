@@ -3,8 +3,9 @@
 `perfbench/run.py` names the functions its per-layer metrics read (in
 `layer_metrics`) and the ones it hooks (`HOOKS`) as "layer.function" or
 "layer.Class.method" strings; a name that no longer resolves makes every
-traced benchmark run fail.  This test reads run.py as text, so it needs
-nothing else from perfbench/, and skips when perfbench/ is absent.
+traced benchmark run fail.  Its `_gb_pre` hook also reads the private
+basis cache of `IdealHandle`.  These tests read run.py as text, so they
+need nothing else from perfbench/, and skip when perfbench/ is absent.
 """
 
 import ast
@@ -13,6 +14,9 @@ import inspect
 import os
 
 import pytest
+
+from frobgrow.fpoly import PrimeModulus, RingSpec
+from frobgrow.groebner import IdealHandle
 
 RUN_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
 LAYERS = ("cli", "decomposer", "ktmodule", "groebner", "hq", "fpoly", "kernels")
@@ -55,12 +59,33 @@ def _resolves(name):
     return inspect.isclass(obj) and inspect.isfunction(vars(obj).get(method))
 
 
-def test_traced_function_names_resolve():
+def _run_py_tree():
     if not os.path.exists(RUN_PY):
         pytest.skip("no perfbench/ in this checkout")
     with open(RUN_PY) as fh:
-        names = _traced_names(ast.parse(fh.read()))
+        return ast.parse(fh.read())
+
+
+def test_traced_function_names_resolve():
+    names = _traced_names(_run_py_tree())
     # the parse found the lookups and the hooks
     assert {"ktmodule.SliceCache.member", "hq.minors_lcm"} <= names
     missing = sorted(n for n in names if not _resolves(n))
     assert not missing, f"perfbench/run.py names functions frobgrow lacks: {missing}"
+
+
+def test_groebner_cache_hook_sees_the_basis():
+    # _gb_pre reads IdealHandle's private basis cache to tell a cache hit
+    # from a Buchberger run; it is loaded alone from run.py's syntax tree
+    fn = next(
+        n for n in _run_py_tree().body
+        if isinstance(n, ast.FunctionDef) and n.name == "_gb_pre"
+    )
+    namespace = {}
+    exec(compile(ast.Module(body=[fn], type_ignores=[]), RUN_PY, "exec"), namespace)
+    gb_pre = namespace["_gb_pre"]
+    ring = RingSpec(PrimeModulus(2), (("t", 0), ("x", 1), ("y", 1)))
+    ideal = IdealHandle(ring, ["x^2", "t*x*y"])
+    assert gb_pre(None, (ideal,), {}) is False
+    ideal.groebner_basis()
+    assert gb_pre(None, (ideal,), {}) is True
