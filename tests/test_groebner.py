@@ -1,3 +1,7 @@
+import json
+import os
+import random
+
 import pytest
 
 from frobgrow.budgets import Budgets
@@ -437,3 +441,61 @@ class TestQuotientRingConvention:
         I = IdealHandle(R, ["x^2", "y^2"])
         # t*x*y = relation - x^2 - y^2 lies in the ideal of the quotient
         assert normal_form(parse_poly("t*x*y", R), I).is_zero
+
+
+# generator lists of intersect, colon, eliminate and saturate on fixed
+# seeded inputs, in order, as format_multipoly text
+PINNED = os.path.join(os.path.dirname(__file__), "golden", "ideal_ops.json")
+
+
+def pinned_cases():
+    """(name, I, J, f, front): three seeded cases for each of F_2, F_3
+    and F_5, in F_p[t, x, y] and in F_p[t, _w, y] with a relation, whose
+    variable _w carries the name that intersection's auxiliary variable
+    once had; each case eliminates a different variable."""
+    for p in (P2, P3, P5):
+        for names, rels in ((("t", "x", "y"), ()), (("t", "_w", "y"), ("_w*y^2+t*_w^2*y",))):
+            R = RingSpec(p, ((names[0], 0), (names[1], 1), (names[2], 1)), rels)
+            rng = random.Random(1000 * p.p + len(rels))
+
+            def poly(nterms):
+                return MultiPoly(R, {
+                    tuple(rng.randrange(3) for _ in range(3)): rng.randrange(1, p.p)
+                    for _ in range(nterms)
+                })
+
+            for k in range(3):
+                gens_i = [poly(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+                gens_j = [poly(rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+                f = poly(rng.randint(1, 2))
+                if f.constant_value() is not None:
+                    f = f + R.variable(1)
+                yield (
+                    f"p{p.p}_{names[1]}_{k}",
+                    IdealHandle(R, [g for g in gens_i if not g.is_zero]),
+                    IdealHandle(R, [g for g in gens_j if not g.is_zero]),
+                    f,
+                    ([names[1]], [names[2]], ["t"])[k],
+                )
+
+
+def pinned_outputs(I, J, f, front):
+    def text(K):
+        return [format_multipoly(g) for g in K.generators]
+
+    sat = saturate(I, f)
+    return {
+        "intersect": text(intersect(I, J)),
+        "colon": text(colon(I, f)),
+        "eliminate": text(eliminate(I, front)),
+        "saturate": text(sat.ideal),
+        "saturate_exponent": sat.stabilization_exponent,
+    }
+
+
+class TestPinnedOperations:
+    @pytest.mark.parametrize("case", list(pinned_cases()), ids=lambda c: c[0])
+    def test_generator_lists_are_pinned(self, case):
+        name, I, J, f, front = case
+        with open(PINNED) as fh:
+            assert pinned_outputs(I, J, f, front) == json.load(fh)[name]
