@@ -20,6 +20,7 @@ radical check finds (see primary_sanity).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -281,7 +282,8 @@ def stable_decomposition(
     if certified and not _certifiable(fam):
         raise InputError(
             "certified decomposition needs a variable-generated ideal, "
-            "one weight-zero variable, and weighted-homogeneous relations"
+            "one weight-zero variable, and weighted-homogeneous relations "
+            "of positive x-degree"
         )
     Iq = frobenius_generators(fam.ideal, q)
     h_monic = h.monic()
@@ -572,14 +574,9 @@ def primary_sanity(
     if member(MultiPoly.const(ring, 1)):
         return SanityVerdict(False, "component is the unit ideal")
     for g in C.radical_generators:
-        power = g
-        found = False
-        for _ in range(12):  # powers up to g^4096, under the exponent cap
-            if member(power):
-                found = True
-                break
-            power = power * power
-        if not found:
+        # g, g^2, ..., g^4096, under the exponent cap
+        powers = itertools.accumulate(range(12), lambda f, _: f * f, initial=g)
+        if not any(member(f) for f in powers):
             return SanityVerdict(
                 False, f"no power of {format_multipoly(g)} found in the ideal"
             )

@@ -472,11 +472,6 @@ class RingSpec:
         exps[i] = 1
         return MultiPoly(self, {tuple(exps): 1})
 
-    def extend(self, extra_variables) -> "RingSpec":
-        """Ring with extra variables appended; relations dropped (used for
-        internal elimination constructions only)."""
-        return RingSpec(self.p, self.variables + tuple(extra_variables))
-
     def same_ambient(self, other: "RingSpec") -> bool:
         return self.p == other.p and self.variables == other.variables
 
@@ -572,9 +567,6 @@ class MultiPoly:
             if not any(m):
                 return c
         return None
-
-    def uses_variable(self, i: int) -> bool:
-        return any(m[i] for m in self._terms)
 
     def to_unipoly(self, var) -> UniPoly:
         """View a polynomial supported on one variable as a UniPoly."""

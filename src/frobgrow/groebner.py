@@ -5,6 +5,13 @@ pair criteria), normal forms, membership, equality, elimination,
 intersection, colon, saturation, and an independent bounded-degree
 linear-algebra membership oracle.
 
+Elimination is one computation (`_eliminated`): a reduced basis in an
+elimination order, keeping the elements whose lead is free of the
+eliminated block.  `eliminate` runs it on the ring's variables;
+intersection runs it on w*A + (1-w)*B, with w one extra exponent slot
+past the ring's variables, and colon and saturation go through
+intersection.
+
 Quotient rings never get a separate arithmetic layer: every IdealHandle
 silently carries its ring's relations, so all computations happen in the
 ambient polynomial ring.
@@ -258,7 +265,8 @@ class IdealHandle:
         return self._basis[0]
 
     def contains(self, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> bool:
-        return normal_form(f, self, budgets=budgets).is_zero
+        order, basis = _basis_for(self, budgets)
+        return not _nf_raw(_to_raw(f, order), basis, order, self.ring.p.p)
 
     def is_unit_ideal(self, budgets=DEFAULT_BUDGETS) -> bool:
         gb = self.groebner_basis(budgets=budgets)
@@ -296,33 +304,38 @@ def ideal_equal(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> bool
     return I.groebner_basis(budgets=budgets) == J.groebner_basis(budgets=budgets)
 
 
-_AUX_NAME = "_w"
+def _eliminated(raws, order: orders.MonomialOrder, p: int, front, budgets) -> list[_BasisElt]:
+    """The reduced basis of the raw generators in `order`, an elimination
+    order whose front block, the variable indices `front`, is compared
+    first, keeping the elements whose lead has no variable of `front`:
+    any term in `front` would outrank such a lead, so they have none."""
+    basis = _buchberger(raws, order, p, budgets)
+    return [g for g in basis if not any(g.lead_exps[i] for i in front)]
 
 
 def _intersect_gens(ring: RingSpec, gens_a, gens_b, budgets):
-    """Generators of (gens_a) intersect (gens_b) via the single auxiliary
-    variable construction: eliminate w from w*A + (1-w)*B."""
-    aux = _AUX_NAME
-    while aux in ring.names:
-        aux += "_"
-    ext = ring.extend(((aux, 1),))
-    wi = ext.nvars - 1
-    w = ext.variable(wi)
-    one_minus_w = MultiPoly.const(ext, 1) - w
+    """Generators of (gens_a) intersect (gens_b): eliminate w from
+    w*A + (1-w)*B, with w the exponent slot n past the ring's n variables."""
+    n, p = ring.nvars, ring.p.p
+    order = orders.block(ring.weights + (1,), (n,))
 
-    def lift(f: MultiPoly) -> MultiPoly:
-        return MultiPoly(ext, {m + (0,): c for m, c in f._terms.items()})
+    def times(w_poly, g):  # raw terms of w_poly * g, w_poly's coefficients from w^0 up
+        return sorted(
+            (
+                (order.key(m + (e,)), c * s % p)
+                for m, c in g._terms.items()
+                for e, s in enumerate(w_poly)
+                if s
+            ),
+            reverse=True,
+        )
 
-    ext_gens = [w * lift(g) for g in gens_a if not g.is_zero]
-    ext_gens += [one_minus_w * lift(g) for g in gens_b if not g.is_zero]
-    order = orders.block(ext.weights, (wi,))
-    basis = _buchberger([_to_raw(g, order) for g in ext_gens], order, ring.p.p, budgets)
-    out = []
-    for g in basis:
-        mp = _from_raw(ext, order, g.terms)
-        if not mp.uses_variable(wi):
-            out.append(MultiPoly(ring, {m[:-1]: c for m, c in mp._terms.items()}))
-    return out
+    raws = [times((0, 1), g) for g in gens_a if not g.is_zero]
+    raws += [times((1, -1), g) for g in gens_b if not g.is_zero]
+    return [
+        MultiPoly(ring, {order.exps(k)[:n]: c for k, c in g.terms})
+        for g in _eliminated(raws, order, p, (n,), budgets)
+    ]
 
 
 def intersect(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> IdealHandle:
@@ -391,14 +404,8 @@ def eliminate(I: IdealHandle, front, budgets=DEFAULT_BUDGETS) -> IdealHandle:
             raise InputError(f"variable index {i} out of range")
     order = orders.block(ring.weights, front_idx)
     raws = [_to_raw(g, order) for g in I.effective_generators() if not g.is_zero]
-    basis = _buchberger(raws, order, ring.p.p, budgets)
-    out = []
-    front_set = set(front_idx)
-    for g in basis:
-        mp = _from_raw(ring, order, g.terms)
-        if not any(mp.uses_variable(i) for i in front_set):
-            out.append(mp)
-    return IdealHandle(ring, out)
+    kept = _eliminated(raws, order, ring.p.p, front_idx, budgets)
+    return IdealHandle(ring, [_from_raw(ring, order, g.terms) for g in kept])
 
 
 def power_containment(P: IdealHandle, Q: IdealHandle, budgets=DEFAULT_BUDGETS) -> int:

@@ -180,7 +180,7 @@ class TestStableDecomposition:
         R = RingSpec(P3, R.variables, rels)
         fam = FamilySpec("custom", R, IdealHandle(R, ["x", "y"]))
         q, h = q_of(fam, 1), parse_unipoly("t*(t-1)", P3)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="relations of positive x-degree"):
             stable_decomposition(fam, q, h, method="certified")
         rep = stable_decomposition(fam, q, h)
         assert rep.method == "groebner"
@@ -653,6 +653,15 @@ class TestPrimarySanity:
             )
             with pytest.raises(InputError):
                 primary_sanity(C, 5)
+
+    def test_radical_check_reaches_the_4096th_power(self):
+        # the first power of x in (x^q, y^q) is x^q: found up to q = 4096
+        R = RingSpec(P2, (("t", 0), ("x", 1), ("y", 1)))
+        rad = (parse_poly("x", R), parse_poly("y", R))
+        C = PrimaryComponent(IdealHandle(R, ["x^4096", "y^4096"]), rad)
+        assert primary_sanity(C, 3) == SanityVerdict(True)
+        C = PrimaryComponent(IdealHandle(R, ["x^8192", "y^8192"]), rad)
+        assert primary_sanity(C, 3) == SanityVerdict(False, "no power of x found in the ideal")
 
     def test_unit_ideal_fails(self):
         R = RingSpec(P2, (("t", 0), ("x", 1)))
