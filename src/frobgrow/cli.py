@@ -138,9 +138,12 @@ def _string_list(data: dict, key: str, default=None) -> list:
 def _resolve_family(name, ring_file, p, seq=None) -> FamilySpec:
     if (name is None) == (ring_file is None):
         raise InputError("exactly one of --family and --ring-file is required")
-    if ring_file is not None:
-        return load_ring_file(ring_file)
-    return family(name, p, seq)
+    if ring_file is None:
+        return family(name, p, seq)
+    fam = load_ring_file(ring_file)
+    if fam.ring.p.p != p:
+        raise InputError(f"ring file prime {fam.ring.p.p} differs from --p {p}")
+    return fam
 
 
 def _factor_text(factors) -> str:

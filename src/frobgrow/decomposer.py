@@ -12,10 +12,11 @@ in the isolated component Q and in the proof of the intersection
 equality.  On the certified route the degree K of Q, the growth
 exponents and Q's colon panel are all read off the slice invariants of
 I^[q] (free rank and largest invariant factor of each S_b / I^[q]_b);
-the Groebner route finds each growth exponent by one ascending search
-over products of normal forms instead.  On both routes an embedded
-component's colons are settled by the power of its tau that the
-radical check finds (see primary_sanity).
+the Groebner route proves the equality by one colon Q : h (the
+splitting lemma) and finds each growth exponent by one ascending search
+over products of normal forms.  On both routes an embedded component's
+colons are settled by the power of its tau that the radical check
+finds (see primary_sanity).
 """
 
 from __future__ import annotations
@@ -39,15 +40,7 @@ from .fpoly import (
     uni_gcd,
     x_degree,
 )
-from .groebner import (
-    IdealHandle,
-    colon,
-    eliminate,
-    ideal_equal,
-    intersect,
-    power_containment,
-    saturate,
-)
+from .groebner import IdealHandle, colon, eliminate, power_containment, saturate
 from .hq import HqCertificate
 from .ktmodule import SliceCache, contraction_colon, univariate_colon_trivial_panel
 from .orders import monomials_of_degree
@@ -259,15 +252,18 @@ def stable_decomposition(
     """I^[q] = Q meet the components I^[q] + (tau_i^{s_i}).
 
     One pipeline: h is factored once, its product checked, each
-    irreducible factor tau^s gives one embedded component, and every
+    irreducible factor tau^s gives one embedded component, an exact
+    Bezout certificate reduces their meet to I^[q] + (h), and every
     growth exponent is measured.  The routes differ only in Q and in the
-    proof of the intersection equality.  method "groebner" takes
-    Q = colon(I^[q], h) and recomputes the equality from scratch by
-    elimination.  method "certified" builds Q = I^[q] + (weighted vars)^K
-    (see _certified_isolated), inside colon(I^[q], h) by construction,
-    reduces the multi-component intersection to I^[q] + (h) by an exact
-    Bezout certificate, and settles the remaining equality degree by
-    degree.  "auto" picks certified whenever the family shape supports it.
+    proof of the remaining equality Q meet (I^[q] + (h)) = I^[q].
+    method "groebner" takes Q = colon(I^[q], h) and proves it by the
+    splitting lemma: it holds iff I^[q] : h = I^[q] : h^2, that is iff
+    Q : h lies in Q.  A generator g of Q : h outside Q fails it, and
+    h*g, which lies in the meet but not in I^[q], is the witness.
+    method "certified" builds Q = I^[q] + (weighted vars)^K (see
+    _certified_isolated), inside colon(I^[q], h) by construction, and
+    settles the equality degree by degree.  "auto" picks certified
+    whenever the family shape supports it.
     """
     if h.is_zero:
         raise InputError("the separating polynomial h must be nonzero")
@@ -296,7 +292,8 @@ def stable_decomposition(
         Q, K = _certified_isolated(Iq, h_monic, slices, cap, notes)
     else:
         slices = cap = K = None
-        Q = colon(Iq, MultiPoly.from_unipoly(ring, h, "t"), budgets)
+        h_multi = MultiPoly.from_unipoly(ring, h, "t")
+        Q = colon(Iq, h_multi, budgets)
     isolated = PrimaryComponent(ideal=Q, radical_generators=w1, cap_degree=K, slices=slices)
     factors = list(uni_factor(h_monic, seed)) if h.degree > 0 else []
     prod = UniPoly.one(ring.p)
@@ -325,30 +322,24 @@ def stable_decomposition(
                 slices=slices,
             )
         )
-    verified, witness = True, None
-    if certified:
-        if len(factors) > 1:
-            _bezout_one_certificate(factors, h_monic)
+    if len(factors) > 1:  # proves the embedded components meet in I^[q] + (h)
+        _bezout_one_certificate(factors, h_monic)
+        if certified:
             notes.append(
                 "multi-component intersection reduced to I^[q] + (h) by an "
                 "exact Bezout certificate over k[t]"
             )
+    verified, witness = True, None
+    if certified:
         notes.append(
             "intersection equality settled degree by degree: below the "
             "monomial degree the isolated component adds nothing, above it "
             "the boundary reductions push I^[q] + (h) into I^[q]"
         )
-    else:
-        inter = Q
-        for comp in embedded:
-            inter = intersect(inter, comp.ideal, budgets)
-        verified = ideal_equal(inter, Iq, budgets)
-        if not verified:  # a basis element of one side outside the other
-            witness = next(
-                (format_multipoly(g) for A, B in ((inter, Iq), (Iq, inter))
-                 for g in A.groebner_basis(budgets=budgets) if not B.contains(g, budgets)),
-                None,
-            )
+    else:  # Q meet (I^[q] + (h)) = I^[q] iff Q : h = Q (splitting lemma)
+        escape = _colon_escape(Q, h_multi, budgets)
+        if escape is not None:  # h*g lies in that meet but not in I^[q]
+            verified, witness = False, format_multipoly(h_multi * escape)
     bound_ok = True  # the paper bounds each embedded exponent by n*q + s_i, n = len(w1)
     if measure:
         isolated.measured_exponent = growth_exponent(isolated, budgets)
@@ -447,6 +438,14 @@ def _bezout_one_certificate(factors, h_monic: UniPoly):
             witness=format_unipoly(total),
         )
     return coeffs
+
+
+def _colon_escape(C: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS):
+    """The first generator of C : f outside C, or None: C lies in C : f,
+    so C : f = C exactly when every generator of C : f reduces to zero
+    modulo C's basis."""
+    quotients = colon(C, f, budgets).generators
+    return next((g for g in quotients if not C.contains(g, budgets)), None)
 
 
 def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
@@ -594,17 +593,16 @@ def primary_sanity(
         bad = next((g for g, ok in zip(panel, stable) if not ok), None)
     else:
 
-        def unchanged(g):  # C lies in C : g, so equality is the reverse containment
-            quotients = colon(C.ideal, MultiPoly.from_unipoly(ring, g, "t"), budgets)
-            return all(C.ideal.contains(f, budgets) for f in quotients.generators)
+        def escapes(g):
+            f = MultiPoly.from_unipoly(ring, g, "t")
+            return _colon_escape(C.ideal, f, budgets) is not None
 
         product = panel[0]
         for g in panel[1:]:
             product = product * g
-        if unchanged(product):
-            bad = None
-        else:  # some g is a zero divisor: the first one, or the last if no other is
-            bad = next((g for g in panel[:-1] if not unchanged(g)), panel[-1])
+        bad = None
+        if escapes(product):  # some g is a zero divisor: the first, or the last if no other is
+            bad = next((g for g in panel[:-1] if escapes(g)), panel[-1])
     if bad is not None:
         return SanityVerdict(False, f"colon by {format_unipoly(bad)} changed the ideal")
     return SanityVerdict(True)

@@ -331,6 +331,10 @@ def h_q(
     seed: int = 0,
 ) -> HqCertificate:
     """lcm of the minor-lcms of every M_d, factored and bounded."""
+    if q.p != ring.p:
+        raise InputError(
+            f"characteristic mismatch: q is a power of {q.p.p}, ring has {ring.p.p}"
+        )
     n = len(ring.weight1_indices())
     acc = UniPoly.one(ring.p)
     examined = 0

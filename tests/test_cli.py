@@ -175,9 +175,9 @@ class TestDecompose:
         assert "wall_seconds" in res.stderr
 
     @pytest.mark.parametrize("args,least", [
-        (("--family", "katzman", "--p", "2", "--q", "4"), 24),
+        (("--family", "katzman", "--p", "2", "--q", "4"), 22),
         (("--family", "ss5", "--p", "2", "--q", "2", "--h", "closed-form"), 31),
-        (("--family", "katzman", "--p", "5", "--q", "5"), 36),
+        (("--family", "katzman", "--p", "5", "--q", "5"), 29),
     ])
     def test_least_gb_pairs(self, runner, args, least):
         # pins the S-pair sequence: the most pairs any one basis reduces
@@ -364,6 +364,9 @@ class TestRelationErrors:
               "variables": [{"name": "t", "weight": 0}, {"name": "x", "weight": 1},
                             {"name": "y", "weight": 1}]},
              "error: relation not homogeneous of positive degree: t^2 + t\n"),
+            (("saturate", "--z", "y", "--q-list", "3"),
+             dict(CONE_RING, prime=3),
+             "error: ring file prime 3 differs from --p 2\n"),
         ],
     )
     def test_exit_2_with_message(self, runner, tmp_path, argv, ring, message):

@@ -34,7 +34,7 @@ from frobgrow.fpoly import (
     uni_gcd,
 )
 from frobgrow import decomposer, groebner
-from frobgrow.groebner import IdealHandle, ideal_equal
+from frobgrow.groebner import IdealHandle, ideal_equal, intersect
 from frobgrow.hq import h_q
 from frobgrow.ktmodule import SliceCache, slice_power_containment
 from frobgrow.orders import monomials_of_degree
@@ -500,6 +500,81 @@ class TestRouteAgreement:
         )
         with pytest.raises(InputError):
             growth_exponent(C)
+
+
+def chain_verdict(rep, Iq):
+    """The equality by the chain the splitting lemma replaces: Q meet
+    every embedded component, compared with I^[q]."""
+    inter = rep.isolated.ideal
+    for comp in rep.embedded:
+        inter = intersect(inter, comp.ideal)
+    return ideal_equal(inter, Iq)
+
+
+class TestSplittingLemma:
+    """The Groebner route's Q : h = Q against the chain of intersections."""
+
+    def assert_agrees_with_chain(self, fam, q, h):
+        rep = stable_decomposition(fam, q, h, method="groebner", measure=False)
+        Iq = frobenius_generators(fam.ideal, q)
+        assert rep.intersection_verified == chain_verdict(rep, Iq)
+        if rep.intersection_verified:
+            assert rep.witness is None
+        else:  # h*g with g in Q : h outside Q: in the meet, not in I^[q]
+            w = parse_poly(rep.witness, fam.ring)
+            assert rep.isolated.ideal.contains(w)
+            assert all(c.ideal.contains(w) for c in rep.embedded)
+            assert not Iq.contains(w)
+        return rep
+
+    def test_random_rings_agree_with_the_chain(self, rng):
+        verdicts = []
+        for _ in range(20):
+            fam = random_certifiable_family(rng)
+            p = fam.ring.p
+            for e in (1, 2):
+                coeffs = [rng.randrange(p.p) for _ in range(rng.randint(1, 3))]
+                h = UniPoly(p, coeffs + [rng.randrange(1, p.p)])
+                rep = self.assert_agrees_with_chain(fam, PrimePower(p, e), h)
+                verdicts.append(rep.intersection_verified)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("h,witness", [
+        ("t", "t*u^2*v^2*x^2*y^2"),
+        ("t^2+t", "t^2*u^3*v^2*x^2*y + t*u^3*v^2*x^2*y"),
+    ])
+    def test_ss5_h_that_does_not_separate(self, h, witness):
+        fam = family("ss5", 2)
+        rep = self.assert_agrees_with_chain(fam, q_of(fam, 2), parse_unipoly(h, P2))
+        assert not rep.intersection_verified and rep.witness == witness
+
+    @pytest.mark.parametrize("name,p,e,h", [
+        ("katzman", 2, 2, "t^4+t"),
+        ("ss5", 2, 2, "t"),
+    ])
+    def test_no_intersection_and_no_ideal_comparison(self, name, p, e, h, monkeypatch):
+        fam = family(name, p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Groebner route compared ideals")
+
+        monkeypatch.setattr(groebner, "intersect", refuse)
+        monkeypatch.setattr(groebner, "ideal_equal", refuse)
+        assert not hasattr(decomposer, "intersect")
+        assert not hasattr(decomposer, "ideal_equal")
+        stable_decomposition(fam, q_of(fam, e), parse_unipoly(h, fam.ring.p), method="groebner")
+
+    @pytest.mark.parametrize("method", ["certified", "groebner"])
+    def test_both_routes_take_the_bezout_certificate(self, method, monkeypatch):
+        calls = []
+        real = decomposer._bezout_one_certificate
+        monkeypatch.setattr(
+            decomposer, "_bezout_one_certificate",
+            lambda factors, h: calls.append(len(factors)) or real(factors, h),
+        )
+        fam = family("katzman", 2)
+        stable_decomposition(fam, q_of(fam, 2), parse_unipoly("t^4+t", P2), method=method)
+        assert calls == [3]
 
 
 def sanity_panel(p, tau, size, seed):

@@ -12,6 +12,7 @@ from frobgrow.fpoly import (
     PrimePower,
     UniPoly,
     format_unipoly,
+    frobenius_generators,
     parse_unipoly,
     uni_lcm,
     x_degree,
@@ -405,6 +406,18 @@ class TestHq:
         second = h_q(fam.ring, q)
         assert n_first > 0 and len(calls) == 2 * n_first
         assert first.h == second.h
+
+    def test_q_must_be_a_power_of_the_characteristic(self):
+        # the refusal frobenius_generators gives for the same mismatch
+        fam = family("katzman", 2)
+        q = PrimePower(P3, 1)
+        with pytest.raises(InputError) as hq_error:
+            h_q(fam.ring, q)
+        with pytest.raises(InputError) as frobenius_error:
+            frobenius_generators(fam.ideal, q)
+        assert str(hq_error.value) == str(frobenius_error.value) == (
+            "characteristic mismatch: q is a power of 3, ring has 2"
+        )
 
     def test_json_round_trip_fields(self):
         fam = family("katzman", 2)
