@@ -7,7 +7,8 @@ answer.  FROBGROW_BUDGET_SCALE multiplies every limit.
 wall_seconds is a deadline, started by `wall_clock` (each CLI command
 runs inside one) and read by `check_deadline`.  The Groebner engine
 checks it once per S-pair it reduces, the least-power search once per
-product, the degree-slice engine once per slice it builds and once per
+product, the saturation exponent search once per exponent, the
+degree-slice engine once per slice it builds and once per
 degree whose invariants it computes, and the minors scan once per
 minor size and once per row-set group of the size before.  Outside a
 `wall_clock` block nothing checks it.
@@ -30,7 +31,7 @@ class Budgets:
     gb_basis: int = 20_000  # intermediate basis size
     minor_subsets: int = 250_000  # square submatrices examined per M_d
     oracle_dim: int = 20_000  # max rows/columns of the membership system
-    saturation_steps: int = 256  # colon iterations in a saturation
+    saturation_steps: int = 256  # a saturation's exponent search tries 0..steps-1
     power_products: int = 5_000_000  # products one least-exponent search examines
     wall_seconds: float = 600.0
 

@@ -40,7 +40,7 @@ from .fpoly import (
     uni_gcd,
     x_degree,
 )
-from .groebner import IdealHandle, colon, eliminate, power_containment, saturate
+from .groebner import IdealHandle, colon, eliminate, power_containment, saturation_exponent
 from .hq import HqCertificate
 from .ktmodule import SliceCache, contraction_colon, univariate_colon_trivial_panel
 from .orders import monomials_of_degree
@@ -620,9 +620,9 @@ def saturation_growth(fam: FamilySpec, z: MultiPoly, q_list, budgets=DEFAULT_BUD
     for q in q_list:
         q = q if isinstance(q, PrimePower) else PrimePower.from_value(fam.ring.p.p, q)
         Iq = frobenius_generators(fam.ideal, q)
-        result = saturate(Iq, z, budgets)
-        rows.append((q, result.stabilization_exponent))
-        ratio = max(ratio, result.stabilization_exponent / q.q)
+        n = saturation_exponent(Iq, z, budgets)
+        rows.append((q, n))
+        ratio = max(ratio, n / q.q)
     return rows, ratio
 
 

@@ -7,10 +7,12 @@ linear-algebra membership oracle.
 
 Elimination is one computation (`_eliminated`): a reduced basis in an
 elimination order, keeping the elements whose lead is free of the
-eliminated block.  `eliminate` runs it on the ring's variables;
-intersection runs it on w*A + (1-w)*B, with w one extra exponent slot
-past the ring's variables, and colon and saturation go through
-intersection.
+eliminated block.  `eliminate` runs it on the ring's variables.  With w
+one extra exponent slot past the ring's variables, intersection runs it
+on w*A + (1-w)*B, and colon goes through intersection; the saturation
+I : f^infinity runs it on I + (1 - w*f), and `saturation_exponent` finds
+the chain's stabilization exponent from that by normal forms.  `saturate`
+keeps the colon chain itself as the tests' independent reference.
 
 Quotient rings never get a separate arithmetic layer: every IdealHandle
 silently carries its ring's relations, so all computations happen in the
@@ -313,29 +315,55 @@ def _eliminated(raws, order: orders.MonomialOrder, p: int, front, budgets) -> li
     return [g for g in basis if not any(g.lead_exps[i] for i in front)]
 
 
-def _intersect_gens(ring: RingSpec, gens_a, gens_b, budgets):
-    """Generators of (gens_a) intersect (gens_b): eliminate w from
-    w*A + (1-w)*B, with w the exponent slot n past the ring's n variables."""
-    n, p = ring.nvars, ring.p.p
-    order = orders.block(ring.weights + (1,), (n,))
+def _w_order(ring: RingSpec) -> orders.MonomialOrder:
+    """The ring's order with one more exponent slot, w, at index n past
+    the ring's n variables, in an elimination block of its own."""
+    return orders.block(ring.weights + (1,), (ring.nvars,))
 
-    def times(w_poly, g):  # raw terms of w_poly * g, w_poly's coefficients from w^0 up
-        return sorted(
-            (
-                (order.key(m + (e,)), c * s % p)
-                for m, c in g._terms.items()
-                for e, s in enumerate(w_poly)
-                if s
-            ),
-            reverse=True,
-        )
 
-    raws = [times((0, 1), g) for g in gens_a if not g.is_zero]
-    raws += [times((1, -1), g) for g in gens_b if not g.is_zero]
+def _w_times(order: orders.MonomialOrder, p: int, w_poly, g: MultiPoly):
+    """Raw terms of w_poly * g in a `_w_order`, w_poly's coefficients
+    from w^0 up."""
+    return sorted(
+        (
+            (order.key(m + (e,)), c * s % p)
+            for m, c in g._terms.items()
+            for e, s in enumerate(w_poly)
+            if s
+        ),
+        reverse=True,
+    )
+
+
+def _w_free(ring: RingSpec, order: orders.MonomialOrder, raws, budgets):
+    """Generators of the ideal of `raws` (in a `_w_order`) intersected
+    with the ring: eliminate w, then drop its slot."""
+    n = ring.nvars
     return [
         MultiPoly(ring, {order.exps(k)[:n]: c for k, c in g.terms})
-        for g in _eliminated(raws, order, p, (n,), budgets)
+        for g in _eliminated(raws, order, ring.p.p, (n,), budgets)
     ]
+
+
+def _intersect_gens(ring: RingSpec, gens_a, gens_b, budgets):
+    """Generators of (gens_a) intersect (gens_b): eliminate w from
+    w*A + (1-w)*B."""
+    order, p = _w_order(ring), ring.p.p
+    raws = [_w_times(order, p, (0, 1), g) for g in gens_a if not g.is_zero]
+    raws += [_w_times(order, p, (1, -1), g) for g in gens_b if not g.is_zero]
+    return _w_free(ring, order, raws, budgets)
+
+
+def _saturation_gens(I: IdealHandle, f: MultiPoly, budgets):
+    """Generators of I : f^infinity in one elimination: eliminate w from
+    I + (1 - w*f)."""
+    if f.is_zero:
+        raise InputError("saturation by zero")
+    order, p = _w_order(I.ring), I.ring.p.p
+    raws = [_w_times(order, p, (1,), g) for g in I.effective_generators() if not g.is_zero]
+    # 1 is the least monomial, so appending it keeps the terms in order
+    raws.append(_w_times(order, p, (0, -1), f) + [(order.one, 1)])
+    return _w_free(I.ring, order, raws, budgets)
 
 
 def intersect(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> IdealHandle:
@@ -380,7 +408,9 @@ def colon(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> IdealHandle:
 
 def saturate(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> SaturationResult:
     """Iterated colon until stabilization; the exponent N satisfies
-    I : f^N = I : f^(N+1) = I : f^infinity."""
+    I : f^N = I : f^(N+1) = I : f^infinity.  One colon and one reduced
+    basis per step: no production caller, this chain is the tests'
+    independent reference for `saturation_exponent`."""
     if f.is_zero:
         raise InputError("saturation by zero")
     current = I
@@ -390,6 +420,41 @@ def saturate(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> Saturatio
             return SaturationResult(current, n)
         current = nxt
     raise BudgetExceeded("saturation_steps", budgets.saturation_steps)
+
+
+def saturation_exponent(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> int:
+    """The stabilization exponent N of `saturate`, without the colon chain.
+
+    The chain I : f^n ascends and is stable from its first repeat on, at
+    J = I : f^infinity; and I : f^n = J exactly when f^n * J lies in I.
+    So N is the least n with f^n * g in I for every generator g of J,
+    which comes from one elimination (`_saturation_gens`).  The search
+    keeps the nonzero normal forms of f^n * g modulo I's reduced basis,
+    as raw terms, and multiplies them by f as key sums:
+    NF(f * h) = NF(f * NF(h)).  Each step checks the wall-clock deadline;
+    N >= budgets.saturation_steps raises BudgetExceeded, where the chain
+    would."""
+    gens = _saturation_gens(I, f, budgets)
+    order, basis = _basis_for(I, budgets)
+    p, one = I.ring.p.p, order.one
+    fraw = _to_raw(f, order)
+
+    def nf(raw):
+        return _nf_raw(raw, basis, order, p)
+
+    survivors = [r for g in gens if (r := nf(_to_raw(g, order)))]
+    n = 0
+    while survivors:
+        n += 1
+        if n >= budgets.saturation_steps:
+            raise BudgetExceeded("saturation_steps", budgets.saturation_steps)
+        budgets_mod.check_deadline()
+        survivors = [
+            r
+            for h in survivors
+            if (r := nf([(kh + kf - one, ch * cf) for kh, ch in h for kf, cf in fraw]))
+        ]
+    return n
 
 
 def eliminate(I: IdealHandle, front, budgets=DEFAULT_BUDGETS) -> IdealHandle:

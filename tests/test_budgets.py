@@ -8,8 +8,8 @@ from click.testing import CliRunner
 from frobgrow.budgets import Budgets, check_deadline, wall_clock
 from frobgrow.cli import main
 from frobgrow.errors import BudgetExceeded, InputError
-from frobgrow.fpoly import PrimeModulus, RingSpec, parse_unipoly
-from frobgrow.groebner import IdealHandle, power_containment
+from frobgrow.fpoly import PrimeModulus, RingSpec, parse_poly, parse_unipoly
+from frobgrow.groebner import IdealHandle, power_containment, saturation_exponent
 from frobgrow.hq import MinorMatrix, minors_lcm
 from frobgrow.ktmodule import DegreeSlice, SliceCache
 
@@ -87,6 +87,16 @@ class TestWallClock:
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 power_containment(P, Q)
         assert power_containment(P, Q) == 3
+
+    def test_saturation_exponent_checks_it(self):
+        # I^[8] of the cone's ruling (x, z) in k[x,y,z]/(z^2 + xy), by y
+        R = RingSpec(PrimeModulus(2), (("x", 1), ("y", 1), ("z", 1)), ("z^2+x*y",))
+        I, y = IdealHandle(R, ["x^8", "z^8"]), parse_poly("y", R)
+        with wall_clock(Budgets(wall_seconds=1e-9)):
+            time.sleep(0.001)
+            with pytest.raises(BudgetExceeded, match="wall_seconds"):
+                saturation_exponent(I, y)
+        assert saturation_exponent(I, y) == 4
 
     def test_slice_engine_checks_it(self):
         R = RingSpec(PrimeModulus(3), (("t", 0), ("x", 1), ("y", 1)))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from frobgrow.budgets import Budgets
 from frobgrow.decomposer import (
     FamilySpec,
     PrimaryComponent,
@@ -20,7 +21,7 @@ from frobgrow.decomposer import (
     stable_decomposition,
     witness_colon,
 )
-from frobgrow.errors import InputError, VerificationError
+from frobgrow.errors import BudgetExceeded, InputError, VerificationError
 from frobgrow.fpoly import (
     MultiPoly,
     PrimeModulus,
@@ -763,6 +764,16 @@ class TestSaturationGrowth:
         rows, ratio = saturation_growth(fam, parse_poly("y", fam.ring), [2, 4, 8])
         assert [(q.q, n) for q, n in rows] == [(2, 1), (4, 2), (8, 4)]
         assert ratio == 0.5
+
+    def test_saturation_steps_bound_the_exponent(self):
+        # N_8 = 4: raised exactly when N >= saturation_steps, as the chain does
+        fam = cone_family()
+        y = parse_poly("y", fam.ring)
+        with pytest.raises(BudgetExceeded) as exc:
+            saturation_growth(fam, y, [8], Budgets(saturation_steps=4))
+        assert exc.value.budget_name == "saturation_steps"
+        rows, _ = saturation_growth(fam, y, [8], Budgets(saturation_steps=5))
+        assert [(q.q, n) for q, n in rows] == [(8, 4)]
 
 
 class TestSsHqClosedForm:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from frobgrow.budgets import Budgets
+from frobgrow.budgets import DEFAULT as DEFAULT_BUDGETS, Budgets
 from frobgrow.errors import BudgetExceeded, InputError, RingMismatch
 from frobgrow.fpoly import (
     MultiPoly,
@@ -18,6 +18,7 @@ from frobgrow.groebner import (
     _BasisElt,
     _exact_div_multi,
     _nf_raw,
+    _saturation_gens,
     colon,
     eliminate,
     ideal_equal,
@@ -26,6 +27,7 @@ from frobgrow.groebner import (
     normal_form,
     power_containment,
     saturate,
+    saturation_exponent,
 )
 from frobgrow.orders import MonomialOrder
 from frobgrow.sequences import SequenceSpec, p_seq
@@ -363,6 +365,66 @@ class TestSaturate:
         f = parse_poly("y", R)
         res = saturate(I, f)
         assert ideal_equal(colon(res.ideal, f), res.ideal)
+
+
+def saturation_cases():
+    """(name, I, f): 40 seeded cases for each of F_2, F_3 and F_5, in
+    F_p[t, x, y] without and with a relation; every 20th f is zero."""
+    for p in (P2, P3, P5):
+        for rels in ((), ("x*y^2+t*x^2*y",)):
+            R = RingSpec(p, (("t", 0), ("x", 1), ("y", 1)), rels)
+            rng = random.Random(100 * p.p + len(rels))
+
+            def poly(nterms, low=0):
+                return MultiPoly(R, {
+                    tuple(rng.randrange(4) for _ in range(3)): rng.randrange(low, p.p)
+                    for _ in range(nterms)
+                })
+
+            for k in range(40):
+                I = IdealHandle(R, [poly(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+                f = poly(rng.randint(1, 2), 1) if k % 20 else MultiPoly(R, {})
+                yield f"p{p.p}_{len(rels)}_{k}", I, f
+
+
+class TestSaturationExponent:
+    def test_examples(self):
+        R = ring_xy()
+        y = parse_poly("y", R)
+        assert saturation_exponent(IdealHandle(R, ["x^2*y"]), y) == 1
+        assert saturation_exponent(IdealHandle(R, ["x^2"]), y) == 0
+        assert saturation_exponent(IdealHandle(R, ["x^2", "x*y^3"]), y) == 3
+        assert saturation_exponent(IdealHandle(R, ["x^2"]), parse_poly("1", R)) == 0
+        with pytest.raises(InputError, match="saturation by zero"):
+            saturation_exponent(IdealHandle(R, ["x"]), MultiPoly(R, {}))
+
+    def test_agrees_with_the_colon_chain(self):
+        # the chain is the reference: the same exponent or the same
+        # error, the same saturated ideal, and the same verdict under a
+        # saturation_steps of 1, 2 or 3, on either side of the exponent
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except (BudgetExceeded, InputError) as e:
+                return type(e), str(e)
+
+        def chain(*args):
+            res = outcome(saturate, *args)
+            return res if isinstance(res, tuple) else res.stabilization_exponent
+
+        exponents = set()
+        for k, (name, I, f) in enumerate(saturation_cases()):
+            ref = outcome(saturate, I, f)
+            if isinstance(ref, tuple):
+                assert outcome(saturation_exponent, I, f) == ref, name
+            else:
+                exponents.add(ref.stabilization_exponent)
+                assert saturation_exponent(I, f) == ref.stabilization_exponent, name
+                J = IdealHandle(I.ring, _saturation_gens(I, f, DEFAULT_BUDGETS))
+                assert ideal_equal(J, ref.ideal), name
+            small = Budgets(saturation_steps=1 + k % 3)
+            assert outcome(saturation_exponent, I, f, small) == chain(I, f, small), name
+        assert exponents >= {0, 1, 2, 3, 4}
 
 
 class TestPowerContainment:
