@@ -520,6 +520,36 @@ def _slices_of(C: PrimaryComponent, own: SliceCache | None = None) -> SliceCache
 # primaryness regression panel
 
 
+_RADICAL_SQUARINGS = 12  # the radical check tries g, g^2, ..., g^4096
+
+
+def _unit_times_power(f: MultiPoly):
+    """(i, m) when f is a unit times x_i^m with m >= 1, else None."""
+    terms = f.term_dict()
+    nonzero = [(i, e) for i, e in enumerate(next(iter(terms))) if e] if len(terms) == 1 else []
+    return nonzero[0] if len(nonzero) == 1 else None
+
+
+def _radical_escape(C: PrimaryComponent, member):
+    """The first radical generator g of C with none of g, g^2, g^4, ...,
+    g^4096 in C by `member`, or None when each has such a power.
+
+    A g that is a unit times one variable v is settled by C's own
+    generators first: a generator c*v^m with m <= 4096 divides g^(2^j)
+    for the least 2^j >= m, which therefore lies in C, the power at
+    which the search would stop.  Every other g runs the search."""
+    cap = 1 << _RADICAL_SQUARINGS
+    powers_in_C = filter(None, map(_unit_times_power, C.ideal.generators))
+    settled = {(i, 1) for i, m in powers_in_C if m <= cap}  # the c*x_i they settle
+    for g in C.radical_generators:
+        if _unit_times_power(g) in settled:
+            continue
+        powers = itertools.accumulate(range(_RADICAL_SQUARINGS), lambda f, _: f * f, initial=g)
+        if not any(member(f) for f in powers):
+            return g
+    return None
+
+
 @dataclass(frozen=True)
 class SanityVerdict:
     passed: bool
@@ -533,6 +563,10 @@ def primary_sanity(
     not the unit ideal, every radical generator has some power in the
     ideal, and, on a component without a tau, colon by random g(t) leaves
     the ideal unchanged.
+
+    The radical check (_radical_escape) tries g, g^2, g^4, ..., g^4096;
+    a radical generator that is a single variable v is settled without
+    that search when C has a generator c*v^m with m <= 4096.
 
     A component with a tau lists tau among its radical generators, so
     once the radical check has found a power tau^m in C, colon by any g
@@ -572,13 +606,9 @@ def primary_sanity(
 
     if member(MultiPoly.const(ring, 1)):
         return SanityVerdict(False, "component is the unit ideal")
-    for g in C.radical_generators:
-        # g, g^2, ..., g^4096, under the exponent cap
-        powers = itertools.accumulate(range(12), lambda f, _: f * f, initial=g)
-        if not any(member(f) for f in powers):
-            return SanityVerdict(
-                False, f"no power of {format_multipoly(g)} found in the ideal"
-            )
+    g = _radical_escape(C, member)
+    if g is not None:
+        return SanityVerdict(False, f"no power of {format_multipoly(g)} found in the ideal")
     if C.tau is not None:  # the power of tau just found proves the colons
         return SanityVerdict(True)
     p = ring.p
@@ -726,7 +756,11 @@ def lemma_membership_suite(
 ) -> SuiteReport:
     """Exhaustive membership checks behind the five-variable inclusion
     lemmas at index n, plus the three-variable colon membership, all
-    answered by degree slices."""
+    answered by degree slices.
+
+    Each element of items (i) and (ii) is g(t) * u^a v^b x^c y^d, built
+    as one polynomial from its terms; the factors g = (r0 r2)^k L_n are
+    computed once, in k[t]."""
     if n < 1:
         raise InputError("suite index n must be at least 1")
     if panel_size < 1:
@@ -739,8 +773,12 @@ def lemma_membership_suite(
     r0, r1, r2 = (MultiPoly.from_unipoly(S, r, "t") for r in (spec.r0, spec.r1, spec.r2))
     F = r0 * u**2 * x**2 + r1 * u * x * v * y + r2 * v**2 * y**2
     In = IdealHandle(S, [u**n, v**n, x**n, y**n, F])
-    Ln = MultiPoly.from_unipoly(S, big_L(spec, n), "t")
-    r0r2 = MultiPoly.from_unipoly(S, spec.r0 * spec.r2, "t")
+    factors = [big_L(spec, n)]  # (r0 r2)^k L_n for k = 0..n
+    for _ in range(n):
+        factors.append(factors[-1] * spec.r0 * spec.r2)
+
+    def times_monomial(g, exps):  # g(t) * u^e0 v^e1 x^e2 y^e3, from its terms
+        return MultiPoly(S, {(k,) + exps: c for k, c in enumerate(g.coeffs) if c})
 
     cache_In = SliceCache(In)
     # (i) (r0 r2)^{a+b} L_n (ux)^a (vy)^b x^c y^d in I_n over 2a+2b+c+d = 2n
@@ -752,23 +790,15 @@ def lemma_membership_suite(
             for c in range(rest + 1):
                 d = rest - c
                 checked_i += 1
-                elt = (
-                    r0r2 ** (a + b) * Ln
-                    * (u * x) ** a * (v * y) ** b * x**c * y**d
-                )
-                if not cache_In.member(elt):
+                if not cache_In.member(times_monomial(factors[a + b], (a, b, a + c, b + d))):
                     wit_i.append(f"(a,b,c,d)=({a},{b},{c},{d})")
     # (ii) I_n : r0^n r2^n L_n contains every monomial of degree 2n,
     # checked (and witnessed) in ascending lex order
     degree_2n = list(reversed(monomials_of_degree(4, 2 * n)))
     wit_ii = []
-    checked_ii = 0
-    mult = r0**n * r2**n * Ln
     for exps in degree_2n:
-        checked_ii += 1
-        m = u ** exps[0] * v ** exps[1] * x ** exps[2] * y ** exps[3]
-        if not cache_In.member(m * mult):
-            wit_ii.append(format_multipoly(m))
+        if not cache_In.member(times_monomial(factors[n], exps)):
+            wit_ii.append(format_multipoly(MultiPoly.monomial(S, (0,) + exps)))
     # (iii) colon stability of J = I_n + (u,v,x,y)^{2n} under random g(t):
     # (J : c*g) == (J : c) for c = (r0 r2)^{2n}, decided for the whole
     # panel by one pass of slice invariants; J contains every monomial of
@@ -797,7 +827,7 @@ def lemma_membership_suite(
     iv_ok = SliceCache(J3).member(elt)
     items = (
         SuiteItem("inclusion_b", not wit_i, checked_i, tuple(wit_i)),
-        SuiteItem("inclusion_c", not wit_ii, checked_ii, tuple(wit_ii)),
+        SuiteItem("inclusion_c", not wit_ii, len(degree_2n), tuple(wit_ii)),
         SuiteItem("colon_stability", not wit_iii, checked_iii, tuple(wit_iii)),
         SuiteItem("three_variable_colon", iv_ok, 1, () if iv_ok else ("x*y^{n-1}*P_{n-1}",)),
     )

@@ -89,9 +89,22 @@ def _generator_data(ideal):
 def _cover_test(covers, degree: int):
     """Whether a degree-`degree` x-monomial is divisible by a cover; only
     the covers of at most that degree are tried, each on the variables
-    it involves."""
-    low = [[(i, e) for i, e in enumerate(c) if e] for c in covers if sum(c) <= degree]
-    return lambda row: any(all(row[i] >= e for i, e in c) for c in low)
+    it involves.  The covers that are powers of one variable (the x_i^q
+    of I^[q]) reduce to one threshold per variable."""
+    bound, mixed = {}, []
+    for c in covers:
+        if sum(c) > degree:
+            continue
+        support = [(i, e) for i, e in enumerate(c) if e]
+        if len(support) == 1:
+            ((i, e),) = support
+            bound[i] = min(bound.get(i, e), e)
+        else:
+            mixed.append(support)
+    pure = list(bound.items())
+    return lambda row: any(row[i] >= e for i, e in pure) or any(
+        all(row[i] >= e for i, e in c) for c in mixed
+    )
 
 
 class DegreeSlice:
@@ -100,10 +113,11 @@ class DegreeSlice:
 
     Its rows are the standard monomials: a row some cover divides is zero
     in S_d / I_d, so covered seeds and column entries are dropped.
-    `generators` is the ideal's `_generator_data`, passed in by callers
-    that build many slices of one ideal."""
+    `generators` is the ideal's `_generator_data` and `covered` the
+    degree's `_cover_test`, passed in by callers that build many slices
+    of one ideal."""
 
-    def __init__(self, ideal, degree: int, seeds, generators=None):
+    def __init__(self, ideal, degree: int, seeds, generators=None, covered=None):
         check_deadline()
         ring = ideal.ring
         self._ti = _single_t_index(ring)
@@ -111,7 +125,7 @@ class DegreeSlice:
         self.p = ring.p
         self.degree = degree
         covers, gens = generators if generators is not None else _generator_data(ideal)
-        self.covered = _cover_test(covers, degree)
+        self.covered = covered if covered is not None else _cover_test(covers, degree)
         gen_data = [gd for gd in gens if gd[1] <= degree]
         rows, columns = self._collect(gen_data, seeds, degree)
         self.rows = rows
@@ -300,14 +314,15 @@ class DegreeInvariants(NamedTuple):
 
 class SliceCache:
     """The degree slices of one x-homogeneous ideal I, its generator data
-    computed once.  `member` decides membership and keeps the slices it
-    builds, indexed by row.  `at(b)` gives S_b / I_b (S_b free on the
-    degree-b x-monomials) from the Smith form of each row component of
-    the standard monomials, the covered ones being zero there; it
-    reuses `member`'s slices but keeps only the invariants of its own,
-    which would otherwise dominate memory.  A full degree stays full
-    above (each monomial there is a multiple of one below), so `at`
-    builds nothing past the least full degree seen."""
+    and the cover test of each x-degree computed once.  `member` decides
+    membership and keeps the slices it builds, indexed by row.  `at(b)`
+    gives S_b / I_b (S_b free on the degree-b x-monomials) from the
+    Smith form of each row component of the standard monomials, the
+    covered ones being zero there; it reuses `member`'s slices but keeps
+    only the invariants of its own, which would otherwise dominate
+    memory.  A full degree stays full above (each monomial there is a
+    multiple of one below), so `at` builds nothing past the least full
+    degree seen."""
 
     def __init__(self, ideal):
         self.ideal = ideal
@@ -317,18 +332,25 @@ class SliceCache:
         self._one = UniPoly.one(ideal.ring.p)
         self._degrees: dict = {}  # x-degree -> DegreeInvariants
         self._full_from: int | None = None
+        self._covered: dict = {}  # x-degree -> its _cover_test
+
+    def _cover_test(self, degree: int):
+        test = self._covered.get(degree)
+        if test is None:
+            test = self._covered[degree] = _cover_test(self._generators[0], degree)
+        return test
 
     def member(self, f: MultiPoly) -> bool:
         if f.is_zero:
             return True
         degree = x_degree(f)
-        covered = _cover_test(self._generators[0], degree)
+        covered = self._cover_test(degree)
         sup = [m for m in _supports(f, self._w1) if not covered(m)]
         if not sup:  # every term of f is zero in S / I
             return True
         sl = self._by_row.get(sup[0])
         if sl is None or not all(m in sl.rows for m in sup):
-            sl = DegreeSlice(self.ideal, degree, sup, self._generators)
+            sl = DegreeSlice(self.ideal, degree, sup, self._generators, covered)
             for row in sl.rows:
                 self._by_row[row] = sl
         return sl.contains_poly(f)
@@ -340,13 +362,13 @@ class SliceCache:
         if got is None:
             check_deadline()
             free, largest = 0, self._one
-            covered = _cover_test(self._generators[0], b)
+            covered = self._cover_test(b)
             todo = {m for m in monomials_of_degree(len(self._w1), b) if not covered(m)}
             while todo:
                 row = todo.pop()
                 sl = self._by_row.get(row)
                 if sl is None:
-                    sl = DegreeSlice(self.ideal, b, [row], self._generators)
+                    sl = DegreeSlice(self.ideal, b, [row], self._generators, covered)
                 todo -= sl.rows
                 factors = sl.invariant_factors()
                 free += len(sl.rows) - len(factors)

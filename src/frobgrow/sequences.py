@@ -1,8 +1,10 @@
 """The three-term polynomial sequence machinery.
 
 P_0 = 1, P_1 = r1, P_{n+1} = r1*P_n - r0*r2*P_{n-1} for coefficient
-polynomials r0, r1, r2 in k[t], together with the tridiagonal-determinant
-cross-check, the lcm polynomials L_n, and irreducible-factor censuses.
+polynomials r0, r1, r2 in k[t], together with the lcm polynomials L_n
+and irreducible-factor censuses.  The tests keep the tridiagonal
+determinant, which P_n equals, as the independent cross-check of the
+recurrence.
 """
 
 from __future__ import annotations
@@ -60,66 +62,6 @@ def p_seq(spec: SequenceSpec, n: int) -> UniPoly:
     if n < 0:
         raise InputError("sequence index must be non-negative")
     return next(islice(_p_terms(spec), n, None))
-
-
-def tridiag_matrix(spec: SequenceSpec, n: int):
-    """The n x n tridiagonal matrix with diagonal r1, superdiagonal r0,
-    subdiagonal r2."""
-    zero = UniPoly.zero(spec.p)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(spec.r1)
-            elif j == i + 1:
-                row.append(spec.r0)
-            elif j == i - 1:
-                row.append(spec.r2)
-            else:
-                row.append(zero)
-        rows.append(row)
-    return rows
-
-
-def cofactor_det(matrix) -> UniPoly:
-    """Determinant by cofactor expansion along the first row, memoized on
-    the surviving column set.  Zero entries prune the recursion, so
-    banded matrices stay cheap; kept independent of the scalar
-    recurrence on purpose."""
-    if not matrix or any(len(row) != len(matrix) for row in matrix):
-        raise InputError("determinant needs a nonempty square matrix")
-    p = matrix[0][0].p
-    one = UniPoly.one(p)
-    zero = UniPoly.zero(p)
-    memo: dict[tuple, UniPoly] = {}
-
-    def expand(cols: tuple) -> UniPoly:
-        if not cols:
-            return one
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = len(matrix) - len(cols)
-        acc = zero
-        for pos, j in enumerate(cols):
-            entry = matrix[row][j]
-            if entry.is_zero:
-                continue
-            minor = expand(cols[:pos] + cols[pos + 1 :])
-            term = entry * minor
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return expand(tuple(range(len(matrix))))
-
-
-def tridiag_det(spec: SequenceSpec, n: int) -> UniPoly:
-    """Determinant of the n x n tridiagonal matrix; equals p_seq(spec, n)."""
-    if n < 1:
-        raise InputError("matrix size must be at least 1")
-    return cofactor_det(tridiag_matrix(spec, n))
 
 
 def big_L(spec: SequenceSpec, n: int) -> UniPoly:

@@ -35,7 +35,8 @@ from frobgrow.groebner import (
 )
 from frobgrow.hq import h_q
 from frobgrow.ktmodule import SliceCache, univariate_colon_trivial_panel
-from frobgrow.sequences import SequenceSpec, factor_census, p_seq, tridiag_det
+from frobgrow.sequences import SequenceSpec, factor_census, p_seq
+from test_sequences import tridiag_det
 
 
 def report(number, name, ok, t0, limit, detail=""):

@@ -28,6 +28,7 @@ from frobgrow.fpoly import (
     PrimePower,
     RingSpec,
     UniPoly,
+    format_multipoly,
     format_unipoly,
     frobenius_generators,
     parse_poly,
@@ -39,7 +40,7 @@ from frobgrow.groebner import IdealHandle, ideal_equal, intersect
 from frobgrow.hq import h_q
 from frobgrow.ktmodule import SliceCache, slice_power_containment
 from frobgrow.orders import monomials_of_degree
-from frobgrow.sequences import SequenceSpec, p_seq
+from frobgrow.sequences import SequenceSpec, big_L, p_seq
 
 P2 = PrimeModulus(2)
 P3 = PrimeModulus(3)
@@ -757,6 +758,96 @@ class TestPrimarySanity:
         assert not v.passed and "no power" in v.witness
 
 
+def searched_radical_escape(C, member):
+    """The first radical generator g of C with none of g, g^2, ..., g^4096
+    in C by `member`, or None: the ascending search alone, the reference
+    for decomposer._radical_escape, which settles a single-variable g
+    from a pure-power generator of C."""
+    for g in C.radical_generators:
+        powers = itertools.accumulate(range(12), lambda f, _: f * f, initial=g)
+        if not any(member(f) for f in powers):
+            return g
+    return None
+
+
+class TestRadicalEscape:
+    """_radical_escape against the search it shortcuts, on both
+    membership routes, and primary_sanity's verdict with each."""
+
+    def assert_agrees(self, C, monkeypatch):
+        escapes = set()
+        for member in (C.ideal.contains, SliceCache(C.ideal).member):
+            got = decomposer._radical_escape(C, member)
+            assert got == searched_radical_escape(C, member)
+            escapes.add(got)
+        assert len(escapes) == 1
+        verdict = primary_sanity(C, 3)
+        with monkeypatch.context() as m:
+            m.setattr(decomposer, "_radical_escape", searched_radical_escape)
+            assert primary_sanity(C, 3) == verdict
+        return escapes.pop()
+
+    @pytest.mark.parametrize("method", ["certified", "groebner"])
+    def test_random_decomposition_components(self, rng, method, monkeypatch):
+        for _ in range(8):
+            fam = random_certifiable_family(rng)
+            p = fam.ring.p
+            h = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 3))] + [1])
+            rep = stable_decomposition(
+                fam, PrimePower(p, rng.randint(1, 2)), h, method=method, measure=False
+            )
+            for comp in [rep.isolated] + rep.embedded:
+                assert self.assert_agrees(comp, monkeypatch) is None
+                slow = dataclasses.replace(comp, cap_degree=None, slices=None)
+                assert self.assert_agrees(slow, monkeypatch) is None
+
+    def test_random_cap3_components(self, rng, monkeypatch):
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        rad = (parse_poly("x", R), parse_poly("y", R))
+        for _ in range(10):
+            gens = random_cap3_ideal(rng, R)
+            assert self.assert_agrees(PrimaryComponent(IdealHandle(R, gens), rad), monkeypatch) is None
+
+    @pytest.mark.parametrize(
+        "gens,escape",
+        [
+            (["x^2+y^2", "x*y"], None),  # x^4 and y^4 lie in C
+            (["x^2+t*y^2", "x*y"], "y"),  # x^4 does; only t*y^3 does
+            (["x^5000", "y^2"], "x"),  # x^4096 is the last power tried
+            (["x^4096", "y^4097"], "y"),
+            (["x*y^3", "y^5"], "x"),  # a mixed generator settles no x-power
+            (["x^3*t", "y^2"], "x"),  # neither does a t-multiple of one
+            (["x^3+t*x^2*y", "y^2"], None),
+        ],
+    )
+    def test_hand_built_components(self, gens, escape, monkeypatch):
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        C = PrimaryComponent(IdealHandle(R, gens), (parse_poly("x", R), parse_poly("y", R)))
+        got = self.assert_agrees(C, monkeypatch)
+        assert got == (None if escape is None else parse_poly(escape, R))
+
+    def test_tau_power_settles_a_tau_that_is_t(self, monkeypatch):
+        R = RingSpec(P2, (("t", 0), ("x", 1), ("y", 1)))
+        t = parse_poly("t", R)
+        for gens, escape in ((["x^2", "y^2", "t^3"], None), (["x^2", "y^2", "t^3*x"], t)):
+            C = PrimaryComponent(
+                IdealHandle(R, gens), (parse_poly("x", R), parse_poly("y", R), t),
+                (parse_unipoly("t", P2), 3),
+            )
+            assert self.assert_agrees(C, monkeypatch) == escape
+
+    def test_pure_power_generator_builds_no_slice(self, monkeypatch):
+        # x^9 settles x and y^9 settles y: no membership query at all
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        C = PrimaryComponent(
+            IdealHandle(R, ["x^9", "y^9", "t*x*y"]), (parse_poly("x", R), parse_poly("y", R))
+        )
+
+        def refuse(f):
+            raise AssertionError("the radical check ran the search")
+
+        assert decomposer._radical_escape(C, refuse) is None
+
 class TestSaturationGrowth:
     def test_cone_fixture(self):
         # N_q stays within q on the quadric cone: criterion-11 shape
@@ -854,3 +945,76 @@ class TestLemmaMembershipSuite:
         d = lemma_membership_suite(spec, 2, 0, 2).to_json_dict()
         assert d["all_pass"] and d["n"] == 2
         assert all(item["passed"] for item in d["items"])
+
+
+def product_lemma_elements(spec, n):
+    """Items (i) and (ii) of the lemma suite by MultiPoly products, the
+    reference for the suite's term-by-term construction:
+    [((a,b,c,d), element)] and [(monomial, element)] in check order."""
+    S = RingSpec(spec.p, (("t", 0), ("u", 1), ("v", 1), ("x", 1), ("y", 1)))
+    u, v, x, y = (S.variable(nm) for nm in "uvxy")
+    r0, r2 = (MultiPoly.from_unipoly(S, r, "t") for r in (spec.r0, spec.r2))
+    Ln = MultiPoly.from_unipoly(S, big_L(spec, n), "t")
+    r0r2 = MultiPoly.from_unipoly(S, spec.r0 * spec.r2, "t")
+    items_i = []
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            rest = 2 * n - 2 * a - 2 * b
+            for c in range(rest + 1):
+                d = rest - c
+                elt = r0r2 ** (a + b) * Ln * (u * x) ** a * (v * y) ** b * x**c * y**d
+                items_i.append(((a, b, c, d), elt))
+    mult = r0**n * r2**n * Ln
+    items_ii = []
+    for exps in reversed(monomials_of_degree(4, 2 * n)):
+        m = u ** exps[0] * v ** exps[1] * x ** exps[2] * y ** exps[3]
+        items_ii.append((m, m * mult))
+    return items_i, items_ii
+
+
+LEMMA_SPECS = [
+    (P2, "1", "t", "1"),
+    (P2, "t", "t^2+1", "1"),
+    (P3, "1", "t", "1"),
+    (P3, "t", "t^2", "1"),
+    (P3, "t+1", "t^2+t+2", "t"),
+    (P5, "1", "t", "1"),
+    (P5, "2*t+3", "t^3+4", "t^2+1"),
+]
+
+
+class TestLemmaElements:
+    """The suite's elements against the products they are built from.
+
+    Membership is stubbed: it records each element asked and rejects a
+    seeded subset of the reference elements (the lemmas hold on every
+    real input), so the witnesses must name exactly the rejected ones,
+    in the reference's order."""
+
+    @pytest.mark.parametrize("p,r0,r1,r2", LEMMA_SPECS)
+    def test_elements_and_witnesses_match_the_products(self, p, r0, r1, r2, monkeypatch):
+        spec = SequenceSpec.parse(p, r0, r1, r2)
+        rng = random.Random(f"{p.p}/{r0}/{r1}/{r2}")
+        for n in range(1, 6):
+            items_i, items_ii = product_lemma_elements(spec, n)
+            rejected = {elt for _, elt in items_i + items_ii if rng.random() < 0.3}
+            asked = []
+            monkeypatch.setattr(
+                SliceCache, "member", lambda self, f: asked.append(f) or f not in rejected
+            )
+            report = lemma_membership_suite(spec, n)
+            assert [f for f in asked if f.ring.nvars == 5] == [
+                elt for _, elt in items_i + items_ii
+            ]
+            wit_i = tuple(
+                "(a,b,c,d)=({},{},{},{})".format(*abcd)
+                for abcd, elt in items_i if elt in rejected
+            )
+            wit_ii = tuple(format_multipoly(m) for m, elt in items_ii if elt in rejected)
+            inc_b, inc_c = report.items[:2]
+            assert (inc_b.checked, inc_b.witnesses, inc_b.passed) == (
+                len(items_i), wit_i, not wit_i
+            )
+            assert (inc_c.checked, inc_c.witnesses, inc_c.passed) == (
+                len(items_ii), wit_ii, not wit_ii
+            )

@@ -19,7 +19,7 @@ from frobgrow.fpoly import (
 )
 from frobgrow.hq import MinorMatrix, MinorScan, bareiss_det, build_Md, h_q, minors_lcm
 from frobgrow.orders import monomials_of_degree
-from frobgrow.sequences import cofactor_det
+from test_sequences import cofactor_det
 
 P2 = PrimeModulus(2)
 P3 = PrimeModulus(3)
