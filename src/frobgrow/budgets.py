@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -37,17 +38,21 @@ class Budgets:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            if not getattr(self, f.name) > 0:  # NaN too
                 raise InputError(f"budget {f.name} must be positive")
 
     def scaled(self, factor: float) -> "Budgets":
-        """Every limit times `factor`; the integer limits round down but
-        stay at least 1."""
-        if factor <= 0:
+        """Every limit times `factor`, a positive finite number; the
+        integer limits round down but stay at least 1."""
+        if not factor > 0:  # NaN too
             raise InputError("budget scale must be positive")
+        if math.isinf(factor):
+            raise InputError("budget scale must be finite")
         scaled = {}
         for f in fields(self):
             value = getattr(self, f.name) * factor
+            if math.isinf(value):
+                raise InputError(f"budget scale {factor:g} makes {f.name} infinite")
             scaled[f.name] = value if f.type == "float" else max(1, int(value))
         return replace(self, **scaled)
 

@@ -12,9 +12,12 @@ of determinants computed; the count and the budget's cut are arithmetic
 on binomial coefficients.  The scan's work is in proportion to the
 nonzero minors: each k-minor is built from the nonzero (k-1)-minors of
 its rows below the first, one term per nonzero entry of the first row,
-so row sets and column sets without a nonzero minor are never visited.
-`bareiss_det`, an elimination determinant the scan does not call, is
-the tests' independent reference for it.
+so row sets and column sets without a nonzero minor are never visited,
+and a term whose signed entry is 1 takes no product.  One `h_q` call
+folds the minors of all its degrees into one lcm, keyed by their monic
+forms, so each distinct one is divided into it once.  `bareiss_det`, an
+elimination determinant the scan does not call, is the tests'
+independent reference for it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from ._kernels import uni_add, uni_divmod, uni_mul, uni_sub
+from ._kernels import uni_add, uni_divmod, uni_mul, uni_rem, uni_sub
 from .budgets import DEFAULT as DEFAULT_BUDGETS, check_deadline
 from .errors import InputError
 from .fpoly import (
@@ -33,7 +36,7 @@ from .fpoly import (
     UniPoly,
     format_unipoly,
     uni_factor,
-    uni_lcm,
+    uni_gcd,
     x_degree,
 )
 from .ktmodule import _columns_of, _single_t_index
@@ -119,9 +122,11 @@ class MinorMatrix:
 
 def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
     """The matrix M_d, rows and columns in a fixed grevlex order: each
-    column is a relation multiple from ktmodule's `_columns_of` on the
-    standard rows, kept when that leaves it zero.  A multiplier with an
-    exponent >= q reaches no standard row, so its column is zero unread."""
+    column is a relation multiple on the standard rows, kept when that
+    leaves it zero.  Each relation's column comes from ktmodule's
+    `_columns_of` once, at multiplier 1, and is translated by every
+    multiplier w.  A multiplier with an exponent >= q reaches no
+    standard row, so its column is zero unread."""
     w1 = ring.weight1_indices()
     n = len(w1)
     if n == 0:
@@ -146,13 +151,14 @@ def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
     for i, rel in enumerate(ring.relations):
         if d - degs[i] < 0:
             continue
+        column = _columns_of(rel, ti, w1, (0,) * n).items()
         for w in grevlex_desc(d - degs[i]):
             ci = len(cols)
             cols.append((i, w))
             if max(w) >= q.q:
                 continue  # every row it reaches has that exponent
-            for u, a in _columns_of(rel, ti, w1, w).items():
-                ri = row_index.get(u)
+            for u, a in column:
+                ri = row_index.get(tuple(x + y for x, y in zip(u, w)))
                 if ri is not None:
                     entries[(ri, ci)] = a
     return MinorMatrix(p=ring.p, d=d, rows=rows, cols=tuple(cols), entries=entries)
@@ -193,9 +199,40 @@ def _lex_below(a: int, b: int) -> bool:
     return bool(a & x & -x)
 
 
-def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> MinorScan:
-    """Monic lcm of all nonzero minors of all sizes, with incremental
-    gcd-dedup.  The empty matrix contributes 1.
+class _LcmFold:
+    """The running monic lcm of the determinants given to `add`.
+
+    Each determinant is keyed by its monic form: constants are skipped,
+    and each distinct non-constant monic D is divided into the lcm once.
+    When D does not divide it, the lcm becomes lcm * D / gcd(D, r), with
+    r the remainder that test left."""
+
+    def __init__(self, p_mod):
+        self.lcm = UniPoly.one(p_mod)
+        self.seen = set()  # determinants met, as given and in monic form
+
+    def add(self, det) -> None:
+        key = tuple(det)
+        if key in self.seen:
+            return
+        self.seen.add(key)
+        if len(key) == 1:
+            return
+        D = UniPoly(self.lcm.p, key).monic()
+        if D.coeffs != key:
+            if D.coeffs in self.seen:
+                return  # folded when first met
+            self.seen.add(D.coeffs)
+        rem = uni_rem(self.lcm.coeffs, D.coeffs, D.p.p)
+        if rem:
+            self.lcm *= D.exact_div(uni_gcd(D, UniPoly(D.p, rem)))
+
+
+def minors_lcm(
+    M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets, fold: _LcmFold | None = None
+) -> MinorScan:
+    """Monic lcm of all nonzero minors of all sizes.  The empty matrix
+    contributes 1.
 
     Minors are positioned by increasing size, then row set, then column
     set, each in lexicographic order, skipping row sets with a zero row
@@ -217,21 +254,29 @@ def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> M
     row with its zero terms left out, so a row set or column set that
     carries no nonzero minor is never visited.  In a size the budget
     cuts, row sets after the cut one are never formed, and in the cut
-    row set only the terms of admitted column sets are computed.  Each
-    distinct determinant is folded into the lcm once.
+    row set only the terms of admitted column sets are computed.  A term
+    whose signed entry (-1)^j * M[r0][c] is 1 is the (k-1)-minor itself,
+    so it takes no product.
+
+    The determinants go into `fold`, which keys them by their monic
+    forms and divides each distinct one into the lcm once (`_LcmFold`).
+    Called alone, the scan folds into a fresh lcm of its own; `h_q`
+    passes one fold for all its degrees, and the scan's `lcm` is then
+    that running lcm.
     """
     nr, nc = M.shape
     p_mod = M.p
     p = p_mod.p
+    if fold is None:
+        fold = _LcmFold(p_mod)
     # per row, its nonzero entries as (column bit, bits of the columns
-    # below it, entry, -entry)
+    # below it, entry, -entry), a signed entry 1 given as None
     first_terms = [[] for _ in range(nr)]
     for (r, c), a in M.entries.items():
-        first_terms[r].append((1 << c, (1 << c) - 1, a.coeffs, uni_sub([], a.coeffs, p)))
+        signed = [None if e == [1] else e for e in (list(a.coeffs), uni_sub([], a.coeffs, p))]
+        first_terms[r].append((1 << c, (1 << c) - 1, *signed))
     live = [r for r in range(nr) if first_terms[r]]
-    acc = UniPoly.one(p_mod)
     examined = 0
-    folded = set()  # determinants already folded into acc
     # nonzero minors of the previous size: row set bits -> column set
     # bits -> coefficient list
     prev = {0: {0: [1]}}
@@ -269,7 +314,8 @@ def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> M
                         key = cbits | bit
                         if only_before and not _lex_below(key, cut_cols):
                             continue
-                        term = uni_mul(neg_a if (cbits & below).bit_count() & 1 else a, cof, p)
+                        e = neg_a if (cbits & below).bit_count() & 1 else a
+                        term = cof if e is None else uni_mul(e, cof, p)
                         det = dets.get(key)
                         dets[key] = term if det is None else uni_add(det, term, p)
         prev = {}
@@ -278,16 +324,10 @@ def minors_lcm(M: MinorMatrix, budget: int = DEFAULT_BUDGETS.minor_subsets) -> M
                 if not det:
                     continue
                 prev.setdefault(rows, {})[cbits] = det
-                key = tuple(det)
-                if key in folded:
-                    continue
-                folded.add(key)
-                det = UniPoly(p_mod, det).monic()
-                if not (acc % det).is_zero:
-                    acc = uni_lcm(acc, det)
+                fold.add(det)
         if cut_rows is not None:
-            return MinorScan(lcm=acc, examined=budget + 1, partial=True)
-    return MinorScan(lcm=acc, examined=examined, partial=False)
+            return MinorScan(lcm=fold.lcm, examined=budget + 1, partial=True)
+    return MinorScan(lcm=fold.lcm, examined=examined, partial=False)
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +370,24 @@ def h_q(
     budget: int = DEFAULT_BUDGETS.minor_subsets,
     seed: int = 0,
 ) -> HqCertificate:
-    """lcm of the minor-lcms of every M_d, factored and bounded."""
+    """The monic lcm of the nonzero minors of every M_d, factored and
+    bounded.  Each M_d is scanned by `minors_lcm` under its own
+    `budget`, and all of them fold into one lcm, so a determinant that
+    recurs in another degree, or as another scalar multiple, is divided
+    into it only once."""
     if q.p != ring.p:
         raise InputError(
             f"characteristic mismatch: q is a power of {q.p.p}, ring has {ring.p.p}"
         )
     n = len(ring.weight1_indices())
-    acc = UniPoly.one(ring.p)
+    fold = _LcmFold(ring.p)
     examined = 0
     partial = False
     for d in range(1, n * (q.q - 1) + 1):
-        M = build_Md(ring, q, d)
-        scan = minors_lcm(M, budget)
+        scan = minors_lcm(build_Md(ring, q, d), budget, fold)
         examined += scan.examined
         partial = partial or scan.partial
-        if scan.lcm.degree > 0:
-            acc = uni_lcm(acc, scan.lcm)
-    acc = acc.monic()
+    acc = fold.lcm
     factorization = uni_factor(acc, seed)
     s_max = factorization.max_multiplicity
     return HqCertificate(

@@ -37,10 +37,19 @@ class TestScaled:
         assert all(type(v) is int for v in values[:-1])
         assert values[-1] == pytest.approx(expected[-1])
 
-    @pytest.mark.parametrize("factor", [0, -1.0])
+    @pytest.mark.parametrize("factor", [0, -1.0, float("nan"), -float("inf")])
     def test_factor_must_be_positive(self, factor):
         with pytest.raises(InputError, match="budget scale must be positive"):
             Budgets().scaled(factor)
+
+    def test_factor_must_be_finite(self):
+        with pytest.raises(InputError, match="budget scale must be finite"):
+            Budgets().scaled(float("inf"))
+
+    def test_factor_must_leave_every_limit_finite(self):
+        # a finite factor whose product overflows a float
+        with pytest.raises(InputError, match="budget scale 1e\\+305 makes gb_pairs infinite"):
+            Budgets().scaled(1e305)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(Budgets)])
@@ -48,6 +57,13 @@ def test_zero_limit_names_its_field(name):
     with pytest.raises(InputError) as exc:
         Budgets(**{name: 0})
     assert str(exc.value) == f"budget {name} must be positive"
+
+
+def test_nan_limit_is_refused():
+    # NaN compares false with everything, so "<= 0" alone would pass it
+    with pytest.raises(InputError) as exc:
+        Budgets(wall_seconds=float("nan"))
+    assert str(exc.value) == "budget wall_seconds must be positive"
 
 
 def test_environment_scale_applies_to_cli_runs():

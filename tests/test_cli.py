@@ -301,6 +301,32 @@ BUDGET_OPTIONS = {"--budget": "2", "--gb-pairs": "1", "--minor-subsets": "1",
                   "--wall-seconds": "1"}
 
 
+class TestNonFiniteBudgets:
+    ARGV = ("hq", "--family", "katzman", "--p", "3", "--q", "9", "--no-timings")
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--budget", "nan", "budget scale must be positive"),
+        ("--budget", "inf", "budget scale must be finite"),
+        ("--budget", "1e305", "budget scale 1e+305 makes gb_pairs infinite"),
+        ("--wall-seconds", "nan", "budget wall_seconds must be positive"),
+    ])
+    def test_option_is_refused(self, runner, option, value, message):
+        res = invoke(runner, *self.ARGV, option, value)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "budget scale must be positive"),
+        ("inf", "budget scale must be finite"),
+    ])
+    def test_environment_scale_is_refused(self, runner, value, message):
+        res = runner.invoke(main, list(self.ARGV), env={"FROBGROW_BUDGET_SCALE": value})
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
+
 class TestOptionPolicy:
     def test_unbudgeted_commands_refuse_budget_options(self, runner):
         # pseq and verify-lemmas read no budget, so they take no budget option

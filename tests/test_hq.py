@@ -62,10 +62,22 @@ def as_minor_matrix(A, p):
 
 
 def reference_minors_lcm(M, budget):
+    """The lcm of `reference_minors`, as a MinorScan."""
+    dets, examined, partial = reference_minors(M, budget)
+    acc = UniPoly.one(M.p)
+    for det in dets:
+        det = det.monic()
+        if not (acc % det).is_zero:
+            acc = uni_lcm(acc, det)
+    return MinorScan(lcm=acc, examined=examined, partial=partial)
+
+
+def reference_minors(M, budget):
     """The plain scan: walk every column set of every row set without a
-    zero row, counting each one, and evaluate every candidate minor."""
+    zero row, counting each one, and evaluate every candidate minor.
+    Returns (the nonzero minors, positions examined, partial)."""
     nr, nc = M.shape
-    acc = None
+    dets = []
     examined = 0
     partial = False
     row_mask = [0] * nr
@@ -101,16 +113,9 @@ def reference_minors_lcm(M, budget):
                     continue
                 sub = [[M.entries.get((r, c), zero) for c in cols] for r in rows]
                 det = bareiss_det(sub)
-                if det.is_zero:
-                    continue
-                det = det.monic()
-                if acc is None:
-                    acc = det
-                elif not (acc % det).is_zero:
-                    acc = uni_lcm(acc, det)
-    if acc is None:
-        acc = UniPoly.one(M.p)
-    return MinorScan(lcm=acc, examined=examined, partial=partial)
+                if not det.is_zero:
+                    dets.append(det)
+    return dets, examined, partial
 
 
 def full_positions(M):
@@ -121,13 +126,15 @@ def full_positions(M):
     return sum(comb(live, k) * comb(nc, k) for k in range(1, min(nr, nc) + 1))
 
 
-def expansion_terms(M, budget):
-    """Nonzero terms of the first-row expansions at the first `budget`
+def expansion_products(M, budget):
+    """Products the first-row expansions need at the first `budget`
     positions of the scan's order: pairs (position, c) with M[r0][c]
-    nonzero and the minor on the other rows and columns nonzero (the
-    empty minor is 1)."""
+    nonzero, the minor on the other rows and columns nonzero (the empty
+    minor is 1), and the signed entry (-1)^j * M[r0][c] not 1, where j
+    is the number of the position's columns below c."""
     nr, nc = M.shape
     zero = UniPoly.zero(M.p)
+    one = UniPoly.one(M.p)
     live = sorted({r for (r, _) in M.entries})
     positions = (
         (rows, cols)
@@ -138,8 +145,10 @@ def expansion_terms(M, budget):
     terms = 0
     for rows, cols in itertools.islice(positions, budget):
         r0, rest = rows[0], rows[1:]
-        for c in cols:
+        for j, c in enumerate(cols):
             if (r0, c) not in M.entries:
+                continue
+            if M.entries[(r0, c)] * (-1) ** j == one:
                 continue
             others = [x for x in cols if x != c]
             sub = [[M.entries.get((r, x), zero) for x in others] for r in rest]
@@ -326,8 +335,9 @@ class TestMinorsLcm:
 
     def test_multiplies_only_the_terms_of_admitted_positions(self, rng, monkeypatch):
         # one uni_mul per nonzero expansion term at a position the budget
-        # admits: no product for a term that is zero, and none for a
-        # column set past the cut inside the cut row set
+        # admits: no product for a term that is zero, none for a column
+        # set past the cut inside the cut row set, and none by a signed
+        # entry 1, whose term is the smaller minor itself
         calls = []
         real = hq.uni_mul
 
@@ -343,7 +353,7 @@ class TestMinorsLcm:
             M = as_minor_matrix(A, p)
             full = full_positions(M)
             for budget in sorted(b for b in {rng.randint(1, full + 1), full} if b >= 1):
-                expected = expansion_terms(M, budget)
+                expected = expansion_products(M, budget)
                 calls.clear()
                 monkeypatch.setattr(hq, "uni_mul", counting)
                 scan = minors_lcm(M, budget)
@@ -406,6 +416,68 @@ class TestHq:
         second = h_q(fam.ring, q)
         assert n_first > 0 and len(calls) == 2 * n_first
         assert first.h == second.h
+
+    @pytest.mark.parametrize("name,p,e,budget", [
+        ("katzman", 2, 2, 4), ("katzman", 3, 2, 60), ("katzman", 5, 1, 15),
+        ("ss5", 2, 2, 300), ("ss5", 3, 1, 600), ("ss5", 5, 1, 40),
+        ("brenner_monsky", 2, 2, 300),
+    ])
+    def test_one_fold_is_the_lcm_of_the_degree_scans(self, name, p, e, budget):
+        # one lcm over all degrees equals the lcm of each degree's own
+        # reference scan, with budgets that let the first degree with a
+        # minor finish and cut a later one
+        fam = family(name, p)
+        q = PrimePower(PrimeModulus(p), e)
+        n = len(fam.ring.weight1_indices())
+        scans = [reference_minors_lcm(build_Md(fam.ring, q, d), budget)
+                 for d in range(1, n * (q.q - 1) + 1)]
+        first = next(s for s in scans if s.examined)
+        assert not first.partial and any(s.partial for s in scans)
+        h = UniPoly.one(fam.ring.p)
+        for scan in scans:
+            h = uni_lcm(h, scan.lcm)
+        cert = h_q(fam.ring, q, budget)
+        assert cert.h == h and cert.h.degree > 0
+        assert cert.minors_examined == sum(s.examined for s in scans)
+        assert cert.partial
+
+    @pytest.mark.parametrize("name,p,e,budget,merged", [
+        ("katzman", 3, 2, hq.DEFAULT_BUDGETS.minor_subsets, False), ("katzman", 5, 1, 15, False),
+        ("ss5", 3, 1, 600, True), ("ss5", 5, 1, 40, False), ("brenner_monsky", 2, 2, 300, False),
+    ])
+    def test_each_monic_minor_is_divided_into_the_lcm_once(
+        self, name, p, e, budget, merged, monkeypatch
+    ):
+        # the fold's divisibility tests are the distinct non-constant
+        # monic forms of the minors of every degree, each tested once;
+        # `merged`: some distinct minors share a monic form
+        divisors = []
+        real = hq.uni_rem
+
+        def recording(a, b, p):
+            divisors.append(tuple(b))
+            return real(a, b, p)
+
+        fam = family(name, p)
+        q = PrimePower(PrimeModulus(p), e)
+        n = len(fam.ring.weight1_indices())
+        monkeypatch.setattr(hq, "uni_rem", recording)
+        cert = h_q(fam.ring, q, budget)
+        monkeypatch.setattr(hq, "uni_rem", real)
+        dets = [
+            det
+            for d in range(1, n * (q.q - 1) + 1)
+            for det in reference_minors(build_Md(fam.ring, q, d), budget)[0]
+            if det.degree > 0
+        ]
+        minors = {det.monic().coeffs for det in dets}
+        assert len(divisors) == len(set(divisors)) == len(minors)
+        assert set(divisors) == minors
+        assert (len(minors) < len({det.coeffs for det in dets})) == merged
+        h = UniPoly.one(fam.ring.p)
+        for divisor in divisors:
+            h = uni_lcm(h, UniPoly(fam.ring.p, divisor))
+        assert cert.h == h
 
     def test_q_must_be_a_power_of_the_characteristic(self):
         # the refusal frobenius_generators gives for the same mismatch
