@@ -3,32 +3,31 @@
 A homogeneous ideal in k[t][x_1..x_n] (t of weight zero, the x_i of
 weight one) meets the degree-d slice S_d in a k[t]-submodule of the free
 module on the degree-d monomials.  Because k[t] is a principal ideal
-domain, colon, membership, and contraction questions about such slices
+domain, membership, colon and contraction questions about such slices
 reduce to column echelon forms of matrices of univariate polynomials,
-which is far cheaper than an elimination-order Groebner basis when the
-t-degrees are large.
+and S_d / I_d to a Smith normal form, far cheaper than an
+elimination-order Groebner basis when the t-degrees are large.
 
 The generators that are x-monomials up to a unit (the x_i^q of I^[q],
 the m^K of a certified isolated component, a constant) are quotiented
 out first: slices live on the standard monomials, those none of them
-divides, with the other generators' multiples as columns.  For I^[q]
-that is the paper's M_d, which `hq.build_Md` builds with `_columns_of`.
-
-Generator columns only touch the monomials in their support, so every
-computation is restricted to the support-connectivity component of the
-target; for multigraded relations this recovers the grading decomposition
-automatically.
+divides, with the other generators' multiples, each generator's column
+translated, as columns.  For I^[q] that is the paper's M_d, which
+`hq.build_Md` builds the same way.  A column only touches the monomials
+in its support, so every computation is restricted to a row component;
+for multigraded relations that is the grading decomposition.
 
 SliceCache is the one store per ideal: it answers membership from the
-slices it keeps, and reduces each degree further, to the Smith normal
-form of S_d / I_d (free rank and invariant factors).  The growth
-exponents of the components of a decomposition, and the isolated
-component's colon panel, are read off those invariants, computed once
-per degree and shared by every component.
+echelon slices it keeps, and gives each degree's free rank and largest
+invariant factor from the Smith form of each component's raw columns.
+The growth exponents of the components of a decomposition, and the
+isolated component's colon panel, are read off those invariants,
+computed once per degree and shared by every component.
 """
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import NamedTuple
 
 from .budgets import DEFAULT as DEFAULT_BUDGETS, check_deadline
@@ -63,14 +62,10 @@ def _columns_of(f: MultiPoly, ti: int, w1, shift) -> dict:
     return {row: UniPoly(p, [d.get(k, 0) for k in range(max(d) + 1)]) for row, d in out.items()}
 
 
-def _supports(f: MultiPoly, w1):
-    return sorted({tuple(exps[i] for i in w1) for exps in f.term_dict()})
-
-
 def _generator_data(ideal):
     """(covers, columns) of an ideal, shared by all its slices: the
-    x-exponents of the single-term generators free of t, and (generator,
-    x-degree, x-supports) of every other nonzero generator."""
+    x-exponents of the single-term generators free of t, and (x-degree,
+    x-supports, column) of every other nonzero generator."""
     ring = ideal.ring
     w0, w1 = ring.weight0_indices(), ring.weight1_indices()
     covers, columns = [], []
@@ -82,7 +77,8 @@ def _generator_data(ideal):
                 covers.append(tuple(exps[i] for i in w1))
                 continue
         if terms:
-            columns.append((g, x_degree(g), _supports(g, w1)))
+            col = _columns_of(g, _single_t_index(ring), w1, (0,) * len(w1))
+            columns.append((x_degree(g), sorted(col), col))
     return covers, columns
 
 
@@ -107,6 +103,39 @@ def _cover_test(covers, degree: int):
     )
 
 
+def _component(gens, seeds, covered):
+    """The row component of one degree reached from the seeds: its
+    standard rows, those `covered` rejects not, and the multiples by
+    x-monomials of the generators (`_generator_data` columns, translated)
+    that meet them, with their covered entries dropped."""
+    standard = {}  # row reached -> whether no cover divides it
+    work = []
+
+    def keep(row):  # whether row is standard; queued when first reached
+        if row not in standard:
+            standard[row] = not covered(row)
+            if standard[row]:
+                work.append(row)
+        return standard[row]
+
+    for s in seeds:
+        keep(s)
+    placed = set()
+    columns = []
+    while work:
+        mono = work.pop()
+        for gi, (_, sup, col) in enumerate(gens):
+            for s in sup:
+                shift = tuple(map(sub, mono, s))
+                if min(shift, default=0) < 0 or (gi, shift) in placed:
+                    continue
+                placed.add((gi, shift))
+                columns.append(
+                    {r: u for v, u in col.items() if keep(r := tuple(map(add, v, shift)))}
+                )
+    return {r for r, std in standard.items() if std}, columns
+
+
 class DegreeSlice:
     """The component of the degree-d slice of an ideal containing the
     given seed monomials, held in column echelon form over k[t].
@@ -126,41 +155,11 @@ class DegreeSlice:
         self.degree = degree
         covers, gens = generators if generators is not None else _generator_data(ideal)
         self.covered = covered if covered is not None else _cover_test(covers, degree)
-        gen_data = [gd for gd in gens if gd[1] <= degree]
-        rows, columns = self._collect(gen_data, seeds, degree)
-        self.rows = rows
-        self._echelon_pivots = _echelon(columns, sorted(rows, reverse=True))[0]
-
-    def _collect(self, gen_data, seeds, degree):
-        standard = {}  # row reached -> whether no cover divides it
-        work = []
-
-        def keep(row):  # whether row is standard; queued when first reached
-            if row not in standard:
-                standard[row] = not self.covered(row)
-                if standard[row]:
-                    work.append(row)
-            return standard[row]
-
-        for s in seeds:
-            if sum(s) != degree:
-                raise InputError("seed monomial has the wrong degree")
-            keep(s)
-        placed = set()
-        columns = []
-        while work:
-            mono = work.pop()
-            for gi, (g, gd, sup) in enumerate(gen_data):
-                for s in sup:
-                    shift = tuple(m - e for m, e in zip(mono, s))
-                    if any(e < 0 for e in shift):
-                        continue
-                    if (gi, shift) in placed:
-                        continue
-                    placed.add((gi, shift))
-                    col = _columns_of(g, self._ti, self._w1, shift)
-                    columns.append({r: u for r, u in col.items() if keep(r)})
-        return {r for r, std in standard.items() if std}, columns
+        if any(sum(s) != degree for s in seeds):
+            raise InputError("seed monomial has the wrong degree")
+        gens = [gd for gd in gens if gd[0] <= degree]
+        self.rows, columns = _component(gens, seeds, self.covered)
+        self._echelon_pivots = _echelon(columns, sorted(self.rows, reverse=True))[0]
 
     def contains(self, vec: dict) -> bool:
         """Membership of a vector {x-exps: UniPoly} by exact-division
@@ -185,12 +184,6 @@ class DegreeSlice:
         if x_degree(f) != self.degree:
             raise InputError("degree of the polynomial differs from the slice")
         return self.contains(_columns_of(f, self._ti, self._w1, (0,) * len(self._w1)))
-
-    def invariant_factors(self) -> list:
-        """Monic invariant factors of this slice's module M, one per
-        pivot: S/M is the free module of rank len(rows) - len(factors)
-        plus the k[t]/(d) for the factors d."""
-        return invariant_factors(piv for _, piv in self._echelon_pivots)
 
     def colon_is_trivial(self, g: UniPoly) -> bool:
         """Whether {v : g*v in M} == M for this slice's module M, decided
@@ -315,14 +308,14 @@ class DegreeInvariants(NamedTuple):
 class SliceCache:
     """The degree slices of one x-homogeneous ideal I, its generator data
     and the cover test of each x-degree computed once.  `member` decides
-    membership and keeps the slices it builds, indexed by row.  `at(b)`
-    gives S_b / I_b (S_b free on the degree-b x-monomials) from the
-    Smith form of each row component of the standard monomials, the
-    covered ones being zero there; it reuses `member`'s slices but keeps
-    only the invariants of its own, which would otherwise dominate
-    memory.  A full degree stays full above (each monomial there is a
-    multiple of one below), so `at` builds nothing past the least full
-    degree seen."""
+    membership and keeps the echelon slices it builds, indexed by row.
+    `at(b)` gives S_b / I_b (S_b free on the degree-b x-monomials) from
+    the Smith form of the raw columns of each row component of the
+    standard monomials, enumerated under the cover cap: the largest
+    single-variable cover threshold less one, when every variable has
+    one.  It builds no slice.  A full degree stays full above (each
+    monomial there is a multiple of one below), so `at` computes nothing
+    past the least full degree seen."""
 
     def __init__(self, ideal):
         self.ideal = ideal
@@ -333,6 +326,10 @@ class SliceCache:
         self._degrees: dict = {}  # x-degree -> DegreeInvariants
         self._full_from: int | None = None
         self._covered: dict = {}  # x-degree -> its _cover_test
+        # the least e with x_i^e a cover, for each i that has one
+        pure = [(c.index(sum(c)), sum(c)) for c in self._generators[0] if any(c) and sum(c) in c]
+        least = {i: min(e for j, e in pure if j == i) for i, _ in pure}
+        self._cap = max(least.values()) - 1 if least and len(least) == len(self._w1) else None
 
     def _cover_test(self, degree: int):
         test = self._covered.get(degree)
@@ -345,7 +342,8 @@ class SliceCache:
             return True
         degree = x_degree(f)
         covered = self._cover_test(degree)
-        sup = [m for m in _supports(f, self._w1) if not covered(m)]
+        sup = sorted({tuple(e[i] for i in self._w1) for e in f.term_dict()})
+        sup = [m for m in sup if not covered(m)]
         if not sup:  # every term of f is zero in S / I
             return True
         sl = self._by_row.get(sup[0])
@@ -363,15 +361,16 @@ class SliceCache:
             check_deadline()
             free, largest = 0, self._one
             covered = self._cover_test(b)
-            todo = {m for m in monomials_of_degree(len(self._w1), b) if not covered(m)}
-            while todo:
-                row = todo.pop()
-                sl = self._by_row.get(row)
-                if sl is None:
-                    sl = DegreeSlice(self.ideal, b, [row], self._generators, covered)
-                todo -= sl.rows
-                factors = sl.invariant_factors()
-                free += len(sl.rows) - len(factors)
+            gens = [gd for gd in self._generators[1] if gd[0] <= b]
+            seen = set()
+            for row in monomials_of_degree(len(self._w1), b, self._cap):
+                if row in seen or covered(row):
+                    continue
+                check_deadline()
+                rows, columns = _component(gens, [row], covered)
+                seen |= rows
+                factors = invariant_factors(columns)
+                free += len(rows) - len(factors)
                 if factors:
                     largest = uni_lcm(largest, factors[-1])
             got = self._degrees[b] = DegreeInvariants(free, largest)

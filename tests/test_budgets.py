@@ -5,10 +5,11 @@ from dataclasses import fields
 import pytest
 from click.testing import CliRunner
 
+from frobgrow import ktmodule
 from frobgrow.budgets import Budgets, check_deadline, wall_clock
 from frobgrow.cli import main
 from frobgrow.errors import BudgetExceeded, InputError
-from frobgrow.fpoly import PrimeModulus, RingSpec, parse_poly, parse_unipoly
+from frobgrow.fpoly import PrimeModulus, RingSpec, UniPoly, parse_poly, parse_unipoly
 from frobgrow.groebner import IdealHandle, power_containment, saturation_exponent
 from frobgrow.hq import MinorMatrix, minors_lcm
 from frobgrow.ktmodule import DegreeSlice, SliceCache
@@ -118,7 +119,7 @@ class TestWallClock:
         R = RingSpec(PrimeModulus(3), (("t", 0), ("x", 1), ("y", 1)))
         I = IdealHandle(R, ["x^2+t*x*y", "y^2"])
         # every degree-2 monomial of (x^2, xy, y^2) is covered, so `at`
-        # builds no slice there and only its per-degree check can fire
+        # meets no row component there and only its per-degree check can fire
         full = SliceCache(IdealHandle(R, ["x^2", "x*y", "y^2"]))
         with wall_clock(Budgets(wall_seconds=1e-9)):
             time.sleep(0.001)
@@ -126,8 +127,29 @@ class TestWallClock:
                 DegreeSlice(I, 2, [(1, 1)])
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 full.at(2)
+            # degree 2 of I has the standard rows x^2 and x*y
+            with pytest.raises(BudgetExceeded, match="wall_seconds"):
+                SliceCache(I).at(2)
         assert DegreeSlice(I, 2, [(1, 1)]).rows
         assert full.at(2).full
+        assert SliceCache(I).at(2) == (1, UniPoly.one(PrimeModulus(3)))
+
+    def test_slice_invariants_check_it_per_component(self, monkeypatch):
+        # past the per-degree check, each row component checks again: a
+        # deadline that passes at the second check stops the first component
+        R = RingSpec(PrimeModulus(3), (("t", 0), ("x", 1), ("y", 1)))
+        cache = SliceCache(IdealHandle(R, ["x^2+t*x*y", "y^2"]))
+        checks = []
+
+        def deadline():
+            checks.append(None)
+            if len(checks) > 1:
+                raise BudgetExceeded("wall_seconds", 0.0)
+
+        monkeypatch.setattr(ktmodule, "check_deadline", deadline)
+        with pytest.raises(BudgetExceeded, match="wall_seconds"):
+            cache.at(2)
+        assert len(checks) == 2 and 2 not in cache._degrees
 
     def test_minors_scan_checks_it(self):
         P3 = PrimeModulus(3)

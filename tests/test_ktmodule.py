@@ -12,6 +12,7 @@ from frobgrow.fpoly import (
     parse_poly,
     parse_unipoly,
     uni_factor,
+    uni_lcm,
     x_degree,
 )
 from frobgrow.groebner import IdealHandle, colon, eliminate, ideal_equal, normal_form
@@ -182,17 +183,32 @@ class TestSliceCache:
         inv = SliceCache(IdealHandle(R, ["x^2", "y^2"]))
         assert inv.at(2) == (0, parse_unipoly("t", P2))
 
-    def test_invariants_reuse_member_slices_and_keep_none(self):
-        # at() answers from a slice member() built, the same as a fresh
-        # store, and adds none of its own slices to the row index
+    def test_invariants_leave_member_slices_alone(self):
+        # at() builds no slice and reads none of member()'s: the row index
+        # member() keeps is the same after at() as before, whether member()
+        # ran before it or after it, and at() agrees with a fresh store
         R = ring_txy(P2, ("x^2+t*x*y+y^2",))
         I = IdealHandle(R, ["x^3", "t*y^3"])
         used, fresh = SliceCache(I), SliceCache(I)
         assert not used.member(parse_poly("x*y", R))
         kept = dict(used._by_row)
+        for b in range(3):
+            assert used.at(b) == fresh.at(b)
+        assert used._by_row == kept
+        assert used.member(parse_poly("t*x*y^3", R))
+        kept = dict(used._by_row)
+        assert len(kept) > 1
         for b in range(6):
             assert used.at(b) == fresh.at(b)
         assert used._by_row == kept and not fresh._by_row
+
+    def test_cover_cap(self):
+        # the largest single-variable threshold less one, when every
+        # variable has one; mixed covers and t-multiples give none
+        R = ring_txy(P3)
+        assert SliceCache(IdealHandle(R, ["x^2", "y^3", "x^4"]))._cap == 2
+        assert SliceCache(IdealHandle(R, ["x^2", "x*y"]))._cap is None
+        assert SliceCache(IdealHandle(R, ["x^2", "t*y^2"]))._cap is None
 
 
 def ring_txyz(p=P3, relations=()):
@@ -374,7 +390,77 @@ class TestInvariantFactors:
                 sl = DegreeSlice(Iq, d, [todo.pop()])
                 todo -= sl.rows
                 pivots = [dict(c) for _, c in sl._echelon_pivots]
-                assert sl.invariant_factors() == sympy_invariant_factors(pivots, P3)
+                assert invariant_factors(pivots) == sympy_invariant_factors(pivots, P3)
+
+    def test_katzman_degrees_agree_with_sympy(self):
+        # SliceCache.at(d) against sympy's Smith form of the whole degree-d
+        # matrix of I^[3], every monomial a row and every multiple of every
+        # generator, x^3 and y^3 included, a column
+        pytest.importorskip("sympy")
+        fam = family("katzman", 3)
+        Iq = frobenius_generators(fam.ideal, PrimePower(P3, 1))
+        cache = SliceCache(Iq)
+        for d in range(2 * 2 + 2):
+            rows, columns = full_row_presentation(Iq, d)
+            factors = sympy_invariant_factors(columns, P3)
+            largest = factors[-1] if factors else UniPoly.one(P3)
+            assert cache.at(d) == (len(rows) - len(factors), largest)
+
+
+def per_slice_at(cache, b):
+    """S_b / I_b by the per-slice route: every degree-b monomial
+    enumerated with no cap, one echelon DegreeSlice per row component of
+    the standard ones, and the invariant factors of its pivots."""
+    covered = cache._cover_test(b)
+    todo = {m for m in monomials_of_degree(len(cache._w1), b) if not covered(m)}
+    free, largest = 0, UniPoly.one(cache.ideal.ring.p)
+    while todo:
+        sl = DegreeSlice(cache.ideal, b, [todo.pop()], cache._generators, covered)
+        todo -= sl.rows
+        factors = invariant_factors(piv for _, piv in sl._echelon_pivots)
+        free += len(sl.rows) - len(factors)
+        if factors:
+            largest = uni_lcm(largest, factors[-1])
+    return free, largest
+
+
+class TestInvariantsAgainstPerSlice:
+    """SliceCache.at against the per-DegreeSlice reference above, on every
+    degree up to n(q - 1) + 1 of the paper's families, and on random
+    ideals whose covers give unequal thresholds or none."""
+
+    @pytest.mark.parametrize(
+        "name,p,q",
+        [("katzman", 2, 4), ("katzman", 3, 9), ("ss5", 2, 4), ("ss5", 3, 3),
+         ("brenner_monsky", 2, 4), ("ss7", 2, 2)],
+    )
+    def test_families(self, name, p, q):
+        fam = family(name, p)
+        e = {p**k: k for k in range(1, 4)}[q]
+        Iq = frobenius_generators(fam.ideal, PrimePower(fam.ring.p, e))
+        cache = SliceCache(Iq)
+        n = len(fam.ring.weight1_indices())
+        assert cache._cap == q - 1
+        for b in range(n * (q - 1) + 2):
+            assert cache.at(b) == per_slice_at(cache, b), b
+
+    @pytest.mark.parametrize("relations", [(), ("x^2+t*x*y+z^2",)])
+    def test_unequal_and_missing_thresholds(self, relations, rng):
+        R = ring_txyz(P3, relations)
+        caps = set()
+        for trial in range(16):
+            I, _ = rand_mixed_ideal(rng, R)
+            # x^a and y^b with a != b; z^c on odd trials, else z may go
+            # without a threshold and the cap with it
+            a, b = rng.sample(range(1, 5), 2)
+            powers = [f"x^{a}", f"y^{b}"] + [f"z^{rng.randint(1, 4)}"] * (trial % 2)
+            cache = SliceCache(IdealHandle(R, powers + list(I.generators)))
+            if trial % 2:
+                assert cache._cap is not None
+            caps.add(cache._cap)
+            for d in range(7):
+                assert cache.at(d) == per_slice_at(cache, d), d
+        assert None in caps and len(caps) > 2
 
 
 class TestSlicePowerContainment:
