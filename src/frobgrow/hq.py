@@ -9,15 +9,19 @@ separates the isolated component of (x_1^q..x_n^q, f_1..f_r).
 The minors scan counts positions in a fixed (size, row set, column set)
 order, and the `minor_subsets` budget bounds that count, not the number
 of determinants computed; the count and the budget's cut are arithmetic
-on binomial coefficients.  The scan's work is in proportion to the
-nonzero minors: each k-minor is built from the nonzero (k-1)-minors of
-its rows below the first, one term per nonzero entry of the first row,
-so row sets and column sets without a nonzero minor are never visited,
-and a term whose signed entry is 1 takes no product.  One `h_q` call
-folds the minors of all its degrees into one lcm, keyed by their monic
-forms, so each distinct one is divided into it once.  `bareiss_det`, an
-elimination determinant the scan does not call, is the tests'
-independent reference for it.
+on binomial coefficients.  The scan's work follows the nonzero
+minors: each k-minor is built from the nonzero (k-1)-minors of its rows
+below the first, one term per nonzero entry of the first row, so row
+sets and column sets without a nonzero minor are never visited.  The
+scan works on interned k[t] values.  The entry of M_d at (u, (i, w))
+depends only on u - w, so the same determinants recur many times, and
+one `h_q` call forms each distinct product (signed entry, smaller minor)
+and each distinct sum once; a term whose signed entry is 1 takes no
+product.  The call folds the minors of all its degrees into one lcm,
+each distinct value once, keyed by its monic form, so each distinct
+monic minor is divided into it once.  `bareiss_det`, an elimination
+determinant the scan does not call, is the tests' independent reference
+for it.
 """
 
 from __future__ import annotations
@@ -200,29 +204,54 @@ def _lex_below(a: int, b: int) -> bool:
 
 
 class _LcmFold:
-    """The running monic lcm of the determinants given to `add`.
+    """The k[t] values of a scan, interned, and the running monic lcm of
+    the determinants given to `add`.
 
-    Each determinant is keyed by its monic form: constants are skipped,
-    and each distinct non-constant monic D is divided into the lcm once.
-    When D does not divide it, the lcm becomes lcm * D / gcd(D, r), with
-    r the remainder that test left."""
+    Each distinct coefficient tuple has an int id, its index in `values`:
+    0 is the zero polynomial and 1 the constant 1.  `products` and `sums`
+    memoize the id of a product (signed entry, cofactor) and of a sum of
+    two ids, so each distinct one is formed once while the table lives.
+    `add` folds an id not folded yet, keyed by its monic form: constants
+    are skipped, and each distinct non-constant monic D is divided into
+    the lcm once.  When D does not divide it, the lcm becomes
+    lcm * D / gcd(D, r), with r the remainder that test left."""
 
     def __init__(self, p_mod):
+        self.p = p_mod.p
         self.lcm = UniPoly.one(p_mod)
-        self.seen = set()  # determinants met, as given and in monic form
+        self.values = [(), (1,)]
+        self.ids = {(): 0, (1,): 1}
+        self.products = {}  # (signed entry id, cofactor id) -> id
+        self.sums = {}  # (id, id) -> id
+        self.folded = set()  # ids given to `add`, each once
+        self.monic = set()  # monic forms divided into the lcm
 
-    def add(self, det) -> None:
-        key = tuple(det)
-        if key in self.seen:
-            return
-        self.seen.add(key)
+    def intern(self, coeffs) -> int:
+        key = tuple(coeffs)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.values)
+            self.values.append(key)
+        return i
+
+    def product(self, e: int, c: int) -> int:
+        i = self.products[e, c] = self.intern(uni_mul(self.values[e], self.values[c], self.p))
+        return i
+
+    def sum(self, a: int, b: int) -> int:
+        i = self.sums[a, b] = self.intern(uni_add(self.values[a], self.values[b], self.p))
+        return i
+
+    def add(self, i: int) -> None:
+        """Fold the value with id i, which `folded` does not hold yet."""
+        self.folded.add(i)
+        key = self.values[i]
         if len(key) == 1:
             return
         D = UniPoly(self.lcm.p, key).monic()
-        if D.coeffs != key:
-            if D.coeffs in self.seen:
-                return  # folded when first met
-            self.seen.add(D.coeffs)
+        if D.coeffs in self.monic:
+            return  # folded as another multiple
+        self.monic.add(D.coeffs)
         rem = uni_rem(self.lcm.coeffs, D.coeffs, D.p.p)
         if rem:
             self.lcm *= D.exact_div(uni_gcd(D, UniPoly(D.p, rem)))
@@ -258,28 +287,34 @@ def minors_lcm(
     whose signed entry (-1)^j * M[r0][c] is 1 is the (k-1)-minor itself,
     so it takes no product.
 
-    The determinants go into `fold`, which keys them by their monic
-    forms and divides each distinct one into the lcm once (`_LcmFold`).
-    Called alone, the scan folds into a fresh lcm of its own; `h_q`
-    passes one fold for all its degrees, and the scan's `lcm` is then
-    that running lcm.
+    The scan works on the ids of `fold`'s interned values (`_LcmFold`):
+    the minors kept per row set are ids, each entry and its negative are
+    interned once per matrix, and `uni_mul` or `uni_add` forms a product
+    (signed entry, cofactor) or a sum of two ids only the first time the
+    table meets it.  A sum that cancels to 0 is neither kept nor folded.
+    Each nonzero minor goes into `fold`, which folds each distinct id
+    once and divides each distinct monic form into the lcm once.  Called
+    alone, the scan has a fresh table and lcm of its own; `h_q` passes
+    one for all its degrees, and the scan's `lcm` is then that running
+    lcm.
     """
     nr, nc = M.shape
-    p_mod = M.p
-    p = p_mod.p
+    p = M.p.p
     if fold is None:
-        fold = _LcmFold(p_mod)
+        fold = _LcmFold(M.p)
+    intern, products, sums, folded = fold.intern, fold.products, fold.sums, fold.folded
     # per row, its nonzero entries as (column bit, bits of the columns
-    # below it, entry, -entry), a signed entry 1 given as None
+    # below it, id of the entry, id of -entry)
     first_terms = [[] for _ in range(nr)]
     for (r, c), a in M.entries.items():
-        signed = [None if e == [1] else e for e in (list(a.coeffs), uni_sub([], a.coeffs, p))]
-        first_terms[r].append((1 << c, (1 << c) - 1, *signed))
+        first_terms[r].append(
+            (1 << c, (1 << c) - 1, intern(a.coeffs), intern(uni_sub([], a.coeffs, p)))
+        )
     live = [r for r in range(nr) if first_terms[r]]
     examined = 0
     # nonzero minors of the previous size: row set bits -> column set
-    # bits -> coefficient list
-    prev = {0: {0: [1]}}
+    # bits -> id
+    prev = {0: {0: 1}}
     for size in range(1, min(len(live), nc) + 1):
         check_deadline()
         n_cols = comb(nc, size)
@@ -315,16 +350,22 @@ def minors_lcm(
                         if only_before and not _lex_below(key, cut_cols):
                             continue
                         e = neg_a if (cbits & below).bit_count() & 1 else a
-                        term = cof if e is None else uni_mul(e, cof, p)
-                        det = dets.get(key)
-                        dets[key] = term if det is None else uni_add(det, term, p)
+                        # a product is never 0, so `or` falls back only on a miss
+                        term = cof if e == 1 else products.get((e, cof)) or fold.product(e, cof)
+                        det = dets.get(key)  # None, or 0 once terms cancelled
+                        if det:
+                            total = sums.get((det, term))
+                            dets[key] = fold.sum(det, term) if total is None else total
+                        else:
+                            dets[key] = term
         prev = {}
         for rows, dets in cur.items():
-            for cbits, det in dets.items():
-                if not det:
-                    continue
-                prev.setdefault(rows, {})[cbits] = det
-                fold.add(det)
+            nonzero = {cbits: det for cbits, det in dets.items() if det}
+            if nonzero:
+                prev[rows] = nonzero
+                for det in nonzero.values():
+                    if det not in folded:
+                        fold.add(det)
         if cut_rows is not None:
             return MinorScan(lcm=fold.lcm, examined=budget + 1, partial=True)
     return MinorScan(lcm=fold.lcm, examined=examined, partial=False)
@@ -372,9 +413,10 @@ def h_q(
 ) -> HqCertificate:
     """The monic lcm of the nonzero minors of every M_d, factored and
     bounded.  Each M_d is scanned by `minors_lcm` under its own
-    `budget`, and all of them fold into one lcm, so a determinant that
-    recurs in another degree, or as another scalar multiple, is divided
-    into it only once."""
+    `budget`, and all of them share one table of values and one lcm, so
+    a product or sum that recurs in another degree is formed only once,
+    and a determinant that recurs, or as another scalar multiple, is
+    divided into the lcm only once."""
     if q.p != ring.p:
         raise InputError(
             f"characteristic mismatch: q is a power of {q.p.p}, ring has {ring.p.p}"

@@ -108,14 +108,25 @@ def block(weights, front_indices):
 
 def monomials_of_degree(nvars: int, total: int, cap: int | None = None):
     """Exponent tuples over nvars variables summing to total, each entry
-    at most cap when one is given, in descending lex order."""
+    at most cap when one is given, in descending lex order.
+
+    Built from the last variable up: each pass prepends one variable to
+    the tuples of every smaller sum, so each tail is formed once and
+    shared by all its prefixes."""
     if nvars == 0:
         return [()] if total == 0 else []
-    top, low = total, 0
-    if cap is not None:
-        top, low = min(total, cap), max(0, total - cap * (nvars - 1))
+    top = total if cap is None else min(total, cap)
+    # by_sum[s]: the tuples over the last k variables summing to s, in
+    # descending lex order; k = 0 at first
+    by_sum = [[()]] + [[] for _ in range(total)]
+    for k in range(nvars - 1):
+        by_sum = [
+            [(e,) + rest for e in range(min(s, top), max(0, s - top * k) - 1, -1)
+             for rest in by_sum[s - e]]
+            for s in range(total + 1)
+        ]
     return [
         (e,) + rest
-        for e in range(top, low - 1, -1)
-        for rest in monomials_of_degree(nvars - 1, total - e, cap)
+        for e in range(top, max(0, total - top * (nvars - 1)) - 1, -1)
+        for rest in by_sum[total - e]
     ]

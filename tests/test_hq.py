@@ -128,10 +128,11 @@ def full_positions(M):
 
 def expansion_products(M, budget):
     """Products the first-row expansions need at the first `budget`
-    positions of the scan's order: pairs (position, c) with M[r0][c]
-    nonzero, the minor on the other rows and columns nonzero (the empty
-    minor is 1), and the signed entry (-1)^j * M[r0][c] not 1, where j
-    is the number of the position's columns below c."""
+    positions of the scan's order, each distinct one once: the pairs
+    (signed entry, minor) over (position, c) with M[r0][c] nonzero, the
+    minor on the other rows and columns nonzero (the empty minor is 1),
+    and the signed entry (-1)^j * M[r0][c] not 1, where j is the number
+    of the position's columns below c."""
     nr, nc = M.shape
     zero = UniPoly.zero(M.p)
     one = UniPoly.one(M.p)
@@ -142,18 +143,21 @@ def expansion_products(M, budget):
         for rows in itertools.combinations(live, size)
         for cols in itertools.combinations(range(nc), size)
     )
-    terms = 0
+    products = set()
     for rows, cols in itertools.islice(positions, budget):
         r0, rest = rows[0], rows[1:]
         for j, c in enumerate(cols):
             if (r0, c) not in M.entries:
                 continue
-            if M.entries[(r0, c)] * (-1) ** j == one:
+            signed = M.entries[(r0, c)] * (-1) ** j
+            if signed == one:
                 continue
             others = [x for x in cols if x != c]
             sub = [[M.entries.get((r, x), zero) for x in others] for r in rest]
-            terms += not rest or not bareiss_det(sub).is_zero
-    return terms
+            minor = bareiss_det(sub) if rest else one
+            if not minor.is_zero:
+                products.add((signed.coeffs, minor.coeffs))
+    return len(products)
 
 
 class TestBareissDet:
@@ -334,10 +338,11 @@ class TestMinorsLcm:
                 assert got.partial == (budget < full)
 
     def test_multiplies_only_the_terms_of_admitted_positions(self, rng, monkeypatch):
-        # one uni_mul per nonzero expansion term at a position the budget
-        # admits: no product for a term that is zero, none for a column
-        # set past the cut inside the cut row set, and none by a signed
-        # entry 1, whose term is the smaller minor itself
+        # one uni_mul per distinct (signed entry, minor) product among the
+        # nonzero expansion terms at positions the budget admits: no
+        # product for a term that is zero, none for a column set past the
+        # cut inside the cut row set, none by a signed entry 1, whose term
+        # is the smaller minor itself, and none formed twice in one scan
         calls = []
         real = hq.uni_mul
 
@@ -373,6 +378,74 @@ class TestMinorsLcm:
                 assert minors_lcm(M, budget) == reference_minors_lcm(M, budget), (A, budget)
 
 
+def banded_toeplitz(rng, p, nr, nc):
+    """An nr x nc matrix whose (i, j) entry depends only on j - i, zero
+    outside a random band of diagonals: its minors repeat often."""
+    lo = rng.randint(-nr + 1, 0)
+    hi = rng.randint(min(lo + 2, nc - 1), nc - 1)
+    diag = {
+        k: UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 2))])
+        for k in range(lo, hi + 1)
+    }
+    zero = UniPoly.zero(p)
+    return [[diag.get(j - i, zero) for j in range(nc)] for i in range(nr)]
+
+
+class TestValueTable:
+    @pytest.mark.parametrize("rows,p", [
+        ((((1,), (1,)), ((1,), (1,))), P2),
+        ((((1,), (1,)), ((1,), (1,))), P3),
+        # the three terms of the 3-minor along the first row are each
+        # (t + 1)^2, so over F_2 any two of them cancel and the third is
+        # added to that zero
+        ((((1,), (1, 1), (1, 1)), ((1,), (1,), (0, 1)), ((1,), (0, 1), (1,))), P2),
+    ])
+    def test_a_sum_that_cancels_is_neither_kept_nor_folded(self, rows, p, monkeypatch):
+        sums, factors = [], []
+        real_add, real_mul = hq.uni_add, hq.uni_mul
+
+        def adding(a, b, q):
+            sums.append(real_add(a, b, q))
+            return sums[-1]
+
+        def multiplying(a, b, q):
+            factors.extend((a, b))
+            return real_mul(a, b, q)
+
+        A = [[UniPoly(p, c) for c in row] for row in rows]
+        M = as_minor_matrix(A, p)
+        fold = hq._LcmFold(p)
+        monkeypatch.setattr(hq, "uni_add", adding)
+        monkeypatch.setattr(hq, "uni_mul", multiplying)
+        scan = minors_lcm(M, fold=fold)
+        monkeypatch.undo()
+        assert [] in sums  # a sum cancelled
+        assert all(factors)  # and no product was formed by it
+        assert 0 not in fold.folded
+        dets = reference_minors(M, full_positions(M))[0]
+        assert {fold.values[i] for i in fold.folded} == {det.coeffs for det in dets}
+        assert scan == reference_minors_lcm(M, full_positions(M))
+        # the 2x2 determinant is 0, the 3x3 one (t + 1)^2
+        assert bareiss_det(A).is_zero == (len(A) == 2)
+
+    def test_banded_toeplitz_matrices_at_every_budget(self, rng):
+        # the memo answers most products and sums of these, and every
+        # cut must still give the reference's lcm
+        distinct = minors = 0
+        for _ in range(10):
+            p = PrimeModulus((2, 3, 5)[rng.randrange(3)])
+            nr, nc = rng.choice(((4, 4), (3, 5), (5, 3)))
+            M = as_minor_matrix(banded_toeplitz(rng, p, nr, nc), p)
+            full = full_positions(M)
+            for budget in range(1, full + 2):
+                fold = hq._LcmFold(p)
+                got = minors_lcm(M, budget, fold)
+                assert got == reference_minors_lcm(M, budget), (M.entries, budget)
+            minors += len(reference_minors(M, full)[0])
+            distinct += len(fold.folded)
+        assert 2 * distinct < minors
+
+
 class TestHq:
     def test_katzman_values(self):
         fam = family("katzman", 2)
@@ -399,8 +472,9 @@ class TestHq:
         assert cert.s_max == 4 and not cert.partial
 
     def test_scan_state_lives_for_one_call(self, monkeypatch):
-        # state that outlived one h_q call would make the second call do
-        # less arithmetic than the first
+        # a value table that outlived one h_q call, or one minors_lcm call
+        # run alone, would make the second call do less arithmetic than
+        # the first
         calls = []
         real = hq.uni_mul
 
@@ -416,6 +490,13 @@ class TestHq:
         second = h_q(fam.ring, q)
         assert n_first > 0 and len(calls) == 2 * n_first
         assert first.h == second.h
+        calls.clear()
+        M = build_Md(fam.ring, PrimePower(P3, 2), 8)
+        first = minors_lcm(M)
+        n_first = len(calls)
+        second = minors_lcm(M)
+        assert n_first > 0 and len(calls) == 2 * n_first
+        assert first == second
 
     @pytest.mark.parametrize("name,p,e,budget", [
         ("katzman", 2, 2, 4), ("katzman", 3, 2, 60), ("katzman", 5, 1, 15),

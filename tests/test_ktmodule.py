@@ -61,7 +61,30 @@ class TestXDegree:
             x_degree(parse_poly("x+y^2", ring_txy()))
 
 
+def recursive_monomials_of_degree(nvars, total, cap=None):
+    """The enumerator as a recursion on the first variable: the
+    reference `monomials_of_degree` is compared with."""
+    if nvars == 0:
+        return [()] if total == 0 else []
+    top, low = total, 0
+    if cap is not None:
+        top, low = min(total, cap), max(0, total - cap * (nvars - 1))
+    return [
+        (e,) + rest
+        for e in range(top, low - 1, -1)
+        for rest in recursive_monomials_of_degree(nvars - 1, total - e, cap)
+    ]
+
+
 class TestMonomialsOfDegree:
+    def test_matches_the_recursive_reference(self):
+        for n in range(6):
+            for d in range(15):
+                for cap in (None, *range(8)):
+                    assert monomials_of_degree(n, d, cap) == recursive_monomials_of_degree(
+                        n, d, cap
+                    ), (n, d, cap)
+
     def test_counts(self):
         # n variables, total d: binomial(d + n - 1, n - 1) monomials
         assert len(monomials_of_degree(2, 5)) == 6
