@@ -14,14 +14,15 @@ exponents and Q's colon panel are all read off the slice invariants of
 I^[q] (free rank and largest invariant factor of each S_b / I^[q]_b);
 the Groebner route proves the equality by one colon Q : h (the
 splitting lemma) and finds each growth exponent by one ascending search
-over products of normal forms.  On both routes an embedded component's
-colons are settled by the power of its tau that the radical check
-finds (see primary_sanity).
+over products of normal forms, by x-degree on an embedded component.
+On both routes an embedded component's colons are settled by the power
+of its tau that the radical check finds (see primary_sanity).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ from .fpoly import (
     PrimePower,
     RingSpec,
     UniPoly,
+    _squarefree_decomposition,
     format_multipoly,
     format_unipoly,
     frobenius_generators,
@@ -295,7 +297,10 @@ def stable_decomposition(
         h_multi = MultiPoly.from_unipoly(ring, h, "t")
         Q = colon(Iq, h_multi, budgets)
     isolated = PrimaryComponent(ideal=Q, radical_generators=w1, cap_degree=K, slices=slices)
-    factors = list(uni_factor(h_monic, seed)) if h.degree > 0 else []
+    if hq_certificate is not None and hq_certificate.h == h:  # h_q has factored h
+        factors = list(hq_certificate.factorization)
+    else:
+        factors = list(uni_factor(h_monic, seed)) if h.degree > 0 else []
     prod = UniPoly.one(ring.p)
     for tau, s in factors:
         prod = prod * tau**s
@@ -306,7 +311,7 @@ def stable_decomposition(
     embedded = []
     for tau, s in factors:
         tau_pow = MultiPoly.from_unipoly(ring, tau**s, "t")
-        Qi = IdealHandle(ring, list(Iq.generators) + [tau_pow])
+        Qi = Iq.extended([tau_pow])
         # only here can Qi be the unit ideal: a certified family's relations
         # have positive x-degree, so there (S / Qi)_0 = k[t]/(tau^s) is not 0
         if not certified and Qi.is_unit_ideal(budgets):
@@ -393,7 +398,7 @@ def _certified_isolated(Iq, h_monic: UniPoly, slices: SliceCache, cap: int, note
         f"{format_unipoly(inv.largest)}, which divides h), so it sits inside "
         f"colon(I^[q], h)"
     )
-    return IdealHandle(ring, list(Iq.generators) + extra), K
+    return Iq.extended(extra), K
 
 
 def _uni_xgcd(a: UniPoly, b: UniPoly):
@@ -467,7 +472,8 @@ def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
     Each is the least k with radical^k inside C, the k that a search
     over the products of the radical generators finds (compared in the
     test suite).  Components without cap_degree run that search, once,
-    on Groebner normal forms (groebner.power_containment)."""
+    on Groebner normal forms (groebner.power_containment), split by
+    x-degree when tau is among the radical generators."""
     if not C.radical_generators:
         raise InputError("component has no radical generators")
     if C.cap_degree is not None:
@@ -493,8 +499,11 @@ def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
                 break
             k = max(k, b + e)
         return k
-    radical = IdealHandle(C.ideal.ring, list(C.radical_generators))
-    return power_containment(radical, C.ideal, budgets)
+    ring = C.ideal.ring
+    tau = C.tau and MultiPoly.from_unipoly(ring, C.tau[0], "t")
+    tau = tau if tau in C.radical_generators else None  # split the search by x-degree
+    gens = [g for g in C.radical_generators if g != tau]
+    return power_containment(IdealHandle(ring, gens), C.ideal, budgets, tau)
 
 
 def _slices_of(C: PrimaryComponent, own: SliceCache | None = None) -> SliceCache:
@@ -583,12 +592,14 @@ def primary_sanity(
     verdict of the degreewise colon computation, so the same g fails
     first and the witness is the same.
 
-    A component with neither takes one Groebner colon, by the panel's
-    product g_1 ... g_n, and tests it by containment: C lies in C : f
-    for every f, so C : f = C exactly when every generator of C : f
-    reduces to zero modulo C's basis.  A product of non-zero-divisors on
-    S/C is one again, and a zero divisor among the g_i makes the product
-    one too, so the product passes exactly when every g passes.  Only
+    A component with neither takes one Groebner colon, by f, the product
+    of the distinct squarefree factors of the panel's product
+    g_1 ... g_n, and tests it by containment: C lies in C : f for every
+    f, so C : f = C exactly when every generator of C : f reduces to
+    zero modulo C's basis.  A product is a non-zero-divisor on S/C
+    exactly when each of its irreducible factors is, and f has the same
+    irreducible factors as the g_i together, so f passes exactly when
+    every g passes.  Only
     when it fails are the g's tested one at a time, in panel order, to
     name the first that fails as the witness; if none before the last
     fails, the last is a zero divisor and needs no colon of its own."""
@@ -627,11 +638,11 @@ def primary_sanity(
             f = MultiPoly.from_unipoly(ring, g, "t")
             return _colon_escape(C.ideal, f, budgets) is not None
 
-        product = panel[0]
-        for g in panel[1:]:
-            product = product * g
+        product = math.prod(panel[1:], start=panel[0])
+        factors = _squarefree_decomposition(product)  # together, the product's irreducibles
+        squarefree = math.prod((g for g, _ in factors), start=UniPoly.one(p))
         bad = None
-        if escapes(product):  # some g is a zero divisor: the first, or the last if no other is
+        if escapes(squarefree):  # some g is a zero divisor: the first, or the last if no other is
             bad = next((g for g in panel[:-1] if escapes(g)), panel[-1])
     if bad is not None:
         return SanityVerdict(False, f"colon by {format_unipoly(bad)} changed the ideal")

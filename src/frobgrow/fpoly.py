@@ -10,6 +10,7 @@ function.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -690,32 +691,40 @@ def x_degree(f: MultiPoly) -> int:
 # least powers
 
 
-def _least_power(one, gens, step, limit: int) -> int:
-    """Least k >= 1 with every degree-k product of `gens` in an ideal C.
+def _least_power(one, gens, step, limit: int, tau=None) -> int:
+    """Least k >= 1 with (gens)^k, or (gens, tau)^k with a tau, inside C.
 
     `step(f, g)` returns the residue of f*g, or None when f*g lies in C.
-    Starting from `one`, each degree multiplies every survivor of the
+    Starting from `one`, each degree b multiplies every survivor of the
     one before by every generator and keeps the distinct residues: f in
-    C implies g*f in C, so only products outside C need extending, and
-    the first degree with no survivor is the answer.  Each product
-    checks the wall-clock deadline; more than `limit` of them raise
-    BudgetExceeded("power_products"), a degree past 2^20 InputError."""
-    frontier = [one]
-    count = 0
-    for k in range(1, (1 << 20) + 1):
-        survivors = {}  # distinct residues in first-seen order, so runs repeat
-        for f in frontier:
-            for g in gens:
-                count += 1
-                if count > limit:
-                    raise BudgetExceeded("power_products", limit)
-                check_deadline()
-                r = step(f, g)
-                if r is not None:
-                    survivors[r] = None
-        if not survivors:
-            return k
-        frontier = list(survivors)
+    C implies g*f in C, so only products outside C need extending.
+    Without a tau the first degree with no survivor is the answer.  With
+    one, (gens, tau)^k lies in C iff tau^(k-b) * (gens)^b does for all
+    b <= k: k = max(1, max_b (b + e_b)) before the first empty degree,
+    e_b the longest chain r, tau*r, ... into C from a degree-b survivor.
+    Each product checks the wall-clock deadline; more than `limit` of
+    them raise BudgetExceeded("power_products"), a degree past 2^20
+    InputError."""
+    counts, k, frontier = itertools.count(1), 1, [one]
+
+    def times(f, g):
+        if next(counts) > limit:
+            raise BudgetExceeded("power_products", limit)
+        check_deadline()
+        return step(f, g)
+
+    for b in range(1 << 20):
+        for r in frontier if tau is not None else ():
+            e = 0
+            while r is not None:
+                r, e = times(r, tau), e + 1
+            k = max(k, b + e)
+        # distinct residues in first-seen order, so runs repeat
+        frontier = list(dict.fromkeys(
+            r for f in frontier for g in gens if (r := times(f, g)) is not None
+        ))
+        if not frontier:
+            return b + 1 if tau is None else k
     raise InputError("growth exponent search exceeded 2^20")
 
 

@@ -5,14 +5,17 @@ pair criteria), normal forms, membership, equality, elimination,
 intersection, colon, saturation, and an independent bounded-degree
 linear-algebra membership oracle.
 
-Elimination is one computation (`_eliminated`): a reduced basis in an
-elimination order, keeping the elements whose lead is free of the
-eliminated block.  `eliminate` runs it on the ring's variables.  With w
-one extra exponent slot past the ring's variables, intersection runs it
-on w*A + (1-w)*B, and colon goes through intersection; the saturation
-I : f^infinity runs it on I + (1 - w*f), and `saturation_exponent` finds
-the chain's stabilization exponent from that by normal forms.  `saturate`
-keeps the colon chain itself as the tests' independent reference.
+A Buchberger run that extends a known reduced basis is seeded with it,
+and forms no pair inside it.  Elimination is one computation
+(`_eliminated`): a reduced basis in an elimination order, keeping the
+elements whose lead is free of the eliminated block.  `eliminate` runs
+it on the ring's variables.  With w one extra exponent slot past the
+ring's variables, intersection runs it on w*A + (1-w)*B, colon on
+w*rGB(I) + (1-w)*f, its result keeping its basis; the saturation
+I : f^infinity on rGB(I) + (1 - w*f), and `saturation_exponent` finds
+the chain's stabilization exponent from that by normal forms.
+`saturate` keeps the colon chain itself as the tests' independent
+reference.
 
 Quotient rings never get a separate arithmetic layer: every IdealHandle
 silently carries its ring's relations, so all computations happen in the
@@ -22,7 +25,6 @@ ambient polynomial ring.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from . import budgets as budgets_mod
@@ -135,15 +137,19 @@ def _spoly_raw(f: _BasisElt, g: _BasisElt, kl: int, p: int):
     return raw
 
 
-def _buchberger(gens_raw, order: orders.MonomialOrder, p: int, budgets) -> list[_BasisElt]:
+def _buchberger(
+    gens_raw, order: orders.MonomialOrder, p: int, budgets, seed=()
+) -> list[_BasisElt]:
     """Reduced Groebner basis from raw generators, deterministic.
 
-    Pairs are taken from a heap keyed by (sugar, lcm, (i, j)); a pair's
-    key is fixed when the pair is made.  Each pair that survives the
-    criteria counts against budgets.gb_pairs and checks the wall-clock
-    deadline."""
+    `seed` holds monic raw elements that already form a Groebner basis:
+    they come first, and no pair inside them is formed (they reduce to
+    zero, so the chain criterion counts them as treated).  Pairs are
+    taken from a heap keyed by (sugar, lcm, (i, j)); a pair's key is fixed
+    when the pair is made.  Each pair that survives the criteria counts
+    against budgets.gb_pairs and checks the wall-clock deadline."""
     one, cmask, guard = order.one, order.cmask, order.guard
-    G: list[_BasisElt] = []
+    G = [_BasisElt(order, raw) for raw in seed]
     for raw in sorted(gens_raw, reverse=True):
         if raw:
             G.append(_BasisElt(order, _make_monic(raw, p)))
@@ -160,8 +166,9 @@ def _buchberger(gens_raw, order: orders.MonomialOrder, p: int, budgets) -> list[
         pending.add((i, j))
         heapq.heappush(queue, (sugar, order.key(L), (i, j)))
 
-    for i, j in itertools.combinations(range(len(G)), 2):
-        add_pair(i, j)
+    for j in range(len(seed), len(G)):
+        for i in range(j):
+            add_pair(i, j)
 
     reductions = 0
     while queue:
@@ -210,11 +217,15 @@ def _buchberger(gens_raw, order: orders.MonomialOrder, p: int, budgets) -> list[
         ):
             continue
         keep.append(g)
-    # interreduce tails
+    return _interreduce(keep, order, p)
+
+
+def _interreduce(keep, order: orders.MonomialOrder, p: int) -> list[_BasisElt]:
+    """The reduced basis of a minimal Groebner basis: each element's
+    normal form modulo the others, monic, largest lead first."""
     reduced = []
     for idx, g in enumerate(keep):
-        others = keep[:idx] + keep[idx + 1 :]
-        r = _nf_raw(g.terms, others, order, p)
+        r = _nf_raw(g.terms, keep[:idx] + keep[idx + 1 :], order, p)
         if r:
             reduced.append(_BasisElt(order, _make_monic(r, p)))
     reduced.sort(key=lambda g: g.lead_key, reverse=True)
@@ -231,7 +242,7 @@ class IdealHandle:
     MultiPolys and as the engine's basis elements.  The ring's quotient
     relations are appended to the generators in every computation."""
 
-    __slots__ = ("ring", "generators", "_basis")
+    __slots__ = ("ring", "generators", "_basis", "_base")
 
     def __init__(self, ring: RingSpec, generators):
         self.ring = ring
@@ -247,6 +258,7 @@ class IdealHandle:
         self.generators = tuple(gens)
         # (reduced basis as MultiPolys, the same as _BasisElts), once computed
         self._basis: tuple[tuple, list] | None = None
+        self._base: IdealHandle | None = None
 
     @property
     def _cache(self):
@@ -257,13 +269,25 @@ class IdealHandle:
     def effective_generators(self):
         return self.generators + self.ring.relations
 
+    def extended(self, extra) -> IdealHandle:
+        """This ideal plus the generators `extra`; its basis run is seeded
+        with this ideal's reduced basis."""
+        J = IdealHandle(self.ring, self.generators + tuple(extra))
+        J._base = self
+        return J
+
+    def _set_basis(self, basis):
+        order = self.ring.default_order
+        self._basis = (tuple(_from_raw(self.ring, order, g.terms) for g in basis), basis)
+
     def groebner_basis(self, budgets=DEFAULT_BUDGETS):
         """The reduced basis in the ring's default order."""
         if self._basis is None:
-            order = self.ring.default_order
-            raws = [_to_raw(g, order) for g in self.effective_generators() if not g.is_zero]
-            basis = _buchberger(raws, order, self.ring.p.p, budgets)
-            self._basis = (tuple(_from_raw(self.ring, order, g.terms) for g in basis), basis)
+            order, base = self.ring.default_order, self._base
+            seed = [g.terms for g in _basis_for(base, budgets)[1]] if base else ()
+            gens = self.generators[len(base.generators) :] if base else self.effective_generators()
+            raws = [_to_raw(g, order) for g in gens if not g.is_zero]
+            self._set_basis(_buchberger(raws, order, self.ring.p.p, budgets, seed))
         return self._basis[0]
 
     def contains(self, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> bool:
@@ -306,12 +330,14 @@ def ideal_equal(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> bool
     return I.groebner_basis(budgets=budgets) == J.groebner_basis(budgets=budgets)
 
 
-def _eliminated(raws, order: orders.MonomialOrder, p: int, front, budgets) -> list[_BasisElt]:
-    """The reduced basis of the raw generators in `order`, an elimination
-    order whose front block, the variable indices `front`, is compared
-    first, keeping the elements whose lead has no variable of `front`:
-    any term in `front` would outrank such a lead, so they have none."""
-    basis = _buchberger(raws, order, p, budgets)
+def _eliminated(
+    raws, order: orders.MonomialOrder, p: int, front, budgets, seed=()
+) -> list[_BasisElt]:
+    """The reduced basis of `seed` and the raw generators in `order`, an
+    elimination order whose front block, the variable indices `front`, is
+    compared first, keeping the elements whose lead has no variable of
+    `front`: any term in `front` would outrank such a lead."""
+    basis = _buchberger(raws, order, p, budgets, seed)
     return [g for g in basis if not any(g.lead_exps[i] for i in front)]
 
 
@@ -335,44 +361,42 @@ def _w_times(order: orders.MonomialOrder, p: int, w_poly, g: MultiPoly):
     )
 
 
-def _w_free(ring: RingSpec, order: orders.MonomialOrder, raws, budgets):
-    """Generators of the ideal of `raws` (in a `_w_order`) intersected
-    with the ring: eliminate w, then drop its slot."""
+def _w_basis(I: IdealHandle, order: orders.MonomialOrder, e: int, budgets):
+    """w^e times I's reduced basis, raw in the `_w_order` `order`: a Groebner
+    basis there, as on one w-degree that order is the ring's default order."""
+    dflt, basis = _basis_for(I, budgets)
+    return [[(order.key(dflt.exps(k) + (e,)), c) for k, c in g.terms] for g in basis]
+
+
+def _w_free(ring: RingSpec, order: orders.MonomialOrder, raws, budgets, seed=()):
+    """Generators of the ideal of `seed` and `raws` (in a `_w_order`)
+    intersected with the ring: eliminate w, then drop its slot."""
     n = ring.nvars
     return [
         MultiPoly(ring, {order.exps(k)[:n]: c for k, c in g.terms})
-        for g in _eliminated(raws, order, ring.p.p, (n,), budgets)
+        for g in _eliminated(raws, order, ring.p.p, (n,), budgets, seed)
     ]
-
-
-def _intersect_gens(ring: RingSpec, gens_a, gens_b, budgets):
-    """Generators of (gens_a) intersect (gens_b): eliminate w from
-    w*A + (1-w)*B."""
-    order, p = _w_order(ring), ring.p.p
-    raws = [_w_times(order, p, (0, 1), g) for g in gens_a if not g.is_zero]
-    raws += [_w_times(order, p, (1, -1), g) for g in gens_b if not g.is_zero]
-    return _w_free(ring, order, raws, budgets)
 
 
 def _saturation_gens(I: IdealHandle, f: MultiPoly, budgets):
     """Generators of I : f^infinity in one elimination: eliminate w from
-    I + (1 - w*f)."""
+    I + (1 - w*f), seeded with I's reduced basis."""
     if f.is_zero:
         raise InputError("saturation by zero")
     order, p = _w_order(I.ring), I.ring.p.p
-    raws = [_w_times(order, p, (1,), g) for g in I.effective_generators() if not g.is_zero]
     # 1 is the least monomial, so appending it keeps the terms in order
-    raws.append(_w_times(order, p, (0, -1), f) + [(order.one, 1)])
-    return _w_free(I.ring, order, raws, budgets)
+    raw = _w_times(order, p, (0, -1), f) + [(order.one, 1)]
+    return _w_free(I.ring, order, [raw], budgets, _w_basis(I, order, 0, budgets))
 
 
 def intersect(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> IdealHandle:
+    """I intersect J: eliminate w from w*I + (1-w)*J."""
     if not I.ring.same_ambient(J.ring):
         raise RingMismatch("cannot intersect ideals in different rings")
-    gens = _intersect_gens(
-        I.ring, I.effective_generators(), J.effective_generators(), budgets
-    )
-    return IdealHandle(I.ring, gens)
+    order, p = _w_order(I.ring), I.ring.p.p
+    raws = [_w_times(order, p, (0, 1), g) for g in I.effective_generators() if not g.is_zero]
+    raws += [_w_times(order, p, (1, -1), g) for g in J.effective_generators() if not g.is_zero]
+    return IdealHandle(I.ring, _w_free(I.ring, order, raws, budgets))
 
 
 def _exact_div_multi(g: MultiPoly, f: MultiPoly) -> MultiPoly:
@@ -393,17 +417,24 @@ def _exact_div_multi(g: MultiPoly, f: MultiPoly) -> MultiPoly:
 
 
 def colon(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> IdealHandle:
-    """I : f, computed as (I intersect (f)) with every generator divided
-    exactly by f.  The principal side deliberately omits the quotient
-    relations: for ideals containing the relations, the colon of the
-    preimage is the preimage of the colon."""
+    """I : f, the reduced basis of I intersect (f) (w eliminated from
+    w*rGB(I) + (1-w)*f) divided exactly by f.  As LM(g/f) = LM(g)/LM(f),
+    the quotients, monic and interreduced, are I : f's reduced basis.
+    The principal side deliberately omits the quotient relations: for
+    ideals containing them, the colon of the preimage is the preimage of
+    the colon."""
     if f.is_zero:
         raise InputError("colon by zero")
     if f.constant_value() is not None:
-        return IdealHandle(I.ring, I.generators)
-    gens = _intersect_gens(I.ring, I.effective_generators(), [f], budgets)
-    quotients = [_exact_div_multi(g, f) for g in gens]
-    return IdealHandle(I.ring, quotients)
+        return I.extended(())
+    ring, order, p = I.ring, _w_order(I.ring), I.ring.p.p
+    raws = [_w_times(order, p, (1, -1), f)]
+    gens = _w_free(ring, order, raws, budgets, _w_basis(I, order, 1, budgets))
+    J = IdealHandle(ring, [_exact_div_multi(g, f) for g in gens])
+    dflt = ring.default_order
+    quotients = [_BasisElt(dflt, _make_monic(_to_raw(g, dflt), p)) for g in J.generators]
+    J._set_basis(_interreduce(quotients, dflt, p))
+    return J
 
 
 def saturate(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> SaturationResult:
@@ -473,11 +504,12 @@ def eliminate(I: IdealHandle, front, budgets=DEFAULT_BUDGETS) -> IdealHandle:
     return IdealHandle(ring, [_from_raw(ring, order, g.terms) for g in kept])
 
 
-def power_containment(P: IdealHandle, Q: IdealHandle, budgets=DEFAULT_BUDGETS) -> int:
-    """Least k >= 1 with P^k inside Q, by fpoly's ascending search over
-    products of P's generators.  Its survivors are normal forms modulo
-    Q's reduced basis, raw term tuples: NF(g*f) = NF(g*NF(f)), and a
-    product of terms is a key sum, so no MultiPoly is built per product."""
+def power_containment(P: IdealHandle, Q: IdealHandle, budgets=DEFAULT_BUDGETS, tau=None) -> int:
+    """Least k >= 1 with P^k, or (P + (tau))^k with a tau, inside Q, by
+    fpoly's ascending search over products of P's generators, split by
+    x-degree with a tau.  Its survivors are normal forms modulo Q's
+    reduced basis, raw term tuples: NF(g*f) = NF(g*NF(f)), and a product
+    of terms is a key sum, so no MultiPoly is built per product."""
     order, basis = _basis_for(Q, budgets)
     p = P.ring.p.p
     one = order.one
@@ -487,7 +519,8 @@ def power_containment(P: IdealHandle, Q: IdealHandle, budgets=DEFAULT_BUDGETS) -
         return tuple(r) if r else None
 
     gens = [_to_raw(g, order) for g in P.generators if not g.is_zero]
-    return _least_power(((one, 1),), gens, step, budgets.power_products)
+    t = None if tau is None else _to_raw(tau, order)
+    return _least_power(((one, 1),), gens, step, budgets.power_products, t)
 
 
 def _in_span_mod_p(columns, target: dict, p: int) -> bool:

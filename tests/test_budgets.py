@@ -105,6 +105,22 @@ class TestWallClock:
                 power_containment(P, Q)
         assert power_containment(P, Q) == 3
 
+    def test_growth_tau_chains_check_it(self):
+        # with no other radical generator, every product is one by tau:
+        # both the deadline and the product budget fire inside the chain
+        R = RingSpec(PrimeModulus(3), (("t", 0), ("x", 1), ("y", 1)))
+        P, Q, t = IdealHandle(R, []), IdealHandle(R, ["x", "y", "t^5"]), parse_poly("t", R)
+        Q.groebner_basis()
+        with wall_clock(Budgets(wall_seconds=1e-9)):
+            time.sleep(0.001)
+            with pytest.raises(BudgetExceeded, match="wall_seconds"):
+                power_containment(P, Q, tau=t)
+        assert power_containment(P, Q, tau=t) == 5
+        # the chain 1, t, ..., t^5 takes five products
+        assert power_containment(P, Q, Budgets(power_products=5), tau=t) == 5
+        with pytest.raises(BudgetExceeded, match="power_products"):
+            power_containment(P, Q, Budgets(power_products=4), tau=t)
+
     def test_saturation_exponent_checks_it(self):
         # I^[8] of the cone's ruling (x, z) in k[x,y,z]/(z^2 + xy), by y
         R = RingSpec(PrimeModulus(2), (("x", 1), ("y", 1), ("z", 1)), ("z^2+x*y",))

@@ -175,16 +175,39 @@ class TestDecompose:
         assert "wall_seconds" in res.stderr
 
     @pytest.mark.parametrize("args,least", [
-        (("--family", "katzman", "--p", "2", "--q", "4"), 22),
-        (("--family", "ss5", "--p", "2", "--q", "2", "--h", "closed-form"), 31),
-        (("--family", "katzman", "--p", "5", "--q", "5"), 29),
+        (("--family", "katzman", "--p", "2", "--q", "4"), 16),
+        (("--family", "ss5", "--p", "2", "--q", "2", "--h", "closed-form"), 20),
+        (("--family", "katzman", "--p", "5", "--q", "5"), 21),
     ])
     def test_least_gb_pairs(self, runner, args, least):
-        # pins the S-pair sequence: the most pairs any one basis reduces
+        # pins the S-pair sequence: the most pairs any one basis reduces;
+        # a seeded run reduces no pair inside its seed
         argv = ("decompose", *args, "--method", "groebner", "--no-timings", "--gb-pairs")
         assert invoke(runner, *argv, str(least)).exit_code == 0
         short = invoke(runner, *argv, str(least - 1))
         assert short.exit_code == 3 and "gb_pairs" in short.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("--family", "katzman", "--p", "3", "--q", "3"),
+        ("--family", "katzman", "--p", "2", "--q", "4", "--method", "groebner"),
+        ("--family", "ss5", "--p", "2", "--q", "2", "--h", "closed-form"),
+        ("--family", "katzman", "--p", "3", "--q", "3", "--h", "t+1"),
+    ])
+    def test_h_is_factored_once(self, runner, monkeypatch, args):
+        # a minors h keeps the factorization of its certificate; any
+        # other h is factored by the decomposition alone
+        from frobgrow import decomposer, fpoly, hq
+
+        seen = []
+
+        def counting(a, seed):
+            seen.append(a)
+            return fpoly.uni_factor(a, seed)
+
+        monkeypatch.setattr(hq, "uni_factor", counting)
+        monkeypatch.setattr(decomposer, "uni_factor", counting)
+        assert invoke(runner, "decompose", *args, "--no-timings").exit_code == 0
+        assert len(seen) == 1
 
     def test_text_shows_partial_certificate(self, runner):
         # a tiny budget cuts the minors scan short; the h line must say so

@@ -33,6 +33,7 @@ from frobgrow.fpoly import (
     frobenius_generators,
     parse_poly,
     parse_unipoly,
+    uni_factor,
     uni_gcd,
 )
 from frobgrow import decomposer, groebner
@@ -49,6 +50,15 @@ P5 = PrimeModulus(5)
 
 def q_of(fam, e):
     return PrimePower(fam.ring.p, e)
+
+
+def named_h(fam, q, h):
+    """h given as "minors", "closed-form" or a polynomial in t."""
+    if h == "minors":
+        return h_q(fam.ring, q).h
+    if h == "closed-form":
+        return ss_hq_closed_form(fam.seq, q)
+    return parse_unipoly(h, fam.ring.p)
 
 
 def cone_family():
@@ -276,6 +286,27 @@ class TestGrowthExponent:
                     k += 1
                 assert groebner.power_containment(IdealHandle(R, rad), Q) == k
                 assert slice_power_containment(rad, SliceCache(Q)) == k
+                if "t+1" in names:  # the search split by x-degree
+                    P = IdealHandle(R, rad[:-1])
+                    assert groebner.power_containment(P, Q, tau=rad[-1]) == k
+
+    @pytest.mark.parametrize("name,p,e,h", [
+        ("katzman", 2, 2, "minors"), ("katzman", 2, 2, "t"), ("katzman", 3, 2, "minors"),
+        ("katzman", 5, 1, "minors"), ("ss5", 2, 1, "closed-form"), ("ss5", 2, 2, "closed-form"),
+        ("ss5", 2, 2, "t"), ("ss7", 2, 1, "minors"), ("brenner_monsky", 2, 3, "t^3+t"),
+    ])
+    def test_tau_split_meets_the_whole_search(self, name, p, e, h):
+        # every embedded component of the golden Groebner-route runs:
+        # growth_exponent's search split by x-degree against the search
+        # over products of all radical generators, tau among them
+        fam = family(name, p)
+        q = q_of(fam, e)
+        h = named_h(fam, q, h)
+        rep = stable_decomposition(fam, q, h, measure=False, method="groebner")
+        assert rep.embedded
+        for comp in rep.embedded:
+            whole = IdealHandle(fam.ring, list(comp.radical_generators))
+            assert growth_exponent(comp) == groebner.power_containment(whole, comp.ideal)
 
 
 def random_cap3_ideal(rng, R):
@@ -359,12 +390,7 @@ class TestRouteAgreement:
     def test_K_agrees_with_membership_search(self, name, p, e, h):
         fam = family(name, p)
         q = q_of(fam, e)
-        if h == "minors":
-            h = h_q(fam.ring, q).h
-        elif h == "closed-form":
-            h = ss_hq_closed_form(fam.seq, q)
-        else:
-            h = parse_unipoly(h, fam.ring.p)
+        h = named_h(fam, q, h)
         self.assert_K_agrees(fam, q, h)
 
     def test_K_agrees_with_membership_search_random(self, rng):
@@ -401,12 +427,7 @@ class TestRouteAgreement:
     def test_components_agree_with_groebner_route(self, name, p, e, h):
         fam = family(name, p)
         q = q_of(fam, e)
-        if h == "minors":
-            h = h_q(fam.ring, q).h
-        elif h == "closed-form":
-            h = ss_hq_closed_form(fam.seq, q)
-        else:
-            h = parse_unipoly(h, fam.ring.p)
+        h = named_h(fam, q, h)
         rep = stable_decomposition(fam, q, h, measure=False)
         for comp in [rep.isolated] + rep.embedded:
             assert comp.slices is rep.isolated.slices is not None
@@ -434,12 +455,7 @@ class TestRouteAgreement:
         # components, which the certified route never builds
         fam = family(name, p)
         q = q_of(fam, e)
-        if h == "minors":
-            h = h_q(fam.ring, q).h
-        elif h == "closed-form":
-            h = ss_hq_closed_form(fam.seq, q)
-        else:
-            h = parse_unipoly(h, fam.ring.p)
+        h = named_h(fam, q, h)
         cert, gb = (
             stable_decomposition(fam, q, h, measure=False, method=m)
             for m in ("certified", "groebner")
@@ -633,6 +649,50 @@ class TestPrimarySanity:
                     assert v == per_g_sanity(C, size, seed)
                     outcomes.add(v.passed)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("p", [P2, P3, P5], ids=["p2", "p3", "p5"])
+    def test_squarefree_colon_agrees_with_the_product_colon(self, rng, p, monkeypatch):
+        # the one colon is by the product of the distinct squarefree
+        # factors of the panel's product; with the product itself (the
+        # squarefree decomposition patched to return it) verdict and
+        # witness are the same, on random components and on the isolated
+        # component of the exit-1 run katzman p=2 q=4 --h t
+        R = RingSpec(p, (("t", 0), ("x", 1), ("y", 1)))
+        rad = (parse_poly("x", R), parse_poly("y", R))
+        components = []
+        for _ in range(5):
+            gens = random_cap3_ideal(rng, R)
+            m = rng.choice(["x", "y", "x^2", "x*y", "y^2"])
+            gens.append(parse_poly(f"({rng.choice(['t', 't+1', 't^2'])})*{m}", R))
+            components.append(PrimaryComponent(IdealHandle(R, gens), rad))
+        if p == P2:
+            fam = family("katzman", 2)
+            components.append(stable_decomposition(
+                fam, q_of(fam, 2), parse_unipoly("t", P2), measure=False, method="groebner"
+            ).isolated)
+        taken = []
+        real_colon = decomposer.colon
+        monkeypatch.setattr(
+            decomposer, "colon", lambda C, f, b: taken.append(f) or real_colon(C, f, b)
+        )
+        outcomes = []
+        for C in components:
+            for size, seed in ((10, 0), (10, 1), (4, 2), (1, 3)):
+                taken.clear()
+                v = primary_sanity(C, size, seed)
+                panel = sanity_panel(C.ideal.ring.p, None, size, seed)
+                product = functools.reduce(operator.mul, panel)
+                first = taken[0].to_unipoly(C.ideal.ring.index_of("t"))
+                assert first.monic() == functools.reduce(
+                    operator.mul, (g for g, _ in uni_factor(product, 0)), UniPoly.one(first.p)
+                )
+                with monkeypatch.context() as m:
+                    m.setattr(decomposer, "_squarefree_decomposition", lambda f: [(f, 1)])
+                    assert primary_sanity(C, size, seed) == v
+                outcomes.append(v.passed)
+        assert set(outcomes) == {True, False}
+        if p == P2:  # the CLI's panel, 10 draws at seed 0, finds the torsion t
+            assert outcomes[-4] is False
 
     @pytest.mark.parametrize(
         "u,size,witness",

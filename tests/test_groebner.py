@@ -16,9 +16,11 @@ from frobgrow.fpoly import (
 from frobgrow.groebner import (
     IdealHandle,
     _BasisElt,
+    _buchberger,
     _exact_div_multi,
     _nf_raw,
     _saturation_gens,
+    _to_raw,
     colon,
     eliminate,
     ideal_equal,
@@ -29,6 +31,7 @@ from frobgrow.groebner import (
     saturate,
     saturation_exponent,
 )
+from frobgrow import orders
 from frobgrow.orders import MonomialOrder
 from frobgrow.sequences import SequenceSpec, p_seq
 
@@ -43,6 +46,18 @@ def ring_txy(p=P2):
 
 def ring_xy(p=P2):
     return RingSpec(p, (("x", 1), ("y", 1)))
+
+
+def random_polys(rng, R, count, exp=4):
+    """`count` random polynomials of R with two or three terms."""
+    p = R.p.p
+    return [
+        MultiPoly(R, {
+            tuple(rng.randrange(exp) for _ in range(R.nvars)): rng.randrange(1, p)
+            for _ in range(rng.randint(2, 3))
+        })
+        for _ in range(count)
+    ]
 
 
 class TestGroebnerBasis:
@@ -81,14 +96,11 @@ class TestGroebnerBasis:
                 return sorted((tuple(m[i] for i in prec), c) for m, c in f.term_dict().items())
 
             for _ in range(10):
-                ideal = [
-                    MultiPoly(R, {
-                        tuple(rng.randrange(4) for _ in range(R.nvars)): rng.randrange(1, p.p)
-                        for _ in range(rng.randint(2, 3))
-                    })
-                    for _ in range(rng.randint(2, 3))
-                ]
+                ideal = random_polys(rng, R, rng.randint(2, 3))
                 ours = sorted(terms(g) for g in IdealHandle(R, ideal).groebner_basis())
+                # the same basis when seeded with the first generator's
+                seeded = IdealHandle(R, ideal[:1]).extended(ideal[1:]).groebner_basis()
+                assert sorted(terms(g) for g in seeded) == ours
                 exprs = [
                     sum(c * sympy.prod(v**e for v, e in zip(gens, m)) for m, c in terms(f))
                     for f in ideal
@@ -107,6 +119,53 @@ class TestGroebnerBasis:
             IdealHandle(R, ["x^2+t*x*y+y^2", "x^3+y^3", "t^2*x*y^2+x^2*y"]).groebner_basis(
                 budgets=tiny
             )
+
+
+class TestSeededBuchberger:
+    @pytest.mark.parametrize("p", [P2, P3, P5])
+    def test_seeded_run_gives_the_unseeded_basis(self, p, rng):
+        # seeded with the reduced basis of the first generators, the run
+        # on the rest gives the reduced basis of all of them, in the
+        # default order and in elimination orders
+        for R in (ring_xy(p), ring_txy(p)):
+            for order in (R.default_order, orders.block(R.weights, (0,)),
+                          orders.block(R.weights, (R.nvars - 1,))):
+                for _ in range(8):
+                    first = random_polys(rng, R, rng.randint(1, 3))
+                    rest = random_polys(rng, R, rng.randint(0, 2))
+
+                    def basis(gens, seed=()):
+                        raws = [_to_raw(g, order) for g in gens]
+                        return _buchberger(raws, order, p.p, DEFAULT_BUDGETS, seed)
+
+                    seed = [g.terms for g in basis(first)]
+                    plain = basis(first + rest)
+                    assert [g.terms for g in basis(rest, seed)] == [g.terms for g in plain]
+
+    def test_no_pair_inside_the_seed_is_reduced(self):
+        # the seed is already a basis: with no other generator there is
+        # nothing to reduce, whatever the pair budget
+        R = ring_txy(P3)
+        I = IdealHandle(R, ["x^2+t*x*y+y^2", "x^3+y^3", "t^2*x*y^2+x^2*y"])
+        order, tiny = R.default_order, Budgets(gb_pairs=1)
+        seed = [g.terms for g in _buchberger(
+            [_to_raw(g, order) for g in I.generators], order, 3, DEFAULT_BUDGETS)]
+        assert [g.terms for g in _buchberger([], order, 3, tiny, seed)] == seed
+        gb = I.groebner_basis()
+        assert I.extended([]).groebner_basis(tiny) == gb
+
+    def test_extended_handle_with_relations(self, rng):
+        # the base's basis already holds the ring's relations
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)), ("x*y*(x-y)*(x-t*y)",))
+        for _ in range(6):
+            first = random_polys(rng, R, rng.randint(1, 2), exp=3)
+            rest = random_polys(rng, R, rng.randint(1, 2), exp=3)
+            base = IdealHandle(R, first)
+            J = base.extended(rest)
+            fresh = IdealHandle(R, first + rest)
+            assert J.generators == fresh.generators
+            assert J.groebner_basis() == fresh.groebner_basis()
+            assert base._basis is not None  # the seed came from the base
 
 
 class TestNormalForm:
@@ -327,6 +386,27 @@ class TestColon:
         for g in I.generators:
             assert normal_form(g, C).is_zero
 
+    @pytest.mark.parametrize("p", [P2, P3, P5])
+    def test_attached_basis_is_the_reduced_basis(self, p, rng):
+        # the basis a colon keeps equals a fresh Buchberger run on its
+        # generators, for f in k[t], a monomial, and a general f; the
+        # ring's relations stay out of the principal side
+        for R in (ring_txy(p), RingSpec(p, ring_txy(p).variables, ("x^2*y+t*x*y^2",))):
+            for _ in range(5):
+                I = IdealHandle(R, random_polys(rng, R, rng.randint(1, 3), exp=3))
+                t_poly = MultiPoly(R, {(e, 0, 0): rng.randrange(1, p.p) for e in (0, 1, 2)})
+                monomial = MultiPoly(R, {(rng.randrange(2), 1, rng.randrange(2)): 1})
+                general = random_polys(rng, R, 1, exp=3)[0] + parse_poly("x", R)
+                for f in (t_poly, monomial, general):
+                    C = colon(I, f)
+                    fresh = IdealHandle(R, C.generators)
+                    assert C.groebner_basis() == fresh.groebner_basis()
+                    assert [g.terms for g in C._basis[1]] == [
+                        g.terms for g in fresh._basis[1]
+                    ]
+                    for g in C.generators:
+                        assert I.contains(g * f)
+
     def test_exact_division(self, rng):
         R = ring_txy(P5)
 
@@ -439,6 +519,23 @@ class TestPowerContainment:
     def test_unit_ideal_takes_one(self):
         R = ring_xy()
         assert power_containment(IdealHandle(R, ["x"]), IdealHandle(R, ["x", "x+1"])) == 1
+        t = parse_poly("y", R)
+        assert power_containment(IdealHandle(R, ["x"]), IdealHandle(R, ["1"]), tau=t) == 1
+
+    @pytest.mark.parametrize("gens,expected", [
+        (["x^2", "x*y", "y^2", "t^3"], 4),  # e_0 = 3, e_1 = 3, e_2 = 0
+        (["x^2", "y^2", "t^2"], 4),  # e_0 = e_1 = e_2 = 2 (t*x*y is outside)
+        (["x", "y^3", "t*y^2", "t^5"], 6),  # e_0 = e_1 = 5 (y*t^4 is outside), e_2 = 1
+        (["x", "y", "t"], 1),
+        (["x^2", "x*y", "y^2", "t*x", "t*y", "t^4"], 4),  # e_0 = 4, e_1 = 1
+    ])
+    def test_tau_split_meets_the_whole_search(self, gens, expected):
+        # (x, y, t)^k in C iff t^(k-b) (x, y)^b in C for every b <= k
+        R = ring_txy(P3)
+        C = IdealHandle(R, gens)
+        t = parse_poly("t", R)
+        assert power_containment(IdealHandle(R, ["x", "y", "t"]), C) == expected
+        assert power_containment(IdealHandle(R, ["x", "y"]), C, tau=t) == expected
 
     def test_products_count_against_the_budget(self):
         # t^k never lies in (x): one product per degree until the budget
