@@ -17,11 +17,14 @@ scan works on interned k[t] values.  The entry of M_d at (u, (i, w))
 depends only on u - w, so the same determinants recur many times, and
 one `h_q` call forms each distinct product (signed entry, smaller minor)
 and each distinct sum once; a term whose signed entry is 1 takes no
-product.  The call folds the minors of all its degrees into one lcm,
-each distinct value once, keyed by its monic form, so each distinct
-monic minor is divided into it once.  `bareiss_det`, an elimination
-determinant the scan does not call, is the tests' independent reference
-for it.
+product.
+
+The same translation lets `h_q` scan only the window of degrees that
+can change h, and a split M_d block by block, each distinct block once
+(its lcm is the product of the block lcms); `minors_examined`, the
+PARTIAL flag and h stay those of a positional scan of every M_d.
+`bareiss_det`, an elimination determinant the scan does not call, is
+the tests' independent reference for it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add, ge
 
 from ._kernels import uni_add, uni_divmod, uni_mul, uni_rem, uni_sub
 from .budgets import DEFAULT as DEFAULT_BUDGETS, check_deadline
@@ -124,24 +128,34 @@ class MinorMatrix:
         return self.entries.get((r, c))
 
 
+def _relation_columns(ring: RingSpec) -> list:
+    """(x-degree, column) of each relation: the column is ktmodule's
+    `_columns_of` at multiplier 1, {x-exponent: k[t] coefficient}, so its
+    keys are the relation's support exponents."""
+    w1 = ring.weight1_indices()
+    ti = _single_t_index(ring)
+    out = []
+    for rel in ring.relations:
+        dd = x_degree(rel)
+        if dd <= 0:
+            raise InputError(f"relation not homogeneous of positive degree: {rel}")
+        out.append((dd, _columns_of(rel, ti, w1, (0,) * len(w1))))
+    return out
+
+
 def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
     """The matrix M_d, rows and columns in a fixed grevlex order: each
     column is a relation multiple on the standard rows, kept when that
-    leaves it zero.  Each relation's column comes from ktmodule's
-    `_columns_of` once, at multiplier 1, and is translated by every
-    multiplier w.  A multiplier with an exponent >= q reaches no
-    standard row, so its column is zero unread."""
-    w1 = ring.weight1_indices()
-    n = len(w1)
+    leaves it zero.  Each relation's column is computed once per call,
+    at multiplier 1, and translated by every multiplier w.  A multiplier
+    with an exponent >= q reaches no standard row, so its column is zero
+    unread."""
+    n = len(ring.weight1_indices())
     if n == 0:
         raise InputError("no weight-1 variables")
-    ti = _single_t_index(ring)
     if not 1 <= d <= n * (q.q - 1):
         raise InputError(f"degree {d} outside 1..{n * (q.q - 1)}")
-    degs = [x_degree(rel) for rel in ring.relations]
-    for rel, dd in zip(ring.relations, degs):
-        if dd <= 0:
-            raise InputError(f"relation not homogeneous of positive degree: {rel}")
+    relations = _relation_columns(ring)
 
     def grevlex_desc(total, cap=None):
         # at a fixed degree, descending grevlex is ascending lex on the
@@ -152,17 +166,17 @@ def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
     row_index = {u: ri for ri, u in enumerate(rows)}
     cols = []
     entries = {}
-    for i, rel in enumerate(ring.relations):
-        if d - degs[i] < 0:
+    for i, (dd, column) in enumerate(relations):
+        if d - dd < 0:
             continue
-        column = _columns_of(rel, ti, w1, (0,) * n).items()
-        for w in grevlex_desc(d - degs[i]):
+        column = column.items()
+        for w in grevlex_desc(d - dd):
             ci = len(cols)
             cols.append((i, w))
             if max(w) >= q.q:
                 continue  # every row it reaches has that exponent
             for u, a in column:
-                ri = row_index.get(tuple(x + y for x, y in zip(u, w)))
+                ri = row_index.get(tuple(map(add, u, w)))
                 if ri is not None:
                     entries[(ri, ci)] = a
     return MinorMatrix(p=ring.p, d=d, rows=rows, cols=tuple(cols), entries=entries)
@@ -203,28 +217,20 @@ def _lex_below(a: int, b: int) -> bool:
     return bool(a & x & -x)
 
 
-class _LcmFold:
-    """The k[t] values of a scan, interned, and the running monic lcm of
-    the determinants given to `add`.
+class _Values:
+    """The k[t] values of one scan, or of one `h_q` call, interned.
 
     Each distinct coefficient tuple has an int id, its index in `values`:
     0 is the zero polynomial and 1 the constant 1.  `products` and `sums`
     memoize the id of a product (signed entry, cofactor) and of a sum of
-    two ids, so each distinct one is formed once while the table lives.
-    `add` folds an id not folded yet, keyed by its monic form: constants
-    are skipped, and each distinct non-constant monic D is divided into
-    the lcm once.  When D does not divide it, the lcm becomes
-    lcm * D / gcd(D, r), with r the remainder that test left."""
+    two ids, so each distinct one is formed once while the table lives."""
 
     def __init__(self, p_mod):
         self.p = p_mod.p
-        self.lcm = UniPoly.one(p_mod)
         self.values = [(), (1,)]
         self.ids = {(): 0, (1,): 1}
         self.products = {}  # (signed entry id, cofactor id) -> id
         self.sums = {}  # (id, id) -> id
-        self.folded = set()  # ids given to `add`, each once
-        self.monic = set()  # monic forms divided into the lcm
 
     def intern(self, coeffs) -> int:
         key = tuple(coeffs)
@@ -242,13 +248,32 @@ class _LcmFold:
         i = self.sums[a, b] = self.intern(uni_add(self.values[a], self.values[b], self.p))
         return i
 
+
+class _LcmFold:
+    """A running monic lcm of the determinants given to `add` as ids of
+    `table` (a fresh `_Values` unless one is shared).
+
+    `add` folds an id not folded yet, keyed by its monic form: constants
+    are skipped, and each distinct non-constant monic D is divided into
+    the lcm once (`merge`).  When D does not divide it, the lcm becomes
+    lcm * D / gcd(D, r), with r the remainder that test left."""
+
+    def __init__(self, p_mod, table: _Values | None = None):
+        self.table = table or _Values(p_mod)
+        self.lcm = UniPoly.one(p_mod)
+        self.folded = set()  # ids given to `add`, each once
+        self.monic = set()  # monic forms divided into the lcm
+
     def add(self, i: int) -> None:
         """Fold the value with id i, which `folded` does not hold yet."""
         self.folded.add(i)
-        key = self.values[i]
-        if len(key) == 1:
-            return
-        D = UniPoly(self.lcm.p, key).monic()
+        key = self.table.values[i]
+        if len(key) > 1:
+            self.merge(UniPoly(self.lcm.p, key))
+
+    def merge(self, D: UniPoly) -> None:
+        """Make the lcm lcm(lcm, D), for a non-constant D."""
+        D = D.monic()
         if D.coeffs in self.monic:
             return  # folded as another multiple
         self.monic.add(D.coeffs)
@@ -302,7 +327,8 @@ def minors_lcm(
     p = M.p.p
     if fold is None:
         fold = _LcmFold(M.p)
-    intern, products, sums, folded = fold.intern, fold.products, fold.sums, fold.folded
+    table, folded = fold.table, fold.folded
+    intern, products, sums = table.intern, table.products, table.sums
     # per row, its nonzero entries as (column bit, bits of the columns
     # below it, id of the entry, id of -entry)
     first_terms = [[] for _ in range(nr)]
@@ -351,11 +377,11 @@ def minors_lcm(
                             continue
                         e = neg_a if (cbits & below).bit_count() & 1 else a
                         # a product is never 0, so `or` falls back only on a miss
-                        term = cof if e == 1 else products.get((e, cof)) or fold.product(e, cof)
+                        term = cof if e == 1 else products.get((e, cof)) or table.product(e, cof)
                         det = dets.get(key)  # None, or 0 once terms cancelled
                         if det:
                             total = sums.get((det, term))
-                            dets[key] = fold.sum(det, term) if total is None else total
+                            dets[key] = table.sum(det, term) if total is None else total
                         else:
                             dets[key] = term
         prev = {}
@@ -369,6 +395,63 @@ def minors_lcm(
         if cut_rows is not None:
             return MinorScan(lcm=fold.lcm, examined=budget + 1, partial=True)
     return MinorScan(lcm=fold.lcm, examined=examined, partial=False)
+
+
+# ---------------------------------------------------------------------------
+# what h_q scans
+
+
+def _window(relations, n: int, q: int) -> range:
+    """The degrees [q-1, hi] whose minors hold those of every M_d:
+    hi = (n-1)(q-1) + S, S = min_j max s_j over the relations' support
+    exponents s, kept within q-1..n(q-1)."""
+    supports = [s for _, column in relations for s in column]
+    S = min(max((s[j] for s in supports), default=0) for j in range(n))
+    return range(q - 1, min(max((n - 1) * (q - 1) + S, q - 1), n * (q - 1)) + 1)
+
+
+def _positions(relations, n: int, q: int, d: int) -> int:
+    """The positions an unbudgeted `minors_lcm` counts on M_d, without
+    building it.  Its live rows are the standard monomials of degree d
+    that dominate a support exponent, a of them, and its c columns number
+    sum_i C(d - deg f_i + n - 1, n - 1); the positions are
+    sum_k>=1 C(a, k) C(c, k) = C(a + c, c) - 1."""
+    check_deadline()
+    supports = [s for dd, column in relations if dd <= d for s in column]
+    live = sum(
+        any(all(map(ge, u, s)) for s in supports) for u in monomials_of_degree(n, d, q - 1)
+    )
+    cols = sum(comb(d - dd + n - 1, n - 1) for dd, _ in relations if dd <= d)
+    return comb(live + cols, cols) - 1
+
+
+def _blocks(M: MinorMatrix) -> list:
+    """The connected blocks of M's nonzero entries (a row and a column
+    share a block when an entry joins them), each a MinorMatrix on its
+    rows and columns in M's order."""
+    root = {}  # row r or column ~c -> a member nearer its block's root
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for r, c in M.entries:
+        root[find(r)] = find(~c)
+    parts = {}
+    for (r, c), a in M.entries.items():
+        parts.setdefault(find(r), {})[r, c] = a
+    blocks = []
+    for part in parts.values():
+        rows = sorted({r for r, _ in part})
+        cols = sorted({c for _, c in part})
+        ri = {r: i for i, r in enumerate(rows)}
+        ci = {c: i for i, c in enumerate(cols)}
+        entries = {(ri[r], ci[c]): a for (r, c), a in part.items()}
+        blocks.append(MinorMatrix(M.p, M.d, tuple(M.rows[r] for r in rows),
+                                  tuple(M.cols[c] for c in cols), entries))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +495,26 @@ def h_q(
     seed: int = 0,
 ) -> HqCertificate:
     """The monic lcm of the nonzero minors of every M_d, factored and
-    bounded.  Each M_d is scanned by `minors_lcm` under its own
-    `budget`, and all of them share one table of values and one lcm, so
-    a product or sum that recurs in another degree is formed only once,
-    and a determinant that recurs, or as another scalar multiple, is
-    divided into the lcm only once."""
+    bounded.  Each M_d has its own `budget` of positions; all scans of
+    one call share one table of values.
+
+    Only the window [q-1, hi] (`_window`) can change h.  The entry at
+    (u, (i, w)) depends only on u - w and grevlex order is translation
+    invariant, so shifting rows and multipliers by e_j makes each minor
+    of M_d, d <= q-2, one of M_(d+1); shifting by -e_j, for a j whose
+    exponent in every support term is at most S, makes each nonzero
+    minor of M_d, d > hi, one of M_(d-1).  So when the budget cuts no
+    window degree only the window is scanned, and every degree counts its
+    positions in closed form (`_positions`), or budget + 1 and PARTIAL
+    where the budget cuts it.  Otherwise every degree is scanned, each
+    cut one positionally on its whole M_d, so a PARTIAL h is the lcm of
+    the same minors as ever.
+
+    A scanned M_d the budget does not cut and that splits into blocks
+    (`_blocks`) adds the product of its block lcms: each nonzero minor
+    is a product of square block minors, so valuations add.  Each
+    distinct block is scanned once per call, into its own lcm; any
+    other M_d folds into h, each distinct monic minor divided in once."""
     if q.p != ring.p:
         raise InputError(
             f"characteristic mismatch: q is a power of {q.p.p}, ring has {ring.p.p}"
@@ -425,10 +523,33 @@ def h_q(
     fold = _LcmFold(ring.p)
     examined = 0
     partial = False
-    for d in range(1, n * (q.q - 1) + 1):
-        scan = minors_lcm(build_Md(ring, q, d), budget, fold)
-        examined += scan.examined
-        partial = partial or scan.partial
+    degrees = range(1, n * (q.q - 1) + 1)
+    relations = _relation_columns(ring) if degrees else []
+    positions = {d: _positions(relations, n, q.q, d) for d in degrees}
+    window = _window(relations, n, q.q)
+    if any(positions[d] > budget for d in window):
+        window = degrees
+    block_lcms = {}  # block entries -> the lcm of its minors
+    for d in degrees:
+        cut = positions[d] > budget
+        examined += budget + 1 if cut else positions[d]
+        partial = partial or cut
+        if d not in window:
+            continue
+        M = build_Md(ring, q, d)
+        blocks = [M] if cut else _blocks(M)
+        if len(blocks) == 1:
+            minors_lcm(M, budget, fold)
+            continue
+        product = UniPoly.one(ring.p)
+        for block in blocks:
+            key = frozenset(block.entries.items())
+            if key not in block_lcms:
+                block_fold = _LcmFold(ring.p, fold.table)
+                block_lcms[key] = minors_lcm(block, budget, block_fold).lcm
+            product *= block_lcms[key]
+        if product.degree > 0:
+            fold.merge(product)
     acc = fold.lcm
     factorization = uni_factor(acc, seed)
     s_max = factorization.max_multiplicity

@@ -313,9 +313,11 @@ class SliceCache:
     the Smith form of the raw columns of each row component of the
     standard monomials, enumerated under the cover cap: the largest
     single-variable cover threshold less one, when every variable has
-    one.  It builds no slice.  A full degree stays full above (each
-    monomial there is a multiple of one below), so `at` computes nothing
-    past the least full degree seen."""
+    one.  It builds no slice, and row components whose columns agree once
+    their rows are relabeled by rank (translates, say) share one Smith
+    form per cache.  A full degree stays full above (each monomial there
+    is a multiple of one below), so `at` computes nothing past the least
+    full degree seen."""
 
     def __init__(self, ideal):
         self.ideal = ideal
@@ -324,6 +326,9 @@ class SliceCache:
         self._by_row: dict = {}  # x-monomial -> its component's slice
         self._one = UniPoly.one(ideal.ring.p)
         self._degrees: dict = {}  # x-degree -> DegreeInvariants
+        # a row component's columns, rows relabeled by rank -> their
+        # invariant factors
+        self._factors: dict = {}
         self._full_from: int | None = None
         self._covered: dict = {}  # x-degree -> its _cover_test
         # the least e with x_i^e a cover, for each i that has one
@@ -363,15 +368,23 @@ class SliceCache:
             covered = self._cover_test(b)
             gens = [gd for gd in self._generators[1] if gd[0] <= b]
             seen = set()
+            merged = set()  # the largest factors lcm'd into `largest`
             for row in monomials_of_degree(len(self._w1), b, self._cap):
                 if row in seen or covered(row):
                     continue
                 check_deadline()
                 rows, columns = _component(gens, [row], covered)
                 seen |= rows
-                factors = invariant_factors(columns)
+                index = {r: i for i, r in enumerate(sorted(rows))}
+                key = tuple(sorted(
+                    tuple(sorted((index[r], u.coeffs) for r, u in c.items())) for c in columns
+                ))
+                factors = self._factors.get(key)
+                if factors is None:
+                    factors = self._factors[key] = invariant_factors(columns)
                 free += len(rows) - len(factors)
-                if factors:
+                if factors and factors[-1] not in merged:
+                    merged.add(factors[-1])
                     largest = uni_lcm(largest, factors[-1])
             got = self._degrees[b] = DegreeInvariants(free, largest)
             if got.full:

@@ -5,11 +5,12 @@ from dataclasses import fields
 import pytest
 from click.testing import CliRunner
 
-from frobgrow import ktmodule
+from frobgrow import hq, ktmodule
 from frobgrow.budgets import Budgets, check_deadline, wall_clock
 from frobgrow.cli import main
+from frobgrow.decomposer import family
 from frobgrow.errors import BudgetExceeded, InputError
-from frobgrow.fpoly import PrimeModulus, RingSpec, UniPoly, parse_poly, parse_unipoly
+from frobgrow.fpoly import PrimeModulus, PrimePower, RingSpec, UniPoly, parse_poly, parse_unipoly
 from frobgrow.groebner import IdealHandle, power_containment, saturation_exponent
 from frobgrow.hq import MinorMatrix, minors_lcm
 from frobgrow.ktmodule import DegreeSlice, SliceCache
@@ -176,3 +177,46 @@ class TestWallClock:
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 minors_lcm(M)
         assert minors_lcm(M).lcm == t * t * t1  # lcm of t, t+1 and the det t^2
+
+    def test_h_q_checks_it_inside_a_block_scan(self, monkeypatch):
+        # a deadline that passes once the first degree of brenner_monsky
+        # q=4 with several blocks is split stops the scan of its first block
+        fam = family("brenner_monsky", 2)
+        split, built = [], []
+        real_blocks, real_build = hq._blocks, hq.build_Md
+
+        def blocks(M):
+            out = real_blocks(M)
+            split.append(len(out))
+            return out
+
+        def deadline():
+            if split and split[-1] > 1:
+                raise BudgetExceeded("wall_seconds", 0.0)
+
+        monkeypatch.setattr(hq, "_blocks", blocks)
+        monkeypatch.setattr(hq, "build_Md", lambda *a: built.append(a[2]) or real_build(*a))
+        monkeypatch.setattr(hq, "check_deadline", deadline)
+        with pytest.raises(BudgetExceeded, match="wall_seconds") as info:
+            hq.h_q(fam.ring, PrimePower(PrimeModulus(2), 2))
+        assert [entry.name for entry in info.traceback][-2:] == ["minors_lcm", "deadline"]
+        assert split == [0, 1, 3] and built == [3, 4, 5]
+
+    def test_h_q_checks_it_while_counting_degrees(self, monkeypatch):
+        # katzman p=3 q=9 scans degrees 8-11; a deadline that passes at
+        # the check for degree 12 stops the closed-form count of that
+        # outer degree, before any M_d is built
+        fam = family("katzman", 3)
+        checks, built = [], []
+
+        def deadline():
+            checks.append(None)
+            if len(checks) == 12:
+                raise BudgetExceeded("wall_seconds", 0.0)
+
+        monkeypatch.setattr(hq, "build_Md", lambda *a: built.append(a[2]))
+        monkeypatch.setattr(hq, "check_deadline", deadline)
+        with pytest.raises(BudgetExceeded, match="wall_seconds") as info:
+            hq.h_q(fam.ring, PrimePower(PrimeModulus(3), 2))
+        assert [entry.name for entry in info.traceback][-2:] == ["_positions", "deadline"]
+        assert built == []

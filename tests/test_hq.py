@@ -8,8 +8,10 @@ from frobgrow import hq
 from frobgrow.decomposer import family
 from frobgrow.errors import InputError
 from frobgrow.fpoly import (
+    MultiPoly,
     PrimeModulus,
     PrimePower,
+    RingSpec,
     UniPoly,
     format_unipoly,
     frobenius_generators,
@@ -124,6 +126,17 @@ def full_positions(M):
     nr, nc = M.shape
     live = len({r for (r, _) in M.entries})
     return sum(comb(live, k) * comb(nc, k) for k in range(1, min(nr, nc) + 1))
+
+
+def connected_blocks(M):
+    """The row sets of M's blocks: rows sharing a column with a nonzero
+    entry in both are in one block."""
+    blocks = []
+    for r, c in M.entries:
+        touching = [b for b in blocks if any((s, c) in M.entries for s in b)]
+        merged = {r}.union(*touching)
+        blocks = [b for b in blocks if b not in touching] + [merged]
+    return blocks
 
 
 def expansion_products(M, budget):
@@ -423,7 +436,7 @@ class TestValueTable:
         assert all(factors)  # and no product was formed by it
         assert 0 not in fold.folded
         dets = reference_minors(M, full_positions(M))[0]
-        assert {fold.values[i] for i in fold.folded} == {det.coeffs for det in dets}
+        assert {fold.table.values[i] for i in fold.folded} == {det.coeffs for det in dets}
         assert scan == reference_minors_lcm(M, full_positions(M))
         # the 2x2 determinant is 0, the 3x3 one (t + 1)^2
         assert bareiss_det(A).is_zero == (len(A) == 2)
@@ -444,6 +457,136 @@ class TestValueTable:
             minors += len(reference_minors(M, full)[0])
             distinct += len(fold.folded)
         assert 2 * distinct < minors
+
+
+def window_of(ring, q):
+    """The degrees [q-1, hi] by their definition: hi = (n-1)(q-1) + S,
+    S the least over the weight-1 variables of that variable's largest
+    exponent in a relation term, raised to q-1 and capped at n(q-1)."""
+    w1 = ring.weight1_indices()
+    n = len(w1)
+    terms = [exps for rel in ring.relations for exps in rel.term_dict()]
+    S = min(max(exps[i] for exps in terms) for i in w1)
+    return range(q.q - 1, min(max((n - 1) * (q.q - 1) + S, q.q - 1), n * (q.q - 1)) + 1)
+
+
+def all_degree_scan(ring, q, budget):
+    """(h, examined, partial) of the reference's positional scan of every
+    M_d, each under its own budget."""
+    n = len(ring.weight1_indices())
+    h, examined, partial = UniPoly.one(ring.p), 0, False
+    for d in range(1, n * (q.q - 1) + 1):
+        scan = reference_minors_lcm(build_Md(ring, q, d), budget)
+        h = uni_lcm(h, scan.lcm)
+        examined += scan.examined
+        partial = partial or scan.partial
+    return h, examined, partial
+
+
+def random_ring(rng):
+    """t and 2-3 weight-1 variables over F_2 or F_3, with 1-2 relations,
+    each homogeneous of x-degree 1-3 with coefficients of degree <= 2 in t."""
+    p = PrimeModulus(rng.choice((2, 3)))
+    xs = "xyz"[:rng.choice((2, 3))]
+    ring = RingSpec(p, (("t", 0),) + tuple((x, 1) for x in xs))
+    relations = []
+    for _ in range(rng.choice((1, 2))):
+        degree = rng.randint(1, 3)
+        monomials = monomials_of_degree(len(xs), degree)
+        chosen = [m for m in monomials if rng.random() < 0.4] or [rng.choice(monomials)]
+        terms = [
+            (rng.randint(0, 2),) + m for m in chosen for _ in range(rng.randint(1, 2))
+        ]
+        relations.append(MultiPoly(ring, {e: rng.randint(1, p.p - 1) for e in terms}))
+    return RingSpec(p, ring.variables, tuple(relations))
+
+
+# the families at p <= 5, q <= 9 whose reference scans stay small under
+# some budget, with the kinds of budget `matches_all_degree_scan` checks
+FAMILY_CASES = [
+    ("katzman", 2, 1, {"none"}), ("katzman", 2, 2, {"none", "window"}),
+    ("katzman", 2, 3, {"none", "window"}), ("katzman", 3, 1, {"none"}),
+    ("katzman", 3, 2, {"none", "window"}), ("katzman", 5, 1, {"none", "window"}),
+    ("ss5", 2, 1, {"none"}), ("ss5", 2, 2, {"window"}), ("ss5", 3, 1, {"window"}),
+    ("ss5", 5, 1, {"window"}), ("ss7", 2, 1, {"none", "window"}), ("ss7", 3, 1, {"window"}),
+    ("brenner_monsky", 2, 1, {"none"}), ("brenner_monsky", 2, 2, {"none", "window"}),
+]
+
+
+class TestDegreeWindow:
+    """Only the degrees [q-1, hi] can change h_q: below them each minor
+    of M_d is one of M_(d+1), above them one of M_(d-1)."""
+
+    def outer_minors_recur(self, ring, q, cap):
+        # every nonzero minor of an outer degree is a minor, with the same
+        # determinant, of the neighbour towards the window; the number of
+        # degrees checked (those whose reference scans stay under `cap`)
+        n = len(ring.weight1_indices())
+        window = window_of(ring, q)
+        checked = 0
+        for d in range(1, n * (q.q - 1) + 1):
+            if d in window:
+                continue
+            M = build_Md(ring, q, d)
+            N = build_Md(ring, q, d + 1 if d < window.start else d - 1)
+            if max(full_positions(M), full_positions(N)) > cap:
+                continue
+            dets = {det.coeffs for det in reference_minors(M, full_positions(M))[0]}
+            assert dets <= {det.coeffs for det in reference_minors(N, full_positions(N))[0]}
+            checked += bool(dets)
+        return checked
+
+    def matches_all_degree_scan(self, ring, q, cap):
+        # h, minors_examined and partial equal the reference's scan of
+        # every degree, under budgets that cut no degree, a window degree,
+        # and only outer degrees, where each exists and the reference's
+        # positions stay under `cap`; the kinds of budget checked
+        n = len(ring.weight1_indices())
+        degrees = range(1, n * (q.q - 1) + 1)
+        positions = {d: full_positions(build_Md(ring, q, d)) for d in degrees}
+        window = window_of(ring, q)
+        inside = [positions[d] for d in window]
+        outside = [positions[d] for d in degrees if d not in window]
+        budgets = {"none": max(positions.values()) or 1}
+        least = min((x for x in inside if x > 1), default=0)
+        if least:
+            budgets["window"] = least - 1
+        if max(outside, default=0) > max(inside):
+            budgets["outer"] = max(inside)
+        checked = set()
+        for kind, budget in budgets.items():
+            if sum(min(x, budget) for x in positions.values()) > cap:
+                continue
+            cert = h_q(ring, q, budget)
+            want = all_degree_scan(ring, q, budget)
+            assert (cert.h, cert.minors_examined, cert.partial) == want, (kind, budget)
+            assert cert.partial == (kind != "none")
+            checked.add(kind)
+        return checked
+
+    @pytest.mark.parametrize("name,p,e,kinds", FAMILY_CASES)
+    def test_families(self, name, p, e, kinds):
+        fam = family(name, p)
+        q = PrimePower(PrimeModulus(p), e)
+        self.outer_minors_recur(fam.ring, q, cap=4000)
+        assert self.matches_all_degree_scan(fam.ring, q, cap=40_000) == kinds
+
+    def test_outer_minors_recur_on_katzman(self):
+        fam = family("katzman", 3)
+        assert self.outer_minors_recur(fam.ring, PrimePower(P3, 2), cap=4000) == 9
+
+    def test_random_rings(self, rng):
+        kinds = {}
+        recurring = 0
+        for _ in range(40):
+            ring = random_ring(rng)
+            for e in (1, 2):
+                q = PrimePower(ring.p, e)
+                recurring += self.outer_minors_recur(ring, q, cap=2000)
+                for kind in self.matches_all_degree_scan(ring, q, cap=20_000):
+                    kinds[kind] = kinds.get(kind, 0) + 1
+        assert recurring >= 20
+        assert set(kinds) == {"none", "window", "outer"}, kinds
 
 
 class TestHq:
@@ -529,22 +672,71 @@ class TestHq:
     def test_each_monic_minor_is_divided_into_the_lcm_once(
         self, name, p, e, budget, merged, monkeypatch
     ):
-        # the fold's divisibility tests are the distinct non-constant
-        # monic forms of the minors of every degree, each tested once;
+        # every lcm of one call, h's and one per distinct block, has its
+        # divisibility tests on the distinct non-constant monic forms of
+        # the minors scanned into it and of the block products merged
+        # into it, each tested once; each distinct block is scanned once;
         # `merged`: some distinct minors share a monic form
-        divisors = []
-        real = hq.uni_rem
+        folds, scans, products, divisions = [], [], [], []
+        inside = []  # the fold of the scan or merge running
+        real_init, real_merge = hq._LcmFold.__init__, hq._LcmFold.merge
+        real_scan, real_rem = hq.minors_lcm, hq.uni_rem
+
+        def creating(fold, *args):
+            folds.append(fold)
+            real_init(fold, *args)
+
+        def scanning(M, budget, fold):
+            scans.append((M, fold))
+            inside.append(fold)
+            try:
+                return real_scan(M, budget, fold)
+            finally:
+                inside.pop()
+
+        def merging(fold, D):
+            if not inside:
+                products.append((fold, D.monic().coeffs))
+            inside.append(fold)
+            try:
+                return real_merge(fold, D)
+            finally:
+                inside.pop()
 
         def recording(a, b, p):
-            divisors.append(tuple(b))
-            return real(a, b, p)
+            divisions.append((inside[-1], tuple(b)))
+            return real_rem(a, b, p)
 
         fam = family(name, p)
         q = PrimePower(PrimeModulus(p), e)
         n = len(fam.ring.weight1_indices())
+        monkeypatch.setattr(hq._LcmFold, "__init__", creating)
+        monkeypatch.setattr(hq._LcmFold, "merge", merging)
+        monkeypatch.setattr(hq, "minors_lcm", scanning)
         monkeypatch.setattr(hq, "uni_rem", recording)
         cert = h_q(fam.ring, q, budget)
-        monkeypatch.setattr(hq, "uni_rem", real)
+        monkeypatch.undo()
+        for fold in folds:
+            expected = {c for f, c in products if f is fold} | {
+                det.monic().coeffs
+                for M, f in scans if f is fold
+                for det in reference_minors(M, budget)[0] if det.degree > 0
+            }
+            divisors = [b for f, b in divisions if f is fold]
+            assert len(divisors) == len(set(divisors)) and set(divisors) == expected
+        h_fold, block_folds = folds[0], folds[1:]
+        block_scans = [M for M, f in scans if f is not h_fold]
+        assert [f for _, f in scans if f is not h_fold] == block_folds
+        keys = [frozenset(M.entries.items()) for M in block_scans]
+        assert len(keys) == len(set(keys))
+        occurrences = 0
+        for d in range(1, n * (q.q - 1) + 1):
+            M = build_Md(fam.ring, q, d)
+            blocks = connected_blocks(M)
+            if len(blocks) > 1 and full_positions(M) <= budget:
+                occurrences += len(blocks)
+        # some block recurs wherever there are blocks to scan
+        assert (len(block_scans) < occurrences) == (occurrences > 0) == bool(block_scans)
         dets = [
             det
             for d in range(1, n * (q.q - 1) + 1)
@@ -552,12 +744,10 @@ class TestHq:
             if det.degree > 0
         ]
         minors = {det.monic().coeffs for det in dets}
-        assert len(divisors) == len(set(divisors)) == len(minors)
-        assert set(divisors) == minors
         assert (len(minors) < len({det.coeffs for det in dets})) == merged
         h = UniPoly.one(fam.ring.p)
-        for divisor in divisors:
-            h = uni_lcm(h, UniPoly(fam.ring.p, divisor))
+        for d in range(1, n * (q.q - 1) + 1):
+            h = uni_lcm(h, reference_minors_lcm(build_Md(fam.ring, q, d), budget).lcm)
         assert cert.h == h
 
     def test_q_must_be_a_power_of_the_characteristic(self):

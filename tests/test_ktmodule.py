@@ -1,5 +1,6 @@
 import pytest
 
+from frobgrow import ktmodule
 from frobgrow.decomposer import family
 from frobgrow.errors import InputError
 from frobgrow.fpoly import (
@@ -466,6 +467,25 @@ class TestInvariantsAgainstPerSlice:
         assert cache._cap == q - 1
         for b in range(n * (q - 1) + 2):
             assert cache.at(b) == per_slice_at(cache, b), b
+
+    def test_equal_components_share_one_smith_form(self, monkeypatch):
+        # the row components of ss5's slices of I^[4] recur up to
+        # translation, and each distinct one takes one invariant_factors
+        # call per cache; the invariants stay the per-slice route's
+        fam = family("ss5", 2)
+        cache = SliceCache(frobenius_generators(fam.ideal, PrimePower(fam.ring.p, 2)))
+        calls, components = [], []
+        real_factors, real_component = ktmodule.invariant_factors, ktmodule._component
+        monkeypatch.setattr(
+            ktmodule, "invariant_factors", lambda cols: calls.append(1) or real_factors(cols)
+        )
+        monkeypatch.setattr(
+            ktmodule, "_component", lambda *a: components.append(1) or real_component(*a)
+        )
+        got = [cache.at(b) for b in range(14)]
+        monkeypatch.undo()
+        assert 0 < 4 * len(calls) < len(components)
+        assert got == [per_slice_at(cache, b) for b in range(14)]
 
     @pytest.mark.parametrize("relations", [(), ("x^2+t*x*y+z^2",)])
     def test_unequal_and_missing_thresholds(self, relations, rng):
