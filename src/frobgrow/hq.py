@@ -20,9 +20,10 @@ and each distinct sum once; a term whose signed entry is 1 takes no
 product.
 
 The same translation lets `h_q` scan only the window of degrees that
-can change h, and a split M_d block by block, each distinct block once
-(its lcm is the product of the block lcms); `minors_examined`, the
-PARTIAL flag and h stay those of a positional scan of every M_d.
+can change h, and a split M_d block by block (ktmodule's row components),
+each distinct block once (its lcm is the product of the block lcms); only
+a cut degree is built whole.  `minors_examined`, the PARTIAL flag and h
+stay those of a positional scan of every M_d.
 `bareiss_det`, an elimination determinant the scan does not call, is
 the tests' independent reference for it.
 """
@@ -47,7 +48,7 @@ from .fpoly import (
     uni_gcd,
     x_degree,
 )
-from .ktmodule import _columns_of, _single_t_index
+from .ktmodule import _columns_of, _row_components, _single_t_index
 from .orders import monomials_of_degree
 
 
@@ -124,14 +125,12 @@ class MinorMatrix:
     def shape(self):
         return (len(self.rows), len(self.cols))
 
-    def entry(self, r: int, c: int) -> UniPoly | None:
-        return self.entries.get((r, c))
-
 
 def _relation_columns(ring: RingSpec) -> list:
-    """(x-degree, column) of each relation: the column is ktmodule's
-    `_columns_of` at multiplier 1, {x-exponent: k[t] coefficient}, so its
-    keys are the relation's support exponents."""
+    """(x-degree, supports, column) of each relation, as ktmodule's
+    `_generator_data` gives them: the column is `_columns_of` at
+    multiplier 1, {x-exponent: k[t] coefficient}, and the supports are
+    its sorted keys."""
     w1 = ring.weight1_indices()
     ti = _single_t_index(ring)
     out = []
@@ -139,7 +138,8 @@ def _relation_columns(ring: RingSpec) -> list:
         dd = x_degree(rel)
         if dd <= 0:
             raise InputError(f"relation not homogeneous of positive degree: {rel}")
-        out.append((dd, _columns_of(rel, ti, w1, (0,) * len(w1))))
+        column = _columns_of(rel, ti, w1, (0,) * len(w1))
+        out.append((dd, sorted(column), column))
     return out
 
 
@@ -166,7 +166,7 @@ def build_Md(ring: RingSpec, q: PrimePower, d: int) -> MinorMatrix:
     row_index = {u: ri for ri, u in enumerate(rows)}
     cols = []
     entries = {}
-    for i, (dd, column) in enumerate(relations):
+    for i, (dd, _, column) in enumerate(relations):
         if d - dd < 0:
             continue
         column = column.items()
@@ -404,10 +404,10 @@ def minors_lcm(
 def _window(relations, n: int, q: int) -> range:
     """The degrees [q-1, hi] whose minors hold those of every M_d:
     hi = (n-1)(q-1) + S, S = min_j max s_j over the relations' support
-    exponents s, kept within q-1..n(q-1)."""
-    supports = [s for _, column in relations for s in column]
+    exponents s, kept within the degrees 1..n(q-1) (none when q = 1)."""
+    supports = [s for _, sup, _ in relations for s in sup]
     S = min(max((s[j] for s in supports), default=0) for j in range(n))
-    return range(q - 1, min(max((n - 1) * (q - 1) + S, q - 1), n * (q - 1)) + 1)
+    return range(max(q - 1, 1), min(max((n - 1) * (q - 1) + S, q - 1), n * (q - 1)) + 1)
 
 
 def _positions(relations, n: int, q: int, d: int) -> int:
@@ -417,41 +417,21 @@ def _positions(relations, n: int, q: int, d: int) -> int:
     sum_i C(d - deg f_i + n - 1, n - 1); the positions are
     sum_k>=1 C(a, k) C(c, k) = C(a + c, c) - 1."""
     check_deadline()
-    supports = [s for dd, column in relations if dd <= d for s in column]
+    supports = [s for dd, sup, _ in relations if dd <= d for s in sup]
     live = sum(
         any(all(map(ge, u, s)) for s in supports) for u in monomials_of_degree(n, d, q - 1)
     )
-    cols = sum(comb(d - dd + n - 1, n - 1) for dd, _ in relations if dd <= d)
+    cols = sum(comb(d - dd + n - 1, n - 1) for dd, _, _ in relations if dd <= d)
     return comb(live + cols, cols) - 1
 
 
-def _blocks(M: MinorMatrix) -> list:
-    """The connected blocks of M's nonzero entries (a row and a column
-    share a block when an entry joins them), each a MinorMatrix on its
-    rows and columns in M's order."""
-    root = {}  # row r or column ~c -> a member nearer its block's root
-
-    def find(x):
-        while root.setdefault(x, x) != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for r, c in M.entries:
-        root[find(r)] = find(~c)
-    parts = {}
-    for (r, c), a in M.entries.items():
-        parts.setdefault(find(r), {})[r, c] = a
-    blocks = []
-    for part in parts.values():
-        rows = sorted({r for r, _ in part})
-        cols = sorted({c for _, c in part})
-        ri = {r: i for i, r in enumerate(rows)}
-        ci = {c: i for i, c in enumerate(cols)}
-        entries = {(ri[r], ci[c]): a for (r, c), a in part.items()}
-        blocks.append(MinorMatrix(M.p, M.d, tuple(M.rows[r] for r in rows),
-                                  tuple(M.cols[c] for c in cols), entries))
-    return blocks
+def _block(p_mod, d: int, rows, columns) -> MinorMatrix:
+    """A row component of M_d (`_row_components`) as a MinorMatrix in M_d's
+    order: rows as given, columns by relation, then multiplier grevlex-descending."""
+    cols = sorted(columns, key=lambda col: (col[0], col[1][::-1]))
+    ri = {u: i for i, u in enumerate(rows)}
+    entries = {(ri[u], ci): a for ci, col in enumerate(cols) for u, a in columns[col].items()}
+    return MinorMatrix(p_mod, d, tuple(rows), tuple(cols), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +490,13 @@ def h_q(
     cut one positionally on its whole M_d, so a PARTIAL h is the lcm of
     the same minors as ever.
 
-    A scanned M_d the budget does not cut and that splits into blocks
-    (`_blocks`) adds the product of its block lcms: each nonzero minor
-    is a product of square block minors, so valuations add.  Each
-    distinct block is scanned once per call, into its own lcm; any
-    other M_d folds into h, each distinct monic minor divided in once."""
+    An uncut degree is not built whole: its blocks are the row components
+    (`_row_components`) of the relation columns, all kept as columns, over
+    the monomials with every exponent < q, in M_d's order (`_block`).
+    Several blocks add the product of their lcms: each nonzero minor is a
+    product of square block minors, so valuations add.  Each distinct
+    block (by its key) is scanned once per call, into its own lcm; a
+    single block folds into h, each distinct monic minor divided in once."""
     if q.p != ring.p:
         raise InputError(
             f"characteristic mismatch: q is a power of {q.p.p}, ring has {ring.p.p}"
@@ -529,24 +511,26 @@ def h_q(
     window = _window(relations, n, q.q)
     if any(positions[d] > budget for d in window):
         window = degrees
-    block_lcms = {}  # block entries -> the lcm of its minors
+    block_lcms = {}  # a component's key -> the lcm of its minors
     for d in degrees:
         cut = positions[d] > budget
         examined += budget + 1 if cut else positions[d]
         partial = partial or cut
-        if d not in window:
+        if d not in window or not positions[d]:  # no minor there can change h
             continue
-        M = build_Md(ring, q, d)
-        blocks = [M] if cut else _blocks(M)
+        if cut:
+            minors_lcm(build_Md(ring, q, d), budget, fold)
+            continue
+        walk = _row_components(relations, n, d, q.q - 1, lambda u: max(u) >= q.q)
+        blocks = [component for component in walk if component[2]]
         if len(blocks) == 1:
-            minors_lcm(M, budget, fold)
+            minors_lcm(_block(ring.p, d, *blocks[0][1:]), budget, fold)
             continue
         product = UniPoly.one(ring.p)
-        for block in blocks:
-            key = frozenset(block.entries.items())
+        for key, rows, columns in blocks:
             if key not in block_lcms:
-                block_fold = _LcmFold(ring.p, fold.table)
-                block_lcms[key] = minors_lcm(block, budget, block_fold).lcm
+                block = _block(ring.p, d, rows, columns)
+                block_lcms[key] = minors_lcm(block, budget, _LcmFold(ring.p, fold.table)).lcm
             product *= block_lcms[key]
         if product.degree > 0:
             fold.merge(product)

@@ -12,10 +12,11 @@ The generators that are x-monomials up to a unit (the x_i^q of I^[q],
 the m^K of a certified isolated component, a constant) are quotiented
 out first: slices live on the standard monomials, those none of them
 divides, with the other generators' multiples, each generator's column
-translated, as columns.  For I^[q] that is the paper's M_d, which
-`hq.build_Md` builds the same way.  A column only touches the monomials
-in its support, so every computation is restricted to a row component;
-for multigraded relations that is the grading decomposition.
+translated, as columns.  For I^[q] that is the paper's M_d.  A column
+only touches the monomials in its support, so every computation is
+restricted to a row component (for multigraded relations, the grading
+decomposition); `_row_components` walks them for both `SliceCache.at`
+and the minors scan of `hq.h_q`.
 
 SliceCache is the one store per ideal: it answers membership from the
 echelon slices it keeps, and gives each degree's free rank and largest
@@ -107,7 +108,8 @@ def _component(gens, seeds, covered):
     """The row component of one degree reached from the seeds: its
     standard rows, those `covered` rejects not, and the multiples by
     x-monomials of the generators (`_generator_data` columns, translated)
-    that meet them, with their covered entries dropped."""
+    that meet them, with their covered entries dropped, keyed by
+    (generator index, shift) in the order they are met."""
     standard = {}  # row reached -> whether no cover divides it
     work = []
 
@@ -120,20 +122,42 @@ def _component(gens, seeds, covered):
 
     for s in seeds:
         keep(s)
-    placed = set()
-    columns = []
+    columns = {}
     while work:
         mono = work.pop()
         for gi, (_, sup, col) in enumerate(gens):
             for s in sup:
                 shift = tuple(map(sub, mono, s))
-                if min(shift, default=0) < 0 or (gi, shift) in placed:
+                if min(shift, default=0) < 0 or (gi, shift) in columns:
                     continue
-                placed.add((gi, shift))
-                columns.append(
-                    {r: u for v, u in col.items() if keep(r := tuple(map(add, v, shift)))}
-                )
+                columns[gi, shift] = {
+                    r: u for v, u in col.items() if keep(r := tuple(map(add, v, shift)))
+                }
     return {r for r, std in standard.items() if std}, columns
+
+
+def _row_components(gens, n: int, degree: int, cap, covered):
+    """Each row component of one degree once, seeded from the uncovered
+    monomials with every exponent at most `cap` (None: no cap), as (key,
+    rows, columns): its standard rows grevlex-descending, `_component`'s
+    columns, and the key, the sorted columns with rows relabeled by rank
+    in `rows`, which translates share."""
+    seen = set()
+    for row in monomials_of_degree(n, degree, cap):
+        if row in seen or covered(row):
+            continue
+        check_deadline()
+        rows, columns = _component(gens, [row], covered)
+        seen |= rows
+        if not columns:  # a row no column meets: nothing to sort
+            yield (), [row], columns
+            continue
+        rows = sorted(rows, key=lambda r: r[::-1])
+        rank = {r: i for i, r in enumerate(rows)}
+        key = tuple(sorted(
+            tuple(sorted((rank[r], u.coeffs) for r, u in c.items())) for c in columns.values()
+        ))
+        yield key, rows, columns
 
 
 class DegreeSlice:
@@ -159,7 +183,7 @@ class DegreeSlice:
             raise InputError("seed monomial has the wrong degree")
         gens = [gd for gd in gens if gd[0] <= degree]
         self.rows, columns = _component(gens, seeds, self.covered)
-        self._echelon_pivots = _echelon(columns, sorted(self.rows, reverse=True))[0]
+        self._echelon_pivots = _echelon(columns.values(), sorted(self.rows, reverse=True))[0]
 
     def contains(self, vec: dict) -> bool:
         """Membership of a vector {x-exps: UniPoly} by exact-division
@@ -367,21 +391,11 @@ class SliceCache:
             free, largest = 0, self._one
             covered = self._cover_test(b)
             gens = [gd for gd in self._generators[1] if gd[0] <= b]
-            seen = set()
             merged = set()  # the largest factors lcm'd into `largest`
-            for row in monomials_of_degree(len(self._w1), b, self._cap):
-                if row in seen or covered(row):
-                    continue
-                check_deadline()
-                rows, columns = _component(gens, [row], covered)
-                seen |= rows
-                index = {r: i for i, r in enumerate(sorted(rows))}
-                key = tuple(sorted(
-                    tuple(sorted((index[r], u.coeffs) for r, u in c.items())) for c in columns
-                ))
+            for key, rows, columns in _row_components(gens, len(self._w1), b, self._cap, covered):
                 factors = self._factors.get(key)
                 if factors is None:
-                    factors = self._factors[key] = invariant_factors(columns)
+                    factors = self._factors[key] = invariant_factors(columns.values())
                 free += len(rows) - len(factors)
                 if factors and factors[-1] not in merged:
                     merged.add(factors[-1])

@@ -180,27 +180,28 @@ class TestWallClock:
 
     def test_h_q_checks_it_inside_a_block_scan(self, monkeypatch):
         # a deadline that passes once the first degree of brenner_monsky
-        # q=4 with several blocks is split stops the scan of its first block
+        # q=4 with several row components is walked stops the scan of its
+        # first block; the budget cuts no degree, so no M_d is built
         fam = family("brenner_monsky", 2)
         split, built = [], []
-        real_blocks, real_build = hq._blocks, hq.build_Md
+        real_walk, real_build = hq._row_components, hq.build_Md
 
-        def blocks(M):
-            out = real_blocks(M)
-            split.append(len(out))
-            return out
+        def walk(*args):
+            components = list(real_walk(*args))
+            split.append(sum(bool(columns) for _, _, columns in components))
+            return iter(components)
 
         def deadline():
             if split and split[-1] > 1:
                 raise BudgetExceeded("wall_seconds", 0.0)
 
-        monkeypatch.setattr(hq, "_blocks", blocks)
+        monkeypatch.setattr(hq, "_row_components", walk)
         monkeypatch.setattr(hq, "build_Md", lambda *a: built.append(a[2]) or real_build(*a))
         monkeypatch.setattr(hq, "check_deadline", deadline)
         with pytest.raises(BudgetExceeded, match="wall_seconds") as info:
             hq.h_q(fam.ring, PrimePower(PrimeModulus(2), 2))
         assert [entry.name for entry in info.traceback][-2:] == ["minors_lcm", "deadline"]
-        assert split == [0, 1, 3] and built == [3, 4, 5]
+        assert split == [1, 3] and built == []
 
     def test_h_q_checks_it_while_counting_degrees(self, monkeypatch):
         # katzman p=3 q=9 scans degrees 8-11; a deadline that passes at

@@ -98,6 +98,15 @@ class TestCensus:
         res = invoke(runner, "census", "--p", "2", "--r", "1,t,1", "--e", "5..2")
         assert res.exit_code == 2
 
+    def test_q_one_has_h_one(self, runner):
+        # q = 1 has no degree to scan
+        res = invoke(runner, "census", "--family", "brenner_monsky", "--p", "2", "--e", "0",
+                     "--no-timings")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["rows"] == [{
+            "factors": "1", "label": "h_1", "new_and_old_distinct_irreducibles": 0, "poly": "1",
+        }]
+
 
 class TestHq:
     def test_katzman_q4(self, runner):
@@ -127,6 +136,13 @@ class TestHq:
         assert res.exit_code == 2
         assert "weight-zero variable" in res.output
 
+    def test_q_one_has_h_one(self, runner):
+        # q = 1 has no degree to scan, so none of the window either
+        res = invoke(runner, "hq", "--family", "ss7", "--p", "2", "--q", "1", "--no-timings")
+        assert res.exit_code == 0
+        cert = json.loads(res.output)["certificate"]
+        assert cert["h_text"] == "1" and cert["minors_examined"] == 0 and not cert["partial"]
+
     def test_wall_clock_is_exit_3(self, runner):
         # the minors scan checks the deadline
         res = invoke(runner, "hq", "--family", "katzman", "--p", "3", "--q", "9",
@@ -143,6 +159,16 @@ class TestDecompose:
         report = json.loads(res.output)["report"]
         assert report["intersection_verified"] and report["method"] == "certified"
         assert [c["tau"] for c in report["embedded"]] == ["t", "t + 1", "t^2 + t + 1"]
+
+    def test_q_one(self, runner):
+        # h_1 = 1 takes no minor, and I^[1] + (x, y) is the whole isolated
+        # component
+        res = invoke(runner, "decompose", "--family", "katzman", "--p", "3", "--q", "1",
+                     "--no-timings")
+        assert res.exit_code == 0
+        report = json.loads(res.output)["report"]
+        assert report["h"] == "1" and report["h_certificate"]["minors_examined"] == 0
+        assert report["intersection_verified"] and report["embedded"] == []
 
     def test_method_option(self, runner):
         res = invoke(runner, "decompose", "--family", "katzman", "--p", "2",

@@ -237,7 +237,7 @@ class TestBuildMd:
         fam = family("katzman", 2)
         M = build_Md(fam.ring, PrimePower(P2, 2), 4)
         assert M.shape == (3, 1)
-        col = [format_unipoly(M.entry(r, 0)) for r in range(3)]
+        col = [format_unipoly(M.entries[r, 0]) for r in range(3)]
         assert col == ["1", "t + 1", "t"]
 
 
@@ -587,6 +587,92 @@ class TestDegreeWindow:
                     kinds[kind] = kinds.get(kind, 0) + 1
         assert recurring >= 20
         assert set(kinds) == {"none", "window", "outer"}, kinds
+
+
+def submatrix(M, rows):
+    """M's block on the rows `rows` (indices into M.rows) and the columns
+    with an entry there, both in M's order, as comparable tuples."""
+    cols = sorted({c for r, c in M.entries if r in rows})
+    rows = sorted(rows)
+    return (
+        tuple(M.rows[r] for r in rows),
+        tuple(M.cols[c] for c in cols),
+        tuple((i, j, M.entries[r, c].coeffs) for i, r in enumerate(rows)
+              for j, c in enumerate(cols) if (r, c) in M.entries),
+    )
+
+
+def as_tuples(B):
+    return B.rows, B.cols, tuple(sorted((i, j, a.coeffs) for (i, j), a in B.entries.items()))
+
+
+class TestBlocksFromComponents:
+    """The blocks `h_q` scans on uncut degrees are ktmodule's row
+    components, laid out as the reference's blocks of the whole M_d."""
+
+    def walked_blocks(self, ring, q, monkeypatch, budget=hq.DEFAULT_BUDGETS.minor_subsets):
+        # degree -> the blocks of the components h_q walks there, and the
+        # number of blocks it scans into an lcm of their own
+        walked, scans = {}, []
+        real_walk, real_init = hq._row_components, hq._LcmFold.__init__
+
+        def walk(gens, n, d, cap, covered):
+            components = list(real_walk(gens, n, d, cap, covered))
+            walked[d] = [hq._block(ring.p, d, rows, columns)
+                         for _, rows, columns in components if columns]
+            return iter(components)
+
+        def init(fold, p_mod, table=None):
+            if table is not None:  # a block's own lcm shares h's table
+                scans.append(fold)
+            real_init(fold, p_mod, table)
+
+        monkeypatch.setattr(hq, "_row_components", walk)
+        monkeypatch.setattr(hq._LcmFold, "__init__", init)
+        h_q(ring, q, budget)
+        monkeypatch.undo()
+        return walked, len(scans)
+
+    # every family at p <= 5, q <= 9 (brenner_monsky needs p = 2) but
+    # ss7 at q = 8 and 9, whose cut degrees take tens of seconds to build
+    # and scan positionally
+    @pytest.mark.parametrize("name,p,e", [
+        (name, p, e) for name in ("katzman", "ss5", "ss7", "brenner_monsky")
+        for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
+        if (name != "ss7" or p ** e < 8) and (name != "brenner_monsky" or p == 2)
+    ])
+    def test_families(self, name, p, e, monkeypatch):
+        # the degrees walked are the scanned ones with a position, within
+        # the budget, and each one's blocks are the reference's blocks of
+        # its M_d, rows and columns in M_d's order
+        ring = family(name, p).ring
+        q = PrimePower(PrimeModulus(p), e)
+        budget = hq.DEFAULT_BUDGETS.minor_subsets
+        n = len(ring.weight1_indices())
+        degrees = range(1, n * (q.q - 1) + 1)
+        walked, _ = self.walked_blocks(ring, q, monkeypatch)
+        matrices = {d: build_Md(ring, q, d) for d in degrees}
+        fits = {d: full_positions(M) <= budget for d, M in matrices.items()}
+        window = window_of(ring, q)
+        scanned = window if all(fits[d] for d in window) else degrees
+        assert sorted(walked) == [d for d in scanned if fits[d] and matrices[d].entries]
+        for d, blocks in walked.items():
+            M = matrices[d]
+            want = sorted(submatrix(M, rows) for rows in connected_blocks(M))
+            assert sorted(as_tuples(B) for B in blocks) == want, d
+
+    @pytest.mark.parametrize("name,p,e,budget,scans", [
+        ("brenner_monsky", 2, 2, hq.DEFAULT_BUDGETS.minor_subsets, 8),
+        ("ss5", 3, 1, hq.DEFAULT_BUDGETS.minor_subsets, 6),
+        ("ss5", 2, 2, 10**30, 17),
+    ])
+    def test_distinct_block_scans(self, name, p, e, budget, scans, monkeypatch):
+        # each distinct block is scanned once per call, and blocks equal up
+        # to the order of their columns share the scan: keyed by their
+        # entries in M_d's layout, these calls would scan 8, 7 and 18
+        ring = family(name, p).ring
+        q = PrimePower(PrimeModulus(p), e)
+        assert self.walked_blocks(ring, q, monkeypatch, budget)[1] == scans
 
 
 class TestHq:
