@@ -44,7 +44,12 @@ from .fpoly import (
 )
 from .groebner import IdealHandle, colon, eliminate, power_containment, saturation_exponent
 from .hq import HqCertificate
-from .ktmodule import SliceCache, contraction_colon, univariate_colon_trivial_panel
+from .ktmodule import (
+    SliceCache,
+    contraction_colon,
+    degree_zero_membership,
+    univariate_colon_trivial_panel,
+)
 from .orders import monomials_of_degree
 from .sequences import SequenceSpec, big_L, p_seq
 
@@ -583,14 +588,21 @@ def primary_sanity(
     g*v in C gives v = a*(g*v) + b*tau^m*v in C.  Such a component passes
     there, with no panel drawn.
 
-    A component without a tau carrying cap_degree checks the unit and
-    the radical powers by slice membership and answers the colons from
-    the slice invariants of its base ideal B (see growth_exponent) by
+    A component carrying cap_degree is x-homogeneous, so its x-degree-0
+    part C_0 is c0*k[t], c0 the gcd of its generators of x-degree 0:
+    the unit check and the powers of tau are answered by "c0 divides f"
+    (ktmodule.degree_zero_membership), with no slice built.  A question
+    of positive x-degree (a radical generator no pure-power generator
+    settles) goes to a slice store of C, built on the first such
+    question.  Without a tau, the colons are answered from the slice
+    invariants of its base ideal B (see growth_exponent) by
     univariate_colon_trivial_panel: (C : g) = C below cap_degree exactly
     when g is coprime to d_b, the torsion exponent of every S_b / C_b,
-    b < cap_degree.  That is the
-    verdict of the degreewise colon computation, so the same g fails
-    first and the witness is the same.
+    b < cap_degree.  That is the verdict of the degreewise colon
+    computation, so the same g fails first and the witness is the same.
+    On the certified route B's store is the shared one of I^[q], so no
+    component builds a store of its own; a hand-built component (slices
+    unset) builds one for its panel.
 
     A component with neither takes one Groebner colon, by f, the product
     of the distinct squarefree factors of the panel's product
@@ -610,10 +622,18 @@ def primary_sanity(
         MultiPoly.from_unipoly(ring, C.tau[0], "t") not in C.radical_generators
     ):
         raise InputError("a component with a tau has tau among its radical generators")
-    cache = SliceCache(C.ideal) if C.cap_degree is not None else None
+    in_degree_zero = degree_zero_membership(C.ideal) if C.cap_degree is not None else None
+    own = None  # C's own slice store, built by the first question that needs it
 
     def member(f):
-        return cache.member(f) if cache is not None else C.ideal.contains(f, budgets)
+        nonlocal own
+        if in_degree_zero is None:
+            return C.ideal.contains(f, budgets)
+        if x_degree(f) == 0:
+            return in_degree_zero(f)
+        if own is None:
+            own = SliceCache(C.ideal)
+        return own.member(f)
 
     if member(MultiPoly.const(ring, 1)):
         return SanityVerdict(False, "component is the unit ideal")
@@ -629,8 +649,8 @@ def primary_sanity(
         g = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 4))])
         if not g.is_zero and g.degree > 0:
             panel.append(g)
-    if cache is not None:
-        stable = univariate_colon_trivial_panel(_slices_of(C, cache), panel, C.cap_degree)
+    if C.cap_degree is not None:
+        stable = univariate_colon_trivial_panel(_slices_of(C, own), panel, C.cap_degree)
         bad = next((g for g, ok in zip(panel, stable) if not ok), None)
     else:
 
@@ -767,11 +787,15 @@ def lemma_membership_suite(
 ) -> SuiteReport:
     """Exhaustive membership checks behind the five-variable inclusion
     lemmas at index n, plus the three-variable colon membership, all
-    answered by degree slices.
+    answered by the degree-slice engine.
 
-    Each element of items (i) and (ii) is g(t) * u^a v^b x^c y^d, built
-    as one polynomial from its terms; the factors g = (r0 r2)^k L_n are
-    computed once, in k[t]."""
+    Each element of items (i) and (ii) is g(t) * u^a v^b x^c y^d of
+    x-degree 2n, with g = (r0 r2)^k L_n computed once in k[t].  A g
+    that kills S_2n / (I_n)_2n (free rank 0, largest invariant factor
+    dividing g: one Smith pass) puts every element built with it in I_n,
+    so those elements are counted in `checked` and not asked.  The
+    elements of any other g are asked one by one, in the same order, to
+    name the witnesses; each is built as one polynomial from its terms."""
     if n < 1:
         raise InputError("suite index n must be at least 1")
     if panel_size < 1:
@@ -792,22 +816,27 @@ def lemma_membership_suite(
         return MultiPoly(S, {(k,) + exps: c for k, c in enumerate(g.coeffs) if c})
 
     cache_In = SliceCache(In)
+    # which factors kill S_2n / (I_n)_2n, settling their elements
+    top = cache_In.at(2 * n)
+    kills = [top.free_rank == 0 and (g % top.largest).is_zero for g in factors]
     # (i) (r0 r2)^{a+b} L_n (ux)^a (vy)^b x^c y^d in I_n over 2a+2b+c+d = 2n
     wit_i = []
     checked_i = 0
     for a in range(n + 1):
         for b in range(n - a + 1):
             rest = 2 * n - 2 * a - 2 * b
+            checked_i += rest + 1
+            if kills[a + b]:
+                continue
             for c in range(rest + 1):
                 d = rest - c
-                checked_i += 1
                 if not cache_In.member(times_monomial(factors[a + b], (a, b, a + c, b + d))):
                     wit_i.append(f"(a,b,c,d)=({a},{b},{c},{d})")
     # (ii) I_n : r0^n r2^n L_n contains every monomial of degree 2n,
     # checked (and witnessed) in ascending lex order
     degree_2n = list(reversed(monomials_of_degree(4, 2 * n)))
     wit_ii = []
-    for exps in degree_2n:
+    for exps in [] if kills[n] else degree_2n:
         if not cache_In.member(times_monomial(factors[n], exps)):
             wit_ii.append(format_multipoly(MultiPoly.monomial(S, (0,) + exps)))
     # (iii) colon stability of J = I_n + (u,v,x,y)^{2n} under random g(t):

@@ -418,6 +418,31 @@ class SliceCache:
         return acc
 
 
+def degree_zero_membership(ideal):
+    """Membership in I_0, the x-degree-0 part of an x-homogeneous ideal
+    I, with no slice built: a generator of positive x-degree has no
+    multiple of x-degree 0, so I_0 is the k[t]-ideal generated by c0,
+    the gcd of I's generators of x-degree 0, and an f of x-degree 0 lies
+    in I exactly when c0 divides it.  That gcd is what the echelon of a
+    degree-0 DegreeSlice reduces to; it is read off the same generator
+    data, so an inhomogeneous generator raises as SliceCache(I) does."""
+    covers, columns = _generator_data(ideal)
+    p, w1 = ideal.ring.p, ideal.ring.weight1_indices()
+    c0 = UniPoly.one(p) if any(not any(c) for c in covers) else UniPoly.zero(p)
+    for degree, _, col in columns:
+        if degree == 0:
+            (u,) = col.values()
+            c0 = uni_gcd(c0, u)
+
+    def member(f: MultiPoly) -> bool:
+        if f.is_zero or c0.degree == 0:
+            return True
+        (u,) = _columns_of(f, _single_t_index(ideal.ring), w1, (0,) * len(w1)).values()
+        return not c0.is_zero and (u % c0).is_zero
+
+    return member
+
+
 def slice_power_containment(radical_gens, cache: SliceCache) -> int:
     """Least k >= 1 with every degree-k product of the radical generators
     in the cache's ideal, by fpoly's ascending search with slice

@@ -5,8 +5,10 @@ import operator
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from frobgrow.budgets import Budgets
+from frobgrow.cli import main
 from frobgrow.decomposer import (
     FamilySpec,
     PrimaryComponent,
@@ -36,10 +38,10 @@ from frobgrow.fpoly import (
     uni_factor,
     uni_gcd,
 )
-from frobgrow import decomposer, groebner
+from frobgrow import decomposer, groebner, ktmodule
 from frobgrow.groebner import IdealHandle, ideal_equal, intersect
 from frobgrow.hq import h_q
-from frobgrow.ktmodule import SliceCache, slice_power_containment
+from frobgrow.ktmodule import DegreeInvariants, SliceCache, slice_power_containment
 from frobgrow.orders import monomials_of_degree
 from frobgrow.sequences import SequenceSpec, big_L, p_seq
 
@@ -765,6 +767,58 @@ class TestPrimarySanity:
             for seed in (0, 1, 2):
                 assert per_g_sanity(comp, 10, seed) == SanityVerdict(True)
 
+    @pytest.mark.parametrize(
+        "name,p,e,h",
+        [("katzman", 3, 2, "minors"), ("ss5", 2, 2, "closed-form"), ("ss7", 2, 1, "minors")],
+        ids=["katzman_p3_q9", "ss5_p2_q4_closed_form", "ss7_p2_q2"],
+    )
+    def test_certified_components_build_no_slice_store(self, name, p, e, h, monkeypatch):
+        # the unit and tau-power questions are of x-degree 0, answered by
+        # the gcd of the degree-0 generators; the panel reads the shared
+        # store of I^[q].  A copy without that store builds its own for
+        # the panel and must reach the same verdict and witness
+        fam = family(name, p)
+        q = q_of(fam, e)
+        rep = stable_decomposition(fam, q, named_h(fam, q, h), method="certified")
+        built = []
+        for cls in (SliceCache, ktmodule.DegreeSlice):
+            init = cls.__init__
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, *a, init=init, **k: built.append(type(self)) or init(self, *a, **k),
+            )
+        verdicts = []
+        for comp in [rep.isolated] + rep.embedded:
+            for seed in (0, 1, 2):
+                built.clear()
+                v = primary_sanity(comp, 10, seed)
+                assert built == []
+                own = dataclasses.replace(comp, slices=None)
+                assert primary_sanity(own, 10, seed) == v
+                verdicts.append(v.passed)
+            unit = MultiPoly.const(fam.ring, 1)
+            assert not SliceCache(comp.ideal).member(unit)
+            assert decomposer._radical_escape(comp, SliceCache(comp.ideal).member) is None
+        assert all(verdicts) == (name != "ss7")
+
+    @pytest.mark.parametrize("tau", [None, "t"])
+    def test_inhomogeneous_cap_component_raises_the_slice_store_error(self, tau):
+        # the error SliceCache(C.ideal) raises, with no slice store built
+        R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
+        rad = (parse_poly("x", R), parse_poly("y", R))
+        gens = ["x^2", "y^2", "x+t*y^2"]
+        if tau is not None:
+            gens.append(tau)
+            rad += (parse_poly(tau, R),)
+        C = PrimaryComponent(
+            IdealHandle(R, gens), rad, tau and (parse_unipoly(tau, P3), 1), cap_degree=2
+        )
+        with pytest.raises(InputError) as by_store:
+            SliceCache(C.ideal)
+        with pytest.raises(InputError) as by_sanity:
+            primary_sanity(C, 5)
+        assert str(by_sanity.value) == str(by_store.value)
+
     def test_tau_component_without_a_tau_power_fails(self):
         R = RingSpec(P3, (("t", 0), ("x", 1), ("y", 1)))
         t = parse_poly("t", R)
@@ -1007,14 +1061,15 @@ class TestLemmaMembershipSuite:
         assert all(item["passed"] for item in d["items"])
 
 
-def product_lemma_elements(spec, n):
+def product_lemma_elements(spec, n, L=None):
     """Items (i) and (ii) of the lemma suite by MultiPoly products, the
     reference for the suite's term-by-term construction:
-    [((a,b,c,d), element)] and [(monomial, element)] in check order."""
+    [((a,b,c,d), element)] and [(monomial, element)] in check order.
+    `L` stands in for L_n when given."""
     S = RingSpec(spec.p, (("t", 0), ("u", 1), ("v", 1), ("x", 1), ("y", 1)))
     u, v, x, y = (S.variable(nm) for nm in "uvxy")
     r0, r2 = (MultiPoly.from_unipoly(S, r, "t") for r in (spec.r0, spec.r2))
-    Ln = MultiPoly.from_unipoly(S, big_L(spec, n), "t")
+    Ln = MultiPoly.from_unipoly(S, big_L(spec, n) if L is None else L, "t")
     r0r2 = MultiPoly.from_unipoly(S, spec.r0 * spec.r2, "t")
     items_i = []
     for a in range(n + 1):
@@ -1043,18 +1098,111 @@ LEMMA_SPECS = [
 ]
 
 
+def lemma_ideal(spec, n):
+    """I_n = (u^n, v^n, x^n, y^n, F) on the suite's five-variable ring."""
+    S = RingSpec(spec.p, (("t", 0), ("u", 1), ("v", 1), ("x", 1), ("y", 1)))
+    u, v, x, y = (S.variable(nm) for nm in "uvxy")
+    r0, r1, r2 = (MultiPoly.from_unipoly(S, r, "t") for r in (spec.r0, spec.r1, spec.r2))
+    F = r0 * u**2 * x**2 + r1 * u * x * v * y + r2 * v**2 * y**2
+    return IdealHandle(S, [u**n, v**n, x**n, y**n, F])
+
+
+def member_loop_items(spec, n, L):
+    """Items (i) and (ii) of the lemma suite, with L in place of L_n,
+    answered one element at a time by SliceCache.member over
+    product_lemma_elements: the reference for the suite's reading of the
+    degree-2n slice invariants.  Also returns how many elements the
+    suite must still ask: those whose factor (r0 r2)^k L does not put
+    every degree-2n monomial times it in I_n, by the same membership."""
+    items_i, items_ii = product_lemma_elements(spec, n, L)
+    In = lemma_ideal(spec, n)
+    member = SliceCache(In).member
+    wit_i = tuple(
+        "(a,b,c,d)=({},{},{},{})".format(*abcd) for abcd, elt in items_i if not member(elt)
+    )
+    wit_ii = tuple(format_multipoly(m) for m, elt in items_ii if not member(elt))
+    kills = [
+        all(member(MultiPoly.from_unipoly(In.ring, L * (spec.r0 * spec.r2) ** k, "t") * m)
+            for m, _ in items_ii)
+        for k in range(n + 1)
+    ]
+    asked = sum(not kills[a + b] for (a, b, _, _), _ in items_i)
+    asked += 0 if kills[n] else len(items_ii)
+    return (
+        decomposer.SuiteItem("inclusion_b", not wit_i, len(items_i), wit_i),
+        decomposer.SuiteItem("inclusion_c", not wit_ii, len(items_ii), wit_ii),
+    ), asked
+
+
+class TestLemmaInclusions:
+    """Items (i) and (ii) read off the invariants of S_2n / (I_n)_2n
+    where those settle a factor, and ask the elements otherwise."""
+
+    @pytest.mark.parametrize("p,r0,r1,r2", LEMMA_SPECS)
+    def test_items_match_a_membership_loop(self, p, r0, r1, r2, monkeypatch):
+        # with L_n itself every element lies in I_n.  In its place (up to
+        # n = 4), 1 and t settle few factors and leave witnesses, and
+        # d / gcd(d, r0 r2), d the largest invariant factor of the slice,
+        # leaves the small k alone unsettled when r0 r2 is not a unit
+        spec = SequenceSpec.parse(p, r0, r1, r2)
+        asked = []
+        real_member = SliceCache.member
+        monkeypatch.setattr(
+            SliceCache, "member",
+            lambda self, f: (f.ring.nvars == 5 and asked.append(f)) or real_member(self, f),
+        )
+        witnessed = mixed = False
+        for n in range(1, 6):
+            d = SliceCache(lemma_ideal(spec, n)).at(2 * n).largest
+            Ls = [big_L(spec, n)]
+            if n < 5:
+                Ls += [UniPoly.one(p), UniPoly.t(p), d.exact_div(uni_gcd(d, spec.r0 * spec.r2))]
+            for L in Ls:
+                monkeypatch.setattr(decomposer, "big_L", lambda spec, n: L)
+                asked.clear()
+                inc_b, inc_c = lemma_membership_suite(spec, n).items[:2]
+                n_asked = len(asked)
+                expected, to_ask = member_loop_items(spec, n, L)
+                assert (inc_b, inc_c) == expected, (n, L)
+                assert n_asked == to_ask, (n, L)
+                witnessed |= not (inc_b.passed and inc_c.passed)
+                mixed |= 0 < n_asked < inc_b.checked + inc_c.checked
+        assert witnessed and mixed == ((spec.r0 * spec.r2).degree > 0)
+
+    def test_p3_r1t1_n4_asks_no_element(self, monkeypatch):
+        # verify-lemmas p=3 r=1,t,1 n=4 settles every factor from the
+        # invariants: no membership question on the five-variable ring
+        # (220, one per element, when each element is asked)
+        asked = []
+        real_member = SliceCache.member
+        monkeypatch.setattr(
+            SliceCache, "member", lambda self, f: asked.append(f) or real_member(self, f)
+        )
+        argv = ["verify-lemmas", "--p", "3", "--r", "1,t,1", "--n", "4", "--no-timings"]
+        assert CliRunner().invoke(main, argv).exit_code == 0
+        assert asked and all(f.ring.nvars == 3 for f in asked)
+
+
 class TestLemmaElements:
     """The suite's elements against the products they are built from.
 
     Membership is stubbed: it records each element asked and rejects a
     seeded subset of the reference elements (the lemmas hold on every
     real input), so the witnesses must name exactly the rejected ones,
-    in the reference's order."""
+    in the reference's order.  The degree-2n invariants of the
+    five-variable ideal are stubbed to free rank 1, so that they settle
+    no factor and every element is asked."""
 
     @pytest.mark.parametrize("p,r0,r1,r2", LEMMA_SPECS)
     def test_elements_and_witnesses_match_the_products(self, p, r0, r1, r2, monkeypatch):
         spec = SequenceSpec.parse(p, r0, r1, r2)
         rng = random.Random(f"{p.p}/{r0}/{r1}/{r2}")
+        real_at = SliceCache.at
+        monkeypatch.setattr(
+            SliceCache, "at",
+            lambda self, b: DegreeInvariants(1, self._one)
+            if self.ideal.ring.nvars == 5 else real_at(self, b),
+        )
         for n in range(1, 6):
             items_i, items_ii = product_lemma_elements(spec, n)
             rejected = {elt for _, elt in items_i + items_ii if rng.random() < 0.3}

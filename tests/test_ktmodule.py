@@ -21,6 +21,7 @@ from frobgrow.ktmodule import (
     DegreeSlice,
     SliceCache,
     contraction_colon,
+    degree_zero_membership,
     invariant_factors,
     slice_power_containment,
     univariate_colon_trivial_panel,
@@ -504,6 +505,42 @@ class TestInvariantsAgainstPerSlice:
             for d in range(7):
                 assert cache.at(d) == per_slice_at(cache, d), d
         assert None in caps and len(caps) > 2
+
+
+class TestDegreeZeroMembership:
+    """degree_zero_membership, the gcd of the x-degree-0 generators,
+    against slice membership, which builds the degree-0 echelon."""
+
+    @pytest.mark.parametrize("p", [P2, P3, P5], ids=["p2", "p3", "p5"])
+    def test_agrees_with_slice_membership_random(self, p, rng):
+        R = ring_txy(p, (parse_poly("x^2+t*x*y+y^2", ring_txy(p)),))
+        seen = set()
+        for _ in range(12):
+            gens = [rand_homog(rng, R, rng.randint(0, 2)) for _ in range(rng.randint(1, 4))]
+            gens = [g for g in gens if not g.is_zero] or ["x"]
+            I = IdealHandle(R, gens + (["1"] if rng.random() < 0.1 else []))
+            member, cache = degree_zero_membership(I), SliceCache(I)
+            tests = [rand_homog(rng, R, 0, tmax=5) for _ in range(6)]
+            tests += [MultiPoly.const(R, 1), MultiPoly.const(R, 0)]
+            tests += [g * rand_homog(rng, R, 0) for g in I.generators if x_degree(g) == 0]
+            for f in tests:
+                assert member(f) == cache.member(f), (gens, f)
+                seen.add(member(f))
+        assert seen == {True, False}
+
+    def test_no_degree_zero_generator_holds_only_zero(self):
+        R = ring_txy()
+        member = degree_zero_membership(IdealHandle(R, ["x^2", "t*y"]))
+        assert member(MultiPoly.const(R, 0)) and not member(parse_poly("t^3", R))
+
+    def test_inhomogeneous_generator_raises_as_the_slice_store(self):
+        R = ring_txy()
+        I = IdealHandle(R, ["x^2", "x+t*y^2", "t"])
+        with pytest.raises(InputError) as by_store:
+            SliceCache(I)
+        with pytest.raises(InputError) as by_gcd:
+            degree_zero_membership(I)
+        assert str(by_gcd.value) == str(by_store.value)
 
 
 class TestSlicePowerContainment:
