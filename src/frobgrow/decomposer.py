@@ -576,7 +576,8 @@ def primary_sanity(
     """Necessary-condition test, not a primality proof: the component is
     not the unit ideal, every radical generator has some power in the
     ideal, and, on a component without a tau, colon by random g(t) leaves
-    the ideal unchanged.
+    the ideal unchanged; on one that also carries cap_degree, colon by
+    every g(t) does.
 
     The radical check (_radical_escape) tries g, g^2, g^4, ..., g^4096;
     a radical generator that is a single variable v is settled without
@@ -597,9 +598,13 @@ def primary_sanity(
     question.  Without a tau, the colons are answered from the slice
     invariants of its base ideal B (see growth_exponent) by
     univariate_colon_trivial_panel: (C : g) = C below cap_degree exactly
-    when g is coprime to d_b, the torsion exponent of every S_b / C_b,
-    b < cap_degree.  That is the verdict of the degreewise colon
-    computation, so the same g fails first and the witness is the same.
+    when g is coprime to T, the torsion exponent (the lcm of the d_b) of
+    the S_b / C_b, b < cap_degree.  That is the verdict of the degreewise
+    colon computation, so the same g fails first and the witness is the
+    same.  The verdict is exact: C passes only if T = 1.  When every panel
+    g passes but T != 1, the witness is tau, the first irreducible factor
+    of T (uni_factor sorts its factors, so tau does not depend on the
+    seed), a zero divisor on S/C that the panel missed.
     On the certified route B's store is the shared one of I^[q], so no
     component builds a store of its own; a hand-built component (slices
     unset) builds one for its panel.
@@ -650,8 +655,12 @@ def primary_sanity(
         if not g.is_zero and g.degree > 0:
             panel.append(g)
     if C.cap_degree is not None:
-        stable = univariate_colon_trivial_panel(_slices_of(C, own), panel, C.cap_degree)
+        slices = _slices_of(C, own)
+        stable = univariate_colon_trivial_panel(slices, panel, C.cap_degree)
         bad = next((g for g, ok in zip(panel, stable) if not ok), None)
+        torsion = slices.torsion_exponent(C.cap_degree)
+        if bad is None and torsion.degree > 0:  # a zero divisor the panel missed
+            bad = next(iter(uni_factor(torsion, seed)))[0]
     else:
 
         def escapes(g):

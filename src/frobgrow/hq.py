@@ -24,6 +24,19 @@ can change h, and a split M_d block by block (ktmodule's row components),
 each distinct block once (its lcm is the product of the block lcms); only
 a cut degree is built whole.  `minors_examined`, the PARTIAL flag and h
 stay those of a positional scan of every M_d.
+
+Transpose duality.  Let the only relation be f, of x-degree delta >= 1,
+the covers x_i^e of every weighted variable (e = q for I^[q]),
+c = (e-1, ..., e-1) and D = n(e-1) + delta.  Row u of M_(D-d) is matched
+with column w = c - u of M_d, and column w' of M_(D-d), when w' <= c,
+with row c - w' of M_d; both maps keep the degrees (|c - u| = d - delta,
+|c - w'| = d) and are bijections.  The entry at (u, w') is the
+coefficient of x^(u-w') in f, and at (c - w', c - u) that of
+x^((c-w') - (c-u)) = x^(u-w'): the same.  The other columns of M_(D-d),
+multipliers with an exponent >= e, are zero.  So M_(D-d) with its zero
+columns dropped is M_d transposed, with the same nonzero minors (the same
+lcm), rank and invariant factors.  `h_q` scans one degree of each such
+pair, and `ktmodule.SliceCache.at` reads the upper degree off the lower.
 `bareiss_det`, an elimination determinant the scan does not call, is
 the tests' independent reference for it.
 """
@@ -410,6 +423,34 @@ def _window(relations, n: int, q: int) -> range:
     return range(max(q - 1, 1), min(max((n - 1) * (q - 1) + S, q - 1), n * (q - 1)) + 1)
 
 
+def _undualled(window: range, top: int, q: int, D: int) -> set:
+    """The window degrees to scan for a single relation: minors(M_d) lie
+    among those of M_(d+1) for d <= q-2 (Lemma A), of M_(d-1) above the
+    window (Lemma B), and equal those of M_(D-d) (Lemma C, the duality of
+    the module docstring).  A window degree is scanned when every window
+    degree these moves reach from it reaches it back, and it is the least
+    of them; every window degree reaches a scanned one."""
+
+    def moves(d):
+        if d <= q - 2:
+            yield d + 1
+        if d >= window.stop:
+            yield d - 1
+        if 1 <= D - d <= top:
+            yield D - d
+
+    reach = {}
+    for d in window:
+        seen, todo = {d}, [d]
+        while todo:
+            for e in moves(todo.pop()):
+                if e not in seen:
+                    seen.add(e)
+                    todo.append(e)
+        reach[d] = seen.intersection(window)
+    return {d for d in window if all(d <= e and d in reach[e] for e in reach[d])}
+
+
 def _positions(relations, n: int, q: int, d: int) -> int:
     """The positions an unbudgeted `minors_lcm` counts on M_d, without
     building it.  Its live rows are the standard monomials of degree d
@@ -486,9 +527,13 @@ def h_q(
     minor of M_d, d > hi, one of M_(d-1).  So when the budget cuts no
     window degree only the window is scanned, and every degree counts its
     positions in closed form (`_positions`), or budget + 1 and PARTIAL
-    where the budget cuts it.  Otherwise every degree is scanned, each
-    cut one positionally on its whole M_d, so a PARTIAL h is the lcm of
-    the same minors as ever.
+    where the budget cuts it.  With a single relation M_(D-d) is M_d
+    transposed (the module docstring), so a window degree whose minors
+    these three facts place among another scanned degree's is skipped
+    (`_undualled`).  When the budget cuts a window degree, every degree
+    is scanned, each cut one positionally on its whole M_d, so a PARTIAL
+    h is the lcm of the same minors as ever: the positional order is not
+    transpose-invariant.
 
     An uncut degree is not built whole: its blocks are the row components
     (`_row_components`) of the relation columns, all kept as columns, over
@@ -511,6 +556,9 @@ def h_q(
     window = _window(relations, n, q.q)
     if any(positions[d] > budget for d in window):
         window = degrees
+    elif len(relations) == 1:
+        top = degrees.stop - 1
+        window = _undualled(window, top, q.q, top + relations[0][0])
     block_lcms = {}  # a component's key -> the lcm of its minors
     for d in degrees:
         cut = positions[d] > budget

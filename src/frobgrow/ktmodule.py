@@ -23,7 +23,10 @@ echelon slices it keeps, and gives each degree's free rank and largest
 invariant factor from the Smith form of each component's raw columns.
 The growth exponents of the components of a decomposition, and the
 isolated component's colon panel, are read off those invariants,
-computed once per degree and shared by every component.
+computed once per degree and shared by every component.  For an ideal of
+covers x_i^e and one relation (I^[q] of the paper's families) the upper
+degrees are read off their duals: M_(D-b) is M_b transposed (`hq`'s
+module docstring).
 """
 
 from __future__ import annotations
@@ -341,7 +344,15 @@ class SliceCache:
     their rows are relabeled by rank (translates, say) share one Smith
     form per cache.  A full degree stays full above (each monomial there
     is a multiple of one below), so `at` computes nothing past the least
-    full degree seen."""
+    full degree seen.
+
+    When I is generated by the x_i^e of every weighted variable and one
+    relation f of x-degree delta >= 1, with D = n(e-1) + delta, the
+    standard-row matrix of degree D - b is that of degree b transposed
+    (`hq`'s module docstring): same rank, same invariant factors.  So for
+    0 <= D - b < b, `at(b)` takes d_b = d_(D-b) and
+    r_b = N_b - N_(D-b) + r_(D-b), N_x the number of standard monomials
+    of degree x, from `at(D - b)`, and walks no row component."""
 
     def __init__(self, ideal):
         self.ideal = ideal
@@ -359,6 +370,12 @@ class SliceCache:
         pure = [(c.index(sum(c)), sum(c)) for c in self._generators[0] if any(c) and sum(c) in c]
         least = {i: min(e for j, e in pure if j == i) for i, _ in pure}
         self._cap = max(least.values()) - 1 if least and len(least) == len(self._w1) else None
+        # D of the duality, when the covers are the x_i^e and one relation is left
+        covers, columns = self._generators
+        n, e = len(self._w1), (self._cap or 0) + 1
+        powers = {tuple(e * (i == j) for j in range(n)) for i in range(n)}
+        single = len(columns) == 1 and columns[0][0] >= 1 and set(covers) == powers
+        self._dual = n * (e - 1) + columns[0][0] if single else None
 
     def _cover_test(self, degree: int):
         test = self._covered.get(degree)
@@ -387,21 +404,29 @@ class SliceCache:
             return DegreeInvariants(0, self._one)
         got = self._degrees.get(b)
         if got is None:
-            check_deadline()
-            free, largest = 0, self._one
-            covered = self._cover_test(b)
-            gens = [gd for gd in self._generators[1] if gd[0] <= b]
-            merged = set()  # the largest factors lcm'd into `largest`
-            for key, rows, columns in _row_components(gens, len(self._w1), b, self._cap, covered):
-                factors = self._factors.get(key)
-                if factors is None:
-                    factors = self._factors[key] = invariant_factors(columns.values())
-                free += len(rows) - len(factors)
-                if factors and factors[-1] not in merged:
-                    merged.add(factors[-1])
-                    largest = uni_lcm(largest, factors[-1])
+            dual = -1 if self._dual is None else self._dual - b
+            if 0 <= dual < b:  # M_b is M_dual transposed
+                free, largest = self.at(dual)
+                n, cap = len(self._w1), self._cap
+                free += len(monomials_of_degree(n, b, cap)) - len(monomials_of_degree(n, dual, cap))
+            else:
+                check_deadline()
+                free, largest = 0, self._one
+                covered = self._cover_test(b)
+                gens = [gd for gd in self._generators[1] if gd[0] <= b]
+                merged = set()  # the largest factors lcm'd into `largest`
+                walk = _row_components(gens, len(self._w1), b, self._cap, covered)
+                for key, rows, columns in walk:
+                    factors = self._factors.get(key)
+                    if factors is None:
+                        factors = self._factors[key] = invariant_factors(columns.values())
+                    free += len(rows) - len(factors)
+                    if factors and factors[-1] not in merged:
+                        merged.add(factors[-1])
+                        largest = uni_lcm(largest, factors[-1])
             got = self._degrees[b] = DegreeInvariants(free, largest)
-            if got.full:
+            # at(dual) may have found a lower full degree
+            if got.full and (self._full_from is None or b < self._full_from):
                 self._full_from = b
         return got
 

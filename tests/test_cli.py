@@ -262,6 +262,23 @@ class TestDecompose:
         assert res.exit_code == 0 and res.output == ""
         assert json.loads(out.read_text())["command"] == "decompose"
 
+    def test_verdict_does_not_depend_on_the_seed(self, runner):
+        # the isolated component of ss7 at q = 2 has torsion exponent t
+        # below K, so it fails at every seed; the panels drawn at seeds
+        # 1142 and 3531 hold no multiple of t, and t is the witness
+        witnesses = {}
+        for seed in ("0", "1142", "3531"):
+            res = invoke(runner, "decompose", "--family", "ss7", "--p", "2", "--q", "2",
+                         "--seed", seed, "--no-timings")
+            assert res.exit_code == 1
+            payload, _ = json.JSONDecoder().raw_decode(res.output)  # stderr follows
+            witnesses[seed] = payload["primary_sanity"]["witness"]
+        assert witnesses == {
+            "0": "colon by t^3 + t^2 + t changed the ideal",
+            "1142": "colon by t changed the ideal",
+            "3531": "colon by t changed the ideal",
+        }
+
     def test_panel_below_one_is_input_error(self, runner):
         res = invoke(runner, "decompose", "--family", "katzman", "--p", "3",
                      "--q", "3", "--panel", "-1", "--no-timings")

@@ -366,6 +366,42 @@ def random_certifiable_family(rng):
     return FamilySpec("random", R, IdealHandle(R, list(names)))
 
 
+class TestGrowthExponentsAcrossQ:
+    """Regression goldens for the growth exponents the certified route
+    reads off SliceCache.at, degrees past half of n(q-1) + deg f
+    included: the isolated exponent and (tau, s, exponent) per embedded
+    component, ss5 with the closed-form h and katzman with the minors h."""
+
+    @pytest.mark.parametrize("name,p,e,isolated,embedded", [
+        ("ss5", 2, 1, 4, [("t", 1, 5)]),
+        ("ss5", 2, 2, 8, [("t", 3, 11), ("t + 1", 2, 10)]),
+        ("ss5", 2, 3, 16, [("t", 7, 23), ("t + 1", 4, 20), ("t^2 + t + 1", 2, 18),
+                           ("t^3 + t^2 + 1", 2, 18)]),
+        ("ss5", 3, 1, 6, [("t", 1, 7), ("t + 1", 1, 7), ("t + 2", 1, 7)]),
+        ("ss5", 3, 2, 18, [("t", 3, 21), ("t + 1", 4, 22), ("t + 2", 4, 22),
+                           ("t^2 + 1", 1, 19), ("t^2 + t + 2", 1, 19),
+                           ("t^2 + 2*t + 2", 1, 19), ("t^3 + 2*t^2 + t + 1", 1, 19),
+                           ("t^3 + t^2 + t + 2", 1, 19), ("t^4 + 2*t^2 + 2", 1, 19)]),
+        ("katzman", 2, 2, 5, [("t", 1, 5), ("t + 1", 1, 5), ("t^2 + t + 1", 1, 6)]),
+        ("katzman", 2, 3, 9, [("t", 5, 13), ("t + 1", 4, 12), ("t^2 + t + 1", 2, 10),
+                              ("t^3 + t^2 + 1", 1, 10), ("t^3 + t + 1", 1, 10),
+                              ("t^4 + t^3 + t^2 + t + 1", 1, 9)]),
+        ("katzman", 3, 2, 10, [("t", 6, 15), ("t + 1", 4, 13), ("t + 2", 4, 13),
+                               ("t^2 + 1", 2, 11), ("t^2 + t + 2", 1, 11),
+                               ("t^2 + 2*t + 2", 1, 11), ("t^4 + t^3 + t^2 + t + 1", 1, 10),
+                               ("t^6 + t^5 + t^4 + t^3 + t^2 + t + 1", 1, 10)]),
+    ])
+    def test_exponents(self, name, p, e, isolated, embedded):
+        fam = family(name, p)
+        q = q_of(fam, e)
+        h = named_h(fam, q, "closed-form" if name == "ss5" else "minors")
+        rep = stable_decomposition(fam, q, h, method="certified")
+        assert rep.isolated.measured_exponent == isolated
+        assert [
+            (format_unipoly(c.tau[0]), c.tau[1], c.measured_exponent) for c in rep.embedded
+        ] == embedded
+
+
 class TestRouteAgreement:
     """The slice-invariant formulas against the searches they replace."""
 

@@ -20,6 +20,7 @@ from frobgrow.fpoly import (
     x_degree,
 )
 from frobgrow.hq import MinorMatrix, MinorScan, bareiss_det, build_Md, h_q, minors_lcm
+from frobgrow.ktmodule import invariant_factors
 from frobgrow.orders import monomials_of_degree
 from test_sequences import cofactor_det
 
@@ -589,6 +590,72 @@ class TestDegreeWindow:
         assert set(kinds) == {"none", "window", "outer"}, kinds
 
 
+class TestTransposeDuality:
+    """With one relation f, M_(D-d), D = n(q-1) + deg f, is M_d transposed
+    once its zero columns (multipliers with an exponent >= q) are dropped:
+    row u of M_(D-d) is column c - u of M_d, and column w' is row c - w',
+    c = (q-1, ..., q-1).  So both have the same minors lcm and the same
+    invariant factors."""
+
+    def dual_pairs(self, ring, q, cap):
+        # the number of degrees checked, and of those whose minors lcms
+        # were compared (reference positions under `cap`)
+        n = len(ring.weight1_indices())
+        top = n * (q.q - 1)
+        (f,) = ring.relations
+        D = top + x_degree(f)
+        c = (q.q - 1,) * n
+
+        def minus(a, b):
+            return tuple(x - y for x, y in zip(a, b))
+
+        def columns(M):
+            cols = {}
+            for (i, j), a in M.entries.items():
+                cols.setdefault(j, {})[i] = a
+            return list(cols.values())
+
+        checked = compared = 0
+        for d in range(1, top + 1):
+            if not 1 <= D - d <= top:
+                continue
+            M, N = build_Md(ring, q, d), build_Md(ring, q, D - d)
+            live = [w for _, w in N.cols if max(w) < q.q]
+            assert sorted(minus(c, u) for u in N.rows) == sorted(
+                w for _, w in M.cols if max(w) < q.q
+            )
+            assert sorted(minus(c, w) for w in live) == sorted(M.rows)
+            transposed = {
+                (minus(c, N.cols[j][1]), minus(c, N.rows[i])): a.coeffs
+                for (i, j), a in N.entries.items()
+            }
+            assert transposed == {
+                (M.rows[i], M.cols[j][1]): a.coeffs for (i, j), a in M.entries.items()
+            }
+            assert invariant_factors(columns(M)) == invariant_factors(columns(N))
+            if max(full_positions(M), full_positions(N)) <= cap:
+                assert minors_lcm(M, cap).lcm == minors_lcm(N, cap).lcm
+                compared += 1
+            checked += 1
+        return checked, compared
+
+    @pytest.mark.parametrize("name,p,e", [case[:3] for case in FAMILY_CASES])
+    def test_families(self, name, p, e):
+        fam = family(name, p)
+        checked, compared = self.dual_pairs(fam.ring, PrimePower(PrimeModulus(p), e), 4000)
+        assert compared or not checked  # q = 2 leaves katzman and brenner_monsky no pair
+
+    def test_random_rings(self, rng):
+        checked = compared = 0
+        for _ in range(40):
+            ring = random_ring(rng)
+            if len(ring.relations) == 1:
+                for e in (1, 2):
+                    got = self.dual_pairs(ring, PrimePower(ring.p, e), 2000)
+                    checked, compared = checked + got[0], compared + got[1]
+        assert checked >= 40 and compared >= 30, (checked, compared)
+
+
 def submatrix(M, rows):
     """M's block on the rows `rows` (indices into M.rows) and the columns
     with an entry there, both in M's order, as comparable tuples."""
@@ -606,9 +673,51 @@ def as_tuples(B):
     return B.rows, B.cols, tuple(sorted((i, j, a.coeffs) for (i, j), a in B.entries.items()))
 
 
+def scanned_by_lemmas(ring, q):
+    """The window degrees h_q scans when the budget cuts none of them, from
+    the three facts that place the nonzero minors of M_d among those of
+    another degree: A, d + 1 for d <= q-2; B, d - 1 above the window; and,
+    with a single relation f, C, D - d with D = n(q-1) + deg f, both ways.
+    Closed transitively; a window degree is scanned unless it reaches a
+    window degree that does not reach it back, or a smaller one that does."""
+    n = len(ring.weight1_indices())
+    top = n * (q.q - 1)
+    window = window_of(ring, q)
+    degrees = range(1, top + 1)
+    covers = {(d, d) for d in degrees}
+    for d in degrees:
+        if d <= q.q - 2:
+            covers.add((d, d + 1))
+        if d > window.stop - 1:
+            covers.add((d, d - 1))
+        if len(ring.relations) == 1 and 1 <= top + x_degree(ring.relations[0]) - d <= top:
+            covers.add((d, top + x_degree(ring.relations[0]) - d))
+    for k in degrees:
+        for i in degrees:
+            if (i, k) in covers:
+                covers |= {(i, j) for j in degrees if (k, j) in covers}
+    return [
+        d for d in window
+        if not any((d, e) in covers and ((e, d) not in covers or e < d) for e in window if e != d)
+    ]
+
+
+def block_shapes(M, rows):
+    """M's block on the rows `rows`, rows relabeled by their order in M and
+    columns taken as a set: blocks equal up to the order of their columns
+    have one shape."""
+    rank = {r: i for i, r in enumerate(sorted(rows))}
+    columns = {}
+    for (r, c), a in M.entries.items():
+        if r in rank:
+            columns.setdefault(c, []).append((rank[r], a.coeffs))
+    return tuple(sorted(tuple(sorted(col)) for col in columns.values()))
+
+
 class TestBlocksFromComponents:
     """The blocks `h_q` scans on uncut degrees are ktmodule's row
-    components, laid out as the reference's blocks of the whole M_d."""
+    components, laid out as the reference's blocks of the whole M_d, on
+    the degrees the window and the transpose duality leave."""
 
     def walked_blocks(self, ring, q, monkeypatch, budget=hq.DEFAULT_BUDGETS.minor_subsets):
         # degree -> the blocks of the components h_q walks there, and the
@@ -654,25 +763,60 @@ class TestBlocksFromComponents:
         matrices = {d: build_Md(ring, q, d) for d in degrees}
         fits = {d: full_positions(M) <= budget for d, M in matrices.items()}
         window = window_of(ring, q)
-        scanned = window if all(fits[d] for d in window) else degrees
+        scanned = scanned_by_lemmas(ring, q) if all(fits[d] for d in window) else degrees
         assert sorted(walked) == [d for d in scanned if fits[d] and matrices[d].entries]
         for d, blocks in walked.items():
             M = matrices[d]
             want = sorted(submatrix(M, rows) for rows in connected_blocks(M))
             assert sorted(as_tuples(B) for B in blocks) == want, d
 
-    @pytest.mark.parametrize("name,p,e,budget,scans", [
-        ("brenner_monsky", 2, 2, hq.DEFAULT_BUDGETS.minor_subsets, 8),
-        ("ss5", 3, 1, hq.DEFAULT_BUDGETS.minor_subsets, 6),
-        ("ss5", 2, 2, 10**30, 17),
+    def test_random_rings(self, rng, monkeypatch):
+        # on rings with one relation and with two, the degrees walked are
+        # the ones the lemmas leave, when the budget cuts no window degree
+        kinds = set()
+        for _ in range(16):
+            ring = random_ring(rng)
+            for e in (1, 2):
+                q = PrimePower(ring.p, e)
+                n = len(ring.weight1_indices())
+                matrices = {d: build_Md(ring, q, d) for d in range(1, n * (q.q - 1) + 1)}
+                fits = {d: full_positions(M) <= 20_000 for d, M in matrices.items()}
+                if not all(fits[d] for d in window_of(ring, q)):
+                    continue
+                walked, _ = self.walked_blocks(ring, q, monkeypatch, 20_000)
+                scanned = scanned_by_lemmas(ring, q)
+                assert sorted(walked) == [d for d in scanned if fits[d] and matrices[d].entries]
+                kinds.add((len(ring.relations), len(scanned) < len(window_of(ring, q))))
+        assert kinds == {(1, False), (1, True), (2, False)}
+
+    @pytest.mark.parametrize("name,p,e,budget,inert", [
+        ("brenner_monsky", 2, 2, hq.DEFAULT_BUDGETS.minor_subsets, False),
+        ("ss5", 3, 1, hq.DEFAULT_BUDGETS.minor_subsets, False),
+        ("ss5", 2, 2, 10**30, False),
+        ("ss5", 2, 2, 10**30, True),
     ])
-    def test_distinct_block_scans(self, name, p, e, budget, scans, monkeypatch):
-        # each distinct block is scanned once per call, and blocks equal up
-        # to the order of their columns share the scan: keyed by their
-        # entries in M_d's layout, these calls would scan 8, 7 and 18
+    def test_distinct_block_scans(self, name, p, e, budget, inert, monkeypatch):
+        # each distinct block of the scanned degrees that split is scanned
+        # once per call, and blocks equal up to the order of their columns
+        # share the scan.  `inert` adds the relation u^13: above n(q-1) = 12
+        # it has no column and leaves the window alone, but with two
+        # relations there is no duality, every window degree is scanned,
+        # and keyed by their entries in M_d's layout more blocks would
+        # count as distinct
         ring = family(name, p).ring
+        if inert:
+            u13 = MultiPoly.monomial(ring, (0, 13, 0, 0, 0))
+            ring = RingSpec(ring.p, ring.variables, ring.relations + (u13,))
         q = PrimePower(PrimeModulus(p), e)
-        assert self.walked_blocks(ring, q, monkeypatch, budget)[1] == scans
+        shapes, layouts = set(), set()
+        for d in scanned_by_lemmas(ring, q):
+            M = build_Md(ring, q, d)
+            blocks = connected_blocks(M)
+            if len(blocks) > 1:
+                shapes |= {block_shapes(M, rows) for rows in blocks}
+                layouts |= {submatrix(M, rows)[2] for rows in blocks}
+        assert self.walked_blocks(ring, q, monkeypatch, budget)[1] == len(shapes)
+        assert (len(shapes) < len(layouts)) == inert
 
 
 class TestHq:

@@ -27,6 +27,7 @@ from frobgrow.ktmodule import (
     univariate_colon_trivial_panel,
 )
 from frobgrow.orders import monomials_of_degree
+from test_hq import random_ring
 
 P2 = PrimeModulus(2)
 P3 = PrimeModulus(3)
@@ -505,6 +506,95 @@ class TestInvariantsAgainstPerSlice:
             for d in range(7):
                 assert cache.at(d) == per_slice_at(cache, d), d
         assert None in caps and len(caps) > 2
+
+
+class TestDualDegrees:
+    """For I^[q] of a ring with one relation f, the degree-b matrix on the
+    standard rows is the degree-(D - b) one transposed, D = n(q-1) + deg f,
+    and SliceCache.at reads b > D/2 off D - b.  In ascending, descending
+    and shuffled order, every answer is the full-layout Smith reference's
+    (TestStandardRowsAgainstFullRows), and only the degrees b <= D/2 walk
+    row components; ideals outside that setting walk every degree."""
+
+    def walked(self, cache, order, monkeypatch):
+        # {b: cache.at(b)} in the given order, and the degrees walked
+        degrees, real = [], ktmodule._row_components
+
+        def walk(gens, n, b, cap, covered):
+            degrees.append(b)
+            return real(gens, n, b, cap, covered)
+
+        monkeypatch.setattr(ktmodule, "_row_components", walk)
+        got = {b: cache.at(b) for b in order}
+        monkeypatch.undo()
+        return got, sorted(degrees)
+
+    def check_orders(self, I, degrees, rng, monkeypatch):
+        # the degrees walked in each order, ascending first
+        one = UniPoly.one(I.ring.p)
+        want = {}
+        for b in degrees:
+            rows, columns = full_row_presentation(I, b)
+            factors = invariant_factors(columns)
+            want[b] = (len(rows) - len(factors), factors[-1] if factors else one)
+        shuffled = list(degrees)
+        rng.shuffle(shuffled)
+        walks = []
+        for order in (list(degrees), list(reversed(degrees)), shuffled):
+            got, walked = self.walked(SliceCache(I), order, monkeypatch)
+            assert got == want, order
+            walks.append(walked)
+        return walks, [b for b in degrees if want[b] == (0, one)]
+
+    def check_ring(self, ring, q, rng, monkeypatch):
+        I = frobenius_generators(IdealHandle(ring, [v for v, w in ring.variables if w]), q)
+        n = len(ring.weight1_indices())
+        (f,) = ring.relations
+        D = n * (q.q - 1) + x_degree(f)
+        assert SliceCache(I)._dual == D
+        walks, full = self.check_orders(I, range(D + 2), rng, monkeypatch)
+        # ascending, the walk stops at the first full degree; in every
+        # order a degree b with 0 <= D - b < b is read off D - b
+        assert walks[0] == [b for b in range(full[0] + 1) if 2 * b <= D]
+        assert all(2 * b <= D or b > D for walk in walks for b in walk)
+
+    @pytest.mark.parametrize("name,p,e", [
+        ("katzman", 2, 2), ("katzman", 3, 1), ("katzman", 5, 1), ("ss5", 2, 1),
+        ("ss5", 3, 1), ("brenner_monsky", 2, 2),
+    ])
+    def test_families(self, name, p, e, rng, monkeypatch):
+        ring = family(name, p).ring
+        self.check_ring(ring, PrimePower(ring.p, e), rng, monkeypatch)
+
+    def test_random_rings(self, rng, monkeypatch):
+        checked = 0
+        while checked < 12:
+            ring = random_ring(rng)
+            if len(ring.relations) == 1:
+                self.check_ring(ring, PrimePower(ring.p, rng.choice((1, 2))), rng, monkeypatch)
+                checked += 1
+
+    def test_two_relations_and_mixed_covers_walk_every_degree(self, rng, monkeypatch):
+        # I^[q] of a ring with two relations, and a certified isolated
+        # component I^[q] + m^K, keep the walk of every degree below the
+        # first full one
+        kinds = set()
+        while len(kinds) < 2:
+            ring = random_ring(rng)
+            q = PrimePower(ring.p, 1)
+            n = len(ring.weight1_indices())
+            Iq = frobenius_generators(IdealHandle(ring, [v for v, w in ring.variables if w]), q)
+            ideals = [Iq] if len(ring.relations) == 2 else []
+            K = rng.randint(1, n * (q.q - 1))
+            ideals.append(Iq.extended(
+                [MultiPoly.monomial(ring, (0,) + m) for m in monomials_of_degree(n, K)]
+            ))
+            for I in ideals:
+                assert SliceCache(I)._dual is None
+                walks, full = self.check_orders(I, range(n * (q.q - 1) + 3), rng, monkeypatch)
+                assert walks[0] == list(range(full[0] + 1))
+                kinds.add(len(I.generators) > len(Iq.generators))
+        assert kinds == {False, True}
 
 
 class TestDegreeZeroMembership:
