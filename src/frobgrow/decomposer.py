@@ -378,16 +378,13 @@ def stable_decomposition(
 
 def _certified_isolated(Iq, h_monic: UniPoly, slices: SliceCache, cap: int, notes):
     """(Q, K) with Q = I^[q] + (weighted vars)^K for the least K with
-    h * m in I^[q] for every degree-K monomial m, and the note that says
-    so.  h kills S_K / I^[q]_K exactly when that slice has free rank 0
-    and its largest invariant factor divides h; this holds at K = cap,
-    where the slice is full."""
+    h * m in I^[q] for every degree-K monomial m, that is the least K
+    whose slice h kills (SliceCache.first_killed), and the note that says
+    so.  Slice cap is 0, so K <= cap."""
     ring = Iq.ring
     w1 = ring.weight1_indices()
-    for K in range(cap + 1):
-        inv = slices.at(K)
-        if inv.free_rank == 0 and (h_monic % inv.largest).is_zero:
-            break
+    K = slices.first_killed(h_monic, cap)
+    inv = slices.at(K)
     # the generators of I^[q] are the x_i^q, with q - 1 = (cap - 1) / n,
     # so these are the degree-K monomials outside it
     extra = []
@@ -461,49 +458,18 @@ def _colon_escape(C: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS):
 def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
     """Minimal k >= 1 with radical^k contained in the component.
 
-    Components carrying cap_degree are read off the slice invariants of
-    their base ideal B (see PrimaryComponent): r_b, the free rank, and
-    d_b, the largest invariant factor, of S_b / B_b.
-    - Isolated, C = B + m^K with K = cap_degree: m^k lies in C iff C
-      contains every degree-k monomial, and a full slice stays full
-      above.  So the exponent is max(1, F), F the first b < K whose
-      slice of B is full (r_b = 0, d_b a unit), or K if there is none.
-    - Embedded, C = B + (tau^s): (m, tau)^k lies in C iff tau^(k-b) kills
-      S_b / C_b = (S_b / B_b) / tau^s for every b <= k.  The least such
-      power of tau is tau^e_b, with e_b = s when r_b > 0 and
-      min(s, v_tau(d_b)) otherwise; once e_b = 0 it stays 0 above.  So
-      the exponent is the largest b + e_b before the first e_b = 0, and
-      at least 1.
-    Each is the least k with radical^k inside C, the k that a search
-    over the products of the radical generators finds (compared in the
-    test suite).  Components without cap_degree run that search, once,
-    on Groebner normal forms (groebner.power_containment), split by
-    x-degree when tau is among the radical generators."""
+    A cap_degree component is read off the slice invariants of its base
+    B (see PrimaryComponent): B + m^K by SliceCache.first_killed, B +
+    (tau^s) by SliceCache.tau_growth.  Any other takes one search over
+    products of normal forms (groebner.power_containment), by x-degree
+    when tau is a radical generator; the test suite compares the two."""
     if not C.radical_generators:
         raise InputError("component has no radical generators")
     if C.cap_degree is not None:
         slices = _slices_of(C)
         if C.tau is None:
-            for b in range(C.cap_degree):
-                if slices.at(b).full:
-                    return max(1, b)
-            return max(1, C.cap_degree)
-        tau, s = C.tau
-        k = 1
-        for b in range(C.cap_degree):
-            inv = slices.at(b)
-            e = s
-            if not inv.free_rank:  # e = min(s, v_tau(d_b))
-                e, d = 0, inv.largest
-                while e < s:
-                    d, rem = divmod(d, tau)
-                    if not rem.is_zero:
-                        break
-                    e += 1
-            if e == 0:
-                break
-            k = max(k, b + e)
-        return k
+            return max(1, slices.first_killed(UniPoly.one(C.ideal.ring.p), C.cap_degree))
+        return slices.tau_growth(*C.tau, C.cap_degree)
     ring = C.ideal.ring
     tau = C.tau and MultiPoly.from_unipoly(ring, C.tau[0], "t")
     tau = tau if tau in C.radical_generators else None  # split the search by x-degree
@@ -596,13 +562,13 @@ def primary_sanity(
     of positive x-degree (a radical generator no pure-power generator
     settles) goes to a slice store of C, built on the first such
     question.  Without a tau, the colons are answered from the slice
-    invariants of its base ideal B (see growth_exponent) by
-    univariate_colon_trivial_panel: (C : g) = C below cap_degree exactly
-    when g is coprime to T, the torsion exponent (the lcm of the d_b) of
-    the S_b / C_b, b < cap_degree.  That is the verdict of the degreewise
-    colon computation, so the same g fails first and the witness is the
-    same.  The verdict is exact: C passes only if T = 1.  When every panel
-    g passes but T != 1, the witness is tau, the first irreducible factor
+    invariants of its base ideal B (see growth_exponent), read once as
+    T = SliceCache.torsion_exponent(cap_degree), the lcm of the d_b of
+    the S_b / C_b, b < cap_degree: (C : g) = C below cap_degree exactly
+    when g is coprime to T.  That is the verdict of the degreewise colon
+    computation, so the same g fails first and the witness is the same.
+    The verdict is exact: C passes only if T = 1.  When every panel g
+    passes but T != 1, the witness is tau, the first irreducible factor
     of T (uni_factor sorts its factors, so tau does not depend on the
     seed), a zero divisor on S/C that the panel missed.
     On the certified route B's store is the shared one of I^[q], so no
@@ -655,10 +621,8 @@ def primary_sanity(
         if not g.is_zero and g.degree > 0:
             panel.append(g)
     if C.cap_degree is not None:
-        slices = _slices_of(C, own)
-        stable = univariate_colon_trivial_panel(slices, panel, C.cap_degree)
-        bad = next((g for g, ok in zip(panel, stable) if not ok), None)
-        torsion = slices.torsion_exponent(C.cap_degree)
+        torsion = _slices_of(C, own).torsion_exponent(C.cap_degree)
+        bad = next((g for g in panel if uni_gcd(g, torsion).degree > 0), None)
         if bad is None and torsion.degree > 0:  # a zero divisor the panel missed
             bad = next(iter(uni_factor(torsion, seed)))[0]
     else:
@@ -826,8 +790,7 @@ def lemma_membership_suite(
 
     cache_In = SliceCache(In)
     # which factors kill S_2n / (I_n)_2n, settling their elements
-    top = cache_In.at(2 * n)
-    kills = [top.free_rank == 0 and (g % top.largest).is_zero for g in factors]
+    kills = [cache_In.at(2 * n).kills(g) for g in factors]
     # (i) (r0 r2)^{a+b} L_n (ux)^a (vy)^b x^c y^d in I_n over 2a+2b+c+d = 2n
     wit_i = []
     checked_i = 0

@@ -21,9 +21,11 @@ and the minors scan of `hq.h_q`.
 SliceCache is the one store per ideal: it answers membership from the
 echelon slices it keeps, and gives each degree's free rank and largest
 invariant factor from the Smith form of each component's raw columns.
-The growth exponents of the components of a decomposition, and the
-isolated component's colon panel, are read off those invariants,
-computed once per degree and shared by every component.  For an ideal of
+Everything the certified route derives from those invariants, computed
+once per degree and shared by every component, is a method of it:
+`first_killed(h, cap)` gives K and `first_killed(1, K)` the isolated
+growth exponent, `tau_growth` an embedded one, and `torsion_exponent`
+the T that decides the isolated component's colons.  For an ideal of
 covers x_i^e and one relation (I^[q] of the paper's families) the upper
 degrees are read off their duals: M_(D-b) is M_b transposed (`hq`'s
 module docstring).
@@ -331,6 +333,10 @@ class DegreeInvariants(NamedTuple):
         """I_b is all of S_b."""
         return self.free_rank == 0 and self.largest.degree == 0
 
+    def kills(self, g: UniPoly) -> bool:
+        """g(t) annihilates S_b / I_b: free rank 0 and `largest` divides g."""
+        return self.free_rank == 0 and (g % self.largest).is_zero
+
 
 class SliceCache:
     """The degree slices of one x-homogeneous ideal I, its generator data
@@ -430,16 +436,36 @@ class SliceCache:
                 self._full_from = b
         return got
 
+    def first_killed(self, g: UniPoly, below: int) -> int:
+        """The least b < below with g(t) killing S_b / I_b, else below.
+        With g = 1 that is the first full degree below `below`."""
+        return next((b for b in range(below) if self.at(b).kills(g)), below)
+
+    def tau_growth(self, tau: UniPoly, s: int, below: int) -> int:
+        """The least k >= 1 with (m, tau)^k in C = I + (tau^s), m the
+        weighted variables, for an irreducible tau and I containing every
+        x-monomial of degree `below`: (m, tau)^k lies in C iff tau^(k-b) kills
+        S_b / C_b = (S_b / I_b) / tau^s for every b <= k.  The least such
+        power of tau is tau^e_b, with e_b = s when r_b > 0 and
+        min(s, v_tau(d_b)) otherwise; once e_b = 0 it stays 0 above.  So
+        k is the largest b + e_b before the first e_b = 0, and at least 1.
+        With tau irreducible, gcd(d_b, tau^s) = tau^min(s, v_tau(d_b))."""
+        k, tau_s = 1, tau**s
+        for b in range(below):
+            inv = self.at(b)
+            e = s if inv.free_rank else uni_gcd(inv.largest, tau_s).degree // tau.degree
+            if e == 0:
+                break
+            k = max(k, b + e)
+        return k
+
     def torsion_exponent(self, below: int) -> UniPoly:
         """lcm of the largest invariant factors over the degrees < below:
         g(t) is a nonzerodivisor on every such S_b / I_b, that is
         (I : g) agrees with I there, iff g is coprime to it."""
         acc = self._one
-        for b in range(below):
-            inv = self.at(b)
-            if inv.full:
-                break
-            acc = uni_lcm(acc, inv.largest)
+        for b in range(self.first_killed(self._one, below)):
+            acc = uni_lcm(acc, self.at(b).largest)
         return acc
 
 

@@ -597,6 +597,160 @@ class TestDualDegrees:
         assert kinds == {False, True}
 
 
+# The loops that SliceCache.first_killed, tau_growth and torsion_exponent
+# and DegreeInvariants.kills replace, kept as the references: K in
+# decomposer._certified_isolated, the two cap_degree branches of
+# decomposer.growth_exponent, torsion_exponent's own loop, and the kills
+# test of decomposer.lemma_membership_suite.
+
+
+def reference_K(slices, h_monic, cap):
+    for K in range(cap + 1):
+        inv = slices.at(K)
+        if inv.free_rank == 0 and (h_monic % inv.largest).is_zero:
+            break
+    return K
+
+
+def reference_isolated_growth(slices, cap_degree):
+    for b in range(cap_degree):
+        if slices.at(b).full:
+            return max(1, b)
+    return max(1, cap_degree)
+
+
+def reference_tau_growth(slices, tau, s, cap_degree):
+    k = 1
+    for b in range(cap_degree):
+        inv = slices.at(b)
+        e = s
+        if not inv.free_rank:  # e = min(s, v_tau(d_b))
+            e, d = 0, inv.largest
+            while e < s:
+                d, rem = divmod(d, tau)
+                if not rem.is_zero:
+                    break
+                e += 1
+        if e == 0:
+            break
+        k = max(k, b + e)
+    return k
+
+
+def reference_torsion_exponent(cache, below):
+    acc = UniPoly.one(cache.ideal.ring.p)
+    for b in range(below):
+        inv = cache.at(b)
+        if inv.full:
+            break
+        acc = uni_lcm(acc, inv.largest)
+    return acc
+
+
+def reference_kills(top, factors):
+    return [top.free_rank == 0 and (g % top.largest).is_zero for g in factors]
+
+
+def certified_reads(cache, h, cap, reference):
+    """What a certified decomposition with separating polynomial h reads
+    off the slice store, in its order: K (and S_K / I_K for its note),
+    the isolated exponent, each embedded exponent, and the torsion
+    exponent below K; with the degrees the store computed."""
+    one = UniPoly.one(cache.ideal.ring.p)
+    taus = uni_factor(h, 0) if h.degree > 0 else []
+    if reference:
+        K = reference_K(cache, h, cap)
+        cache.at(K)
+        iso = reference_isolated_growth(cache, K)
+        emb = [reference_tau_growth(cache, tau, s, cap) for tau, s in taus]
+        T = reference_torsion_exponent(cache, K)
+    else:
+        K = cache.first_killed(h, cap)
+        cache.at(K)
+        iso = max(1, cache.first_killed(one, K))
+        emb = [cache.tau_growth(tau, s, cap) for tau, s in taus]
+        T = cache.torsion_exponent(K)
+    return (K, iso, emb, T), sorted(cache._degrees), cache._full_from
+
+
+class TestInvariantTable:
+    """SliceCache's derived quantities against the loops they replace
+    (above): equal answers on every degree bound and polynomial tried,
+    and, run in a certified decomposition's order on fresh stores, the
+    same degrees computed."""
+
+    def check(self, I, cap, rng):
+        p = I.ring.p
+        one = UniPoly.one(p)
+        h_min = reference_torsion_exponent(SliceCache(I), cap + 1)
+        taus = [tau for tau, _ in uni_factor(h_min, 0)] if h_min.degree > 0 else []
+        taus += [UniPoly.t(p), parse_unipoly("t+1", p)]
+        gs = [one, UniPoly.t(p), h_min, h_min * UniPoly.t(p)] + taus
+        gs += [UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 4))] + [1])
+               for _ in range(3)]
+        for h in gs:
+            assert certified_reads(SliceCache(I), h, cap, False) == certified_reads(
+                SliceCache(I), h, cap, True
+            )
+        cache = SliceCache(I)
+        for below in range(cap + 2):
+            for g in gs:
+                assert cache.first_killed(g, below) == reference_K(cache, g, below)
+                assert cache.at(below).kills(g) == reference_kills(cache.at(below), [g])[0]
+            fresh, ref = SliceCache(I), SliceCache(I)  # to compare the degrees computed
+            assert max(1, fresh.first_killed(one, below)) == reference_isolated_growth(
+                ref, below
+            )
+            assert fresh.torsion_exponent(below) == reference_torsion_exponent(ref, below)
+            assert sorted(fresh._degrees) == sorted(ref._degrees)
+            for tau in set(taus):
+                for s in (1, 2, 3):
+                    assert cache.tau_growth(tau, s, below) == reference_tau_growth(
+                        cache, tau, s, below
+                    )
+
+    @pytest.mark.parametrize("name,p,e", [
+        ("katzman", 2, 1), ("katzman", 2, 2), ("katzman", 3, 1), ("ss5", 2, 1),
+        ("ss5", 2, 2), ("ss5", 3, 1), ("ss7", 2, 1), ("brenner_monsky", 2, 1),
+        ("brenner_monsky", 2, 2),
+    ])
+    def test_families(self, name, p, e, rng):
+        fam = family(name, p)
+        n = len(fam.ring.weight1_indices())
+        Iq = frobenius_generators(fam.ideal, PrimePower(fam.ring.p, e))
+        self.check(Iq, n * (p**e - 1) + 1, rng)
+
+    def test_random_rings(self, rng):
+        # I^[q] of rings with one relation (read off duals) and two (walked),
+        # and the certified isolated component I^[q] + m^K
+        kinds = set()
+        for _ in range(12):
+            ring = random_ring(rng)
+            q = PrimePower(ring.p, rng.choice((1, 2)))
+            n = len(ring.weight1_indices())
+            cap = n * (q.q - 1) + 1
+            Iq = frobenius_generators(IdealHandle(ring, [v for v, w in ring.variables if w]), q)
+            self.check(Iq, cap, rng)
+            K = rng.randint(1, cap)
+            m_K = [MultiPoly.monomial(ring, (0,) + m) for m in monomials_of_degree(n, K)]
+            self.check(Iq.extended(m_K), K, rng)
+            kinds.add(len(ring.relations))
+        assert kinds == {1, 2}
+
+    def test_hand_built_components(self, rng):
+        # B = random generators plus m^3, and embedded B + (tau^s) measured
+        # over their own ideal, as a hand-built component is
+        R = ring_txy(P3)
+        m3 = [parse_poly(m, R) for m in ("x^3", "x^2*y", "x*y^2", "y^3")]
+        for _ in range(10):
+            B = IdealHandle(R, m3 + [rand_homog(rng, R, rng.randint(1, 2))
+                                     for _ in range(rng.randint(1, 3))])
+            self.check(B, 3, rng)
+            tau = parse_unipoly(rng.choice(("t", "t+1", "t^2+1")), P3)
+            tau_s = MultiPoly.from_unipoly(R, tau ** rng.randint(1, 3), "t")
+            self.check(B.extended([tau_s]), 3, rng)
+
+
 class TestDegreeZeroMembership:
     """degree_zero_membership, the gcd of the x-degree-0 generators,
     against slice membership, which builds the degree-0 echelon."""
