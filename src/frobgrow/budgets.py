@@ -4,14 +4,15 @@ Exceeding a budget raises BudgetExceeded (or flags PARTIAL where the spec
 of the operation says so) and is always distinguishable from a wrong
 answer.  FROBGROW_BUDGET_SCALE multiplies every limit.
 
-wall_seconds is a deadline, started by `wall_clock` (each CLI command
-runs inside one) and read by `check_deadline`.  The Groebner engine
+Every limit comes from the enclosing `limits(b)` block (each budgeted CLI
+command runs inside one): a check site reads its field of `current()`,
+DEFAULT outside a block, once per operation.  wall_seconds is a deadline
+read by `check_deadline`, a no-op outside a block.  The Groebner engine
 checks it once per S-pair it reduces, the least-power search once per
 product, the saturation exponent search once per exponent, the
-degree-slice engine once per slice it builds and once per
-degree whose invariants it computes, and the minors scan once per
-minor size and once per row-set group of the size before.  Outside a
-`wall_clock` block nothing checks it.
+degree-slice engine once per slice it builds and once per degree whose
+invariants it computes, and the minors scan once per minor size and
+once per row-set group of the size before.
 """
 
 from __future__ import annotations
@@ -76,24 +77,33 @@ def from_environment(base: Budgets | None = None) -> Budgets:
 DEFAULT = Budgets()
 
 
-# (monotonic deadline, wall_seconds) of the enclosing wall_clock block
+# (monotonic deadline, wall_seconds) and the Budgets of the enclosing
+# limits block, apart so that check_deadline reads one variable
 _deadline: contextvars.ContextVar = contextvars.ContextVar("deadline", default=None)
+_active: contextvars.ContextVar = contextvars.ContextVar("budgets", default=DEFAULT)
 
 
 @contextlib.contextmanager
-def wall_clock(budgets: Budgets):
-    """Within the block, check_deadline raises once budgets.wall_seconds
-    have passed."""
-    token = _deadline.set((time.monotonic() + budgets.wall_seconds, budgets.wall_seconds))
+def limits(b: Budgets):
+    """Within the block, `current()` is b and check_deadline raises once
+    b.wall_seconds have passed."""
+    deadline = _deadline.set((time.monotonic() + b.wall_seconds, b.wall_seconds))
+    active = _active.set(b)
     try:
         yield
     finally:
-        _deadline.reset(token)
+        _active.reset(active)
+        _deadline.reset(deadline)
+
+
+def current() -> Budgets:
+    """The Budgets of the enclosing limits block, DEFAULT outside one."""
+    return _active.get()
 
 
 def check_deadline() -> None:
     """Raise BudgetExceeded("wall_seconds") past the deadline of the
-    enclosing wall_clock block; a no-op outside one."""
+    enclosing limits block; a no-op outside one."""
     deadline = _deadline.get()
     if deadline is not None and time.monotonic() > deadline[0]:
         raise BudgetExceeded("wall_seconds", deadline[1])

@@ -8,8 +8,8 @@ Each subcommand body is a plain function that returns a Result.  One
 runner, `_command`, registers the body with its options (a budgeted
 command also takes --budget, --wall-seconds and the override of each
 limit it reads), builds the Budgets of a budgeted command (only those
-read FROBGROW_BUDGET_SCALE) and runs it within their wall-clock
-deadline, times it, writes its output and owns the exit codes: 0
+read FROBGROW_BUDGET_SCALE) and runs it inside their `budgets.limits`
+block, times it, writes its output and owns the exit codes: 0
 success, 1 mathematical verification failure (a VerificationError, or
 a Result whose `failure` is set, reported after the output is written),
 2 input error (an InputError or other FrobgrowError, an --output that
@@ -215,11 +215,11 @@ def main():
 
 
 def _command(name: str, *options, limits=None):
-    """Register a body `(seed, [budgets,] **own options) -> Result` as
-    subcommand `name`, with its own options and the output options.  A
-    body that takes budgets names the Budgets fields it reads in
-    `limits` and gets --budget, --wall-seconds and an override option
-    for each of those fields."""
+    """Register a body `(seed, **own options) -> Result` as subcommand
+    `name`, with its own options and the output options.  A budgeted
+    body names the Budgets fields it reads in `limits`, gets --budget,
+    --wall-seconds and an override option for each of those fields, and
+    runs inside a `budgets.limits` block; any other runs outside one."""
     taken = () if limits is None else ("budget_scale", *limits, "wall_seconds")
 
     def register(body):
@@ -231,8 +231,8 @@ def _command(name: str, *options, limits=None):
                 else:
                     given = {k: own.pop(k) for k in taken}
                     b = _budgets(given.pop("budget_scale"), **given)
-                    with budgets_mod.wall_clock(b):
-                        result = body(seed, b, **own)
+                    with budgets_mod.limits(b):
+                        result = body(seed, **own)
                 if not no_timings:
                     result.payload["timings"] = {"seconds": time.monotonic() - t0}
                 _write(_render(fmt, result), output)
@@ -275,7 +275,7 @@ def cmd_pseq(seed, prime, rspec, n):
     rows = []
     for i in range(1, n + 1):
         P = p_seq(spec, i)
-        factors = uni_factor(P, seed) if not P.is_zero else None
+        factors = uni_factor(P) if not P.is_zero else None
         rows.append(
             {
                 "n": i,
@@ -306,7 +306,7 @@ def cmd_pseq(seed, prime, rspec, n):
     click.option("--e", "e_range", type=str, required=True, help="N or N..M"),
     limits=("minor_subsets",),
 )
-def cmd_census(seed, budgets, family_name, prime, rspec, e_range):
+def cmd_census(seed, family_name, prime, rspec, e_range):
     """Irreducible-factor census across q = p^e."""
     p = PrimeModulus(prime)
     exponents = _parse_e_range(e_range)
@@ -317,7 +317,7 @@ def cmd_census(seed, budgets, family_name, prime, rspec, e_range):
         fam = family("brenner_monsky", p)
         for e in exponents:
             q = PrimePower(p, e)
-            cert = compute_hq(fam.ring, q, budgets.minor_subsets, seed)
+            cert = compute_hq(fam.ring, q)
             labelled.append((f"h_{q.q}", cert.h))
     elif family_name in ("ss5", "ss7"):
         fam = family(family_name, p)
@@ -325,7 +325,7 @@ def cmd_census(seed, budgets, family_name, prime, rspec, e_range):
             q = PrimePower(p, e)
             if q.q < 2:
                 raise InputError("census exponents need q >= 2")
-            w = witness_colon(fam, q, budgets)
+            w = witness_colon(fam, q)
             labelled.append((f"witness_{q.q}", w))
     else:
         spec = _parse_rspec(p, rspec)
@@ -340,7 +340,7 @@ def cmd_census(seed, budgets, family_name, prime, rspec, e_range):
     rows = []
     seen = set()
     for (label, factors), (_, poly) in zip(
-        factor_census(labelled, seed).entries, labelled
+        factor_census(labelled).entries, labelled
     ):
         seen.update(f for f, _ in factors)
         rows.append(
@@ -366,11 +366,11 @@ def cmd_census(seed, budgets, family_name, prime, rspec, e_range):
     click.option("--q", "q_value", type=int, required=True),
     limits=("minor_subsets",),
 )
-def cmd_hq(seed, budgets, family_name, ring_file, prime, q_value):
+def cmd_hq(seed, family_name, ring_file, prime, q_value):
     """Separating-polynomial certificate from the minors construction."""
     fam = _resolve_family(family_name, ring_file, prime)
     q = PrimePower.from_value(prime, q_value)
-    cert = compute_hq(fam.ring, q, budgets.minor_subsets, seed)
+    cert = compute_hq(fam.ring, q)
     payload = {"command": "hq", "family": fam.name, "certificate": cert.to_json_dict()}
     rows = [
         {
@@ -402,14 +402,14 @@ def cmd_hq(seed, budgets, family_name, ring_file, prime, q_value):
                  help="intersection-equality proof route"),
     limits=("gb_pairs", "minor_subsets"),
 )
-def cmd_decompose(seed, budgets, family_name, ring_file, prime, q_value, h_source,
+def cmd_decompose(seed, family_name, ring_file, prime, q_value, h_source,
                   panel, method):
     """Stable decomposition of I^[q] with full verification."""
     fam = _resolve_family(family_name, ring_file, prime)
     q = PrimePower.from_value(prime, q_value)
     cert = None
     if h_source == "minors":
-        cert = compute_hq(fam.ring, q, budgets.minor_subsets, seed)
+        cert = compute_hq(fam.ring, q)
         h = cert.h
         source = "minors"
     elif h_source == "closed-form":
@@ -422,14 +422,12 @@ def cmd_decompose(seed, budgets, family_name, ring_file, prime, q_value, h_sourc
         if h.is_zero:
             raise InputError("h must be nonzero")
         source = "explicit"
-    report = stable_decomposition(
-        fam, q, h, source, cert, seed=seed, budgets=budgets, method=method
-    )
-    sanity = primary_sanity(report.isolated, panel, seed, budgets)
+    report = stable_decomposition(fam, q, h, source, cert, method=method)
+    sanity = primary_sanity(report.isolated, panel, seed)
     sanity_all = sanity.passed
     sanity_witness = sanity.witness
     for comp in report.embedded:
-        v = primary_sanity(comp, panel, seed, budgets)
+        v = primary_sanity(comp, panel, seed)
         if not v.passed and sanity_all:
             sanity_all, sanity_witness = False, v.witness
     payload = {
@@ -514,7 +512,7 @@ def cmd_verify_lemmas(seed, prime, rspec, n, panel):
     click.option("--q-list", type=str, required=True, help="comma-separated q values"),
     limits=("gb_pairs",),
 )
-def cmd_saturate(seed, budgets, family_name, ring_file, prime, z_expr, q_list):
+def cmd_saturate(seed, family_name, ring_file, prime, z_expr, q_list):
     """Stabilization exponents N_q of I^[q] : z^infinity."""
     fam = _resolve_family(family_name, ring_file, prime)
     z = parse_poly(z_expr, fam.ring)
@@ -526,7 +524,7 @@ def cmd_saturate(seed, budgets, family_name, ring_file, prime, z_expr, q_list):
         raise InputError(f"bad --q-list {q_list!r}") from None
     if not qs:
         raise InputError("--q-list is empty")
-    results, ratio = saturation_growth(fam, z, qs, budgets)
+    results, ratio = saturation_growth(fam, z, qs)
     rows = [{"q": q.q, "N_q": n} for q, n in results]
     payload = {
         "command": "saturate",
@@ -552,11 +550,11 @@ def cmd_saturate(seed, budgets, family_name, ring_file, prime, z_expr, q_list):
                  help="contraction route for the colon ideal"),
     limits=("gb_pairs",),
 )
-def cmd_witness(seed, budgets, family_name, prime, q_value, method):
+def cmd_witness(seed, family_name, prime, q_value, method):
     """The k[t]-contraction of the witness colon; checked against P_{q-2}."""
     fam = family(family_name, prime)
     q = PrimePower.from_value(prime, q_value)
-    w = witness_colon(fam, q, budgets, method=method)
+    w = witness_colon(fam, q, method=method)
     expected = p_seq(fam.seq, q.q - 2).monic()
     matches = w == expected
     payload = {

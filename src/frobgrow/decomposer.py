@@ -26,7 +26,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .budgets import DEFAULT as DEFAULT_BUDGETS
 from .errors import InputError, VerificationError
 from .fpoly import (
     MultiPoly,
@@ -251,9 +250,6 @@ def stable_decomposition(
     h: UniPoly,
     h_source: str = "explicit",
     hq_certificate: HqCertificate | None = None,
-    seed: int = 0,
-    measure: bool = True,
-    budgets=DEFAULT_BUDGETS,
     method: str = "auto",
 ) -> DecompositionReport:
     """I^[q] = Q meet the components I^[q] + (tau_i^{s_i}).
@@ -300,12 +296,12 @@ def stable_decomposition(
     else:
         slices = cap = K = None
         h_multi = MultiPoly.from_unipoly(ring, h, "t")
-        Q = colon(Iq, h_multi, budgets)
+        Q = colon(Iq, h_multi)
     isolated = PrimaryComponent(ideal=Q, radical_generators=w1, cap_degree=K, slices=slices)
     if hq_certificate is not None and hq_certificate.h == h:  # h_q has factored h
         factors = list(hq_certificate.factorization)
     else:
-        factors = list(uni_factor(h_monic, seed)) if h.degree > 0 else []
+        factors = list(uni_factor(h_monic)) if h.degree > 0 else []
     prod = UniPoly.one(ring.p)
     for tau, s in factors:
         prod = prod * tau**s
@@ -319,7 +315,7 @@ def stable_decomposition(
         Qi = Iq.extended([tau_pow])
         # only here can Qi be the unit ideal: a certified family's relations
         # have positive x-degree, so there (S / Qi)_0 = k[t]/(tau^s) is not 0
-        if not certified and Qi.is_unit_ideal(budgets):
+        if not certified and Qi.is_unit_ideal():
             notes.append(f"dropped unit component for tau = {format_unipoly(tau)}")
             continue
         tau_multi = MultiPoly.from_unipoly(ring, tau, "t")
@@ -347,21 +343,20 @@ def stable_decomposition(
             "the boundary reductions push I^[q] + (h) into I^[q]"
         )
     else:  # Q meet (I^[q] + (h)) = I^[q] iff Q : h = Q (splitting lemma)
-        escape = _colon_escape(Q, h_multi, budgets)
+        escape = _colon_escape(Q, h_multi)
         if escape is not None:  # h*g lies in that meet but not in I^[q]
             verified, witness = False, format_multipoly(h_multi * escape)
     bound_ok = True  # the paper bounds each embedded exponent by n*q + s_i, n = len(w1)
-    if measure:
-        isolated.measured_exponent = growth_exponent(isolated, budgets)
-        for comp in embedded:
-            comp.measured_exponent = growth_exponent(comp, budgets)
-            bound = len(w1) * q.q + comp.tau[1]
-            if comp.measured_exponent > bound:
-                bound_ok = False
-                notes.append(
-                    f"growth exponent {comp.measured_exponent} exceeds "
-                    f"{bound} for tau = {format_unipoly(comp.tau[0])}"
-                )
+    isolated.measured_exponent = growth_exponent(isolated)
+    for comp in embedded:
+        comp.measured_exponent = growth_exponent(comp)
+        bound = len(w1) * q.q + comp.tau[1]
+        if comp.measured_exponent > bound:
+            bound_ok = False
+            notes.append(
+                f"growth exponent {comp.measured_exponent} exceeds "
+                f"{bound} for tau = {format_unipoly(comp.tau[0])}"
+            )
     return DecompositionReport(
         q=q,
         hq=hq_certificate if hq_certificate is not None else h,
@@ -447,15 +442,15 @@ def _bezout_one_certificate(factors, h_monic: UniPoly):
     return coeffs
 
 
-def _colon_escape(C: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS):
+def _colon_escape(C: IdealHandle, f: MultiPoly):
     """The first generator of C : f outside C, or None: C lies in C : f,
     so C : f = C exactly when every generator of C : f reduces to zero
     modulo C's basis."""
-    quotients = colon(C, f, budgets).generators
-    return next((g for g in quotients if not C.contains(g, budgets)), None)
+    quotients = colon(C, f).generators
+    return next((g for g in quotients if not C.contains(g)), None)
 
 
-def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
+def growth_exponent(C: PrimaryComponent) -> int:
     """Minimal k >= 1 with radical^k contained in the component.
 
     A cap_degree component is read off the slice invariants of its base
@@ -474,7 +469,7 @@ def growth_exponent(C: PrimaryComponent, budgets=DEFAULT_BUDGETS) -> int:
     tau = C.tau and MultiPoly.from_unipoly(ring, C.tau[0], "t")
     tau = tau if tau in C.radical_generators else None  # split the search by x-degree
     gens = [g for g in C.radical_generators if g != tau]
-    return power_containment(IdealHandle(ring, gens), C.ideal, budgets, tau)
+    return power_containment(IdealHandle(ring, gens), C.ideal, tau)
 
 
 def _slices_of(C: PrimaryComponent, own: SliceCache | None = None) -> SliceCache:
@@ -536,9 +531,7 @@ class SanityVerdict:
     witness: str | None = None
 
 
-def primary_sanity(
-    C: PrimaryComponent, panel_size: int = 10, seed: int = 0, budgets=DEFAULT_BUDGETS
-) -> SanityVerdict:
+def primary_sanity(C: PrimaryComponent, panel_size: int = 10, seed: int = 0) -> SanityVerdict:
     """Necessary-condition test, not a primality proof: the component is
     not the unit ideal, every radical generator has some power in the
     ideal, and, on a component without a tau, colon by random g(t) leaves
@@ -569,8 +562,8 @@ def primary_sanity(
     computation, so the same g fails first and the witness is the same.
     The verdict is exact: C passes only if T = 1.  When every panel g
     passes but T != 1, the witness is tau, the first irreducible factor
-    of T (uni_factor sorts its factors, so tau does not depend on the
-    seed), a zero divisor on S/C that the panel missed.
+    of T in uni_factor's sorted list, a zero divisor on S/C that the
+    panel missed.
     On the certified route B's store is the shared one of I^[q], so no
     component builds a store of its own; a hand-built component (slices
     unset) builds one for its panel.
@@ -599,7 +592,7 @@ def primary_sanity(
     def member(f):
         nonlocal own
         if in_degree_zero is None:
-            return C.ideal.contains(f, budgets)
+            return C.ideal.contains(f)
         if x_degree(f) == 0:
             return in_degree_zero(f)
         if own is None:
@@ -624,12 +617,12 @@ def primary_sanity(
         torsion = _slices_of(C, own).torsion_exponent(C.cap_degree)
         bad = next((g for g in panel if uni_gcd(g, torsion).degree > 0), None)
         if bad is None and torsion.degree > 0:  # a zero divisor the panel missed
-            bad = next(iter(uni_factor(torsion, seed)))[0]
+            bad = next(iter(uni_factor(torsion)))[0]
     else:
 
         def escapes(g):
             f = MultiPoly.from_unipoly(ring, g, "t")
-            return _colon_escape(C.ideal, f, budgets) is not None
+            return _colon_escape(C.ideal, f) is not None
 
         product = math.prod(panel[1:], start=panel[0])
         factors = _squarefree_decomposition(product)  # together, the product's irreducibles
@@ -646,7 +639,7 @@ def primary_sanity(
 # saturation stabilization exponents
 
 
-def saturation_growth(fam: FamilySpec, z: MultiPoly, q_list, budgets=DEFAULT_BUDGETS):
+def saturation_growth(fam: FamilySpec, z: MultiPoly, q_list):
     """For each q, the stabilization exponent N_q of I^[q] : z^infinity;
     returns (rows, max N_q / q)."""
     rows = []
@@ -654,7 +647,7 @@ def saturation_growth(fam: FamilySpec, z: MultiPoly, q_list, budgets=DEFAULT_BUD
     for q in q_list:
         q = q if isinstance(q, PrimePower) else PrimePower.from_value(fam.ring.p.p, q)
         Iq = frobenius_generators(fam.ideal, q)
-        n = saturation_exponent(Iq, z, budgets)
+        n = saturation_exponent(Iq, z)
         rows.append((q, n))
         ratio = max(ratio, n / q.q)
     return rows, ratio
@@ -678,9 +671,7 @@ def ss_hq_closed_form(spec: SequenceSpec, q: PrimePower) -> UniPoly:
 # witness colons
 
 
-def witness_colon(
-    fam: FamilySpec, q: PrimePower, budgets=DEFAULT_BUDGETS, method: str = "module"
-) -> UniPoly:
+def witness_colon(fam: FamilySpec, q: PrimePower, method: str = "module") -> UniPoly:
     """Monic generator of (I^[q] : witness) contracted to k[t], where the
     witness is (ux)(vy)^{q-2}uv, times w^{q-1} in the seven-variable
     family.
@@ -705,8 +696,8 @@ def witness_colon(
     Iq = frobenius_generators(fam.ideal, q)
     if method == "module":
         return contraction_colon(Iq, wit)
-    J = colon(Iq, wit, budgets)
-    contraction = eliminate(J, ring.weight1_indices(), budgets)
+    J = colon(Iq, wit)
+    contraction = eliminate(J, ring.weight1_indices())
     ti = ring.weight0_indices()[0]
     gen = UniPoly.zero(ring.p)
     for g in contraction.generators:

@@ -294,18 +294,18 @@ class FactorList:
         return iter(self.factors)
 
 
-def uni_factor(a: UniPoly, seed: int) -> FactorList:
-    """Complete irreducible factorization over F_p.
+def uni_factor(a: UniPoly) -> FactorList:
+    """Complete irreducible factorization over F_p, factors sorted.
 
     Squarefree decomposition, then distinct-degree splitting, then
-    seeded equal-degree (Cantor-Zassenhaus) splitting; deterministic for
-    a fixed seed.
+    equal-degree (Cantor-Zassenhaus) splitting by a fixed generator; the
+    sorted factor list is unique, so no draw shows in it.
     """
     if a.is_zero:
         raise InputError("cannot factor the zero polynomial")
     unit = a.lc()
     f = a.monic()
-    rng = random.Random(seed)
+    rng = random.Random(0)
     counts: dict[UniPoly, int] = {}
     if f.degree > 0:
         for g, mult in _squarefree_decomposition(f):

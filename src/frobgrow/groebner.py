@@ -27,13 +27,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from . import budgets as budgets_mod
 from . import orders
+from .budgets import check_deadline, current
 from .errors import BudgetExceeded, InputError, RingMismatch
 from .fpoly import MultiPoly, RingSpec, _least_power
 from .orders import monomials_of_degree
-
-DEFAULT_BUDGETS = budgets_mod.DEFAULT
 
 
 def _to_raw(f: MultiPoly, order: orders.MonomialOrder):
@@ -138,7 +136,7 @@ def _spoly_raw(f: _BasisElt, g: _BasisElt, kl: int, p: int):
 
 
 def _buchberger(
-    gens_raw, order: orders.MonomialOrder, p: int, budgets, seed=()
+    gens_raw, order: orders.MonomialOrder, p: int, seed=()
 ) -> list[_BasisElt]:
     """Reduced Groebner basis from raw generators, deterministic.
 
@@ -147,8 +145,9 @@ def _buchberger(
     zero, so the chain criterion counts them as treated).  Pairs are
     taken from a heap keyed by (sugar, lcm, (i, j)); a pair's key is fixed
     when the pair is made.  Each pair that survives the criteria counts
-    against budgets.gb_pairs and checks the wall-clock deadline."""
+    against the gb_pairs budget and checks the wall-clock deadline."""
     one, cmask, guard = order.one, order.cmask, order.guard
+    max_pairs, max_basis = current().gb_pairs, current().gb_basis
     G = [_BasisElt(order, raw) for raw in seed]
     for raw in sorted(gens_raw, reverse=True):
         if raw:
@@ -190,9 +189,9 @@ def _buchberger(
         if skip:
             continue
         reductions += 1
-        if reductions > budgets.gb_pairs:
-            raise BudgetExceeded("gb_pairs", budgets.gb_pairs)
-        budgets_mod.check_deadline()
+        if reductions > max_pairs:
+            raise BudgetExceeded("gb_pairs", max_pairs)
+        check_deadline()
         s = _spoly_raw(G[i], G[j], kl, p)
         r = _nf_raw(s, G, order, p)
         if not r:
@@ -200,8 +199,8 @@ def _buchberger(
         elt = _BasisElt(order, _make_monic(r, p), sugar=sugar)
         new_index = len(G)
         G.append(elt)
-        if len(G) > budgets.gb_basis:
-            raise BudgetExceeded("gb_basis", budgets.gb_basis)
+        if len(G) > max_basis:
+            raise BudgetExceeded("gb_basis", max_basis)
         for k in range(new_index):
             add_pair(k, new_index)
 
@@ -280,22 +279,22 @@ class IdealHandle:
         order = self.ring.default_order
         self._basis = (tuple(_from_raw(self.ring, order, g.terms) for g in basis), basis)
 
-    def groebner_basis(self, budgets=DEFAULT_BUDGETS):
+    def groebner_basis(self):
         """The reduced basis in the ring's default order."""
         if self._basis is None:
             order, base = self.ring.default_order, self._base
-            seed = [g.terms for g in _basis_for(base, budgets)[1]] if base else ()
+            seed = [g.terms for g in _basis_for(base)[1]] if base else ()
             gens = self.generators[len(base.generators) :] if base else self.effective_generators()
             raws = [_to_raw(g, order) for g in gens if not g.is_zero]
-            self._set_basis(_buchberger(raws, order, self.ring.p.p, budgets, seed))
+            self._set_basis(_buchberger(raws, order, self.ring.p.p, seed))
         return self._basis[0]
 
-    def contains(self, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> bool:
-        order, basis = _basis_for(self, budgets)
+    def contains(self, f: MultiPoly) -> bool:
+        order, basis = _basis_for(self)
         return not _nf_raw(_to_raw(f, order), basis, order, self.ring.p.p)
 
-    def is_unit_ideal(self, budgets=DEFAULT_BUDGETS) -> bool:
-        gb = self.groebner_basis(budgets=budgets)
+    def is_unit_ideal(self) -> bool:
+        gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].constant_value() == 1
 
     def __repr__(self):
@@ -308,36 +307,36 @@ class SaturationResult:
     stabilization_exponent: int
 
 
-def _basis_for(I: IdealHandle, budgets):
+def _basis_for(I: IdealHandle):
     """The default order and I's cached reduced basis as _BasisElts,
     computed on first use."""
     if I._basis is None:
-        I.groebner_basis(budgets=budgets)
+        I.groebner_basis()
     return I.ring.default_order, I._basis[1]
 
 
-def normal_form(f: MultiPoly, I: IdealHandle, budgets=DEFAULT_BUDGETS):
+def normal_form(f: MultiPoly, I: IdealHandle):
     """Remainder of f under full division by the reduced basis; zero iff
     f is in the ideal."""
-    order, basis = _basis_for(I, budgets)
+    order, basis = _basis_for(I)
     raw = _nf_raw(_to_raw(f, order), basis, order, I.ring.p.p)
     return _from_raw(I.ring, order, raw)
 
 
-def ideal_equal(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> bool:
+def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:
     if not I.ring.same_ambient(J.ring):
         raise RingMismatch("cannot compare ideals in different rings")
-    return I.groebner_basis(budgets=budgets) == J.groebner_basis(budgets=budgets)
+    return I.groebner_basis() == J.groebner_basis()
 
 
 def _eliminated(
-    raws, order: orders.MonomialOrder, p: int, front, budgets, seed=()
+    raws, order: orders.MonomialOrder, p: int, front, seed=()
 ) -> list[_BasisElt]:
     """The reduced basis of `seed` and the raw generators in `order`, an
     elimination order whose front block, the variable indices `front`, is
     compared first, keeping the elements whose lead has no variable of
     `front`: any term in `front` would outrank such a lead."""
-    basis = _buchberger(raws, order, p, budgets, seed)
+    basis = _buchberger(raws, order, p, seed)
     return [g for g in basis if not any(g.lead_exps[i] for i in front)]
 
 
@@ -361,24 +360,24 @@ def _w_times(order: orders.MonomialOrder, p: int, w_poly, g: MultiPoly):
     )
 
 
-def _w_basis(I: IdealHandle, order: orders.MonomialOrder, e: int, budgets):
+def _w_basis(I: IdealHandle, order: orders.MonomialOrder, e: int):
     """w^e times I's reduced basis, raw in the `_w_order` `order`: a Groebner
     basis there, as on one w-degree that order is the ring's default order."""
-    dflt, basis = _basis_for(I, budgets)
+    dflt, basis = _basis_for(I)
     return [[(order.key(dflt.exps(k) + (e,)), c) for k, c in g.terms] for g in basis]
 
 
-def _w_free(ring: RingSpec, order: orders.MonomialOrder, raws, budgets, seed=()):
+def _w_free(ring: RingSpec, order: orders.MonomialOrder, raws, seed=()):
     """Generators of the ideal of `seed` and `raws` (in a `_w_order`)
     intersected with the ring: eliminate w, then drop its slot."""
     n = ring.nvars
     return [
         MultiPoly(ring, {order.exps(k)[:n]: c for k, c in g.terms})
-        for g in _eliminated(raws, order, ring.p.p, (n,), budgets, seed)
+        for g in _eliminated(raws, order, ring.p.p, (n,), seed)
     ]
 
 
-def _saturation_gens(I: IdealHandle, f: MultiPoly, budgets):
+def _saturation_gens(I: IdealHandle, f: MultiPoly):
     """Generators of I : f^infinity in one elimination: eliminate w from
     I + (1 - w*f), seeded with I's reduced basis."""
     if f.is_zero:
@@ -386,17 +385,17 @@ def _saturation_gens(I: IdealHandle, f: MultiPoly, budgets):
     order, p = _w_order(I.ring), I.ring.p.p
     # 1 is the least monomial, so appending it keeps the terms in order
     raw = _w_times(order, p, (0, -1), f) + [(order.one, 1)]
-    return _w_free(I.ring, order, [raw], budgets, _w_basis(I, order, 0, budgets))
+    return _w_free(I.ring, order, [raw], _w_basis(I, order, 0))
 
 
-def intersect(I: IdealHandle, J: IdealHandle, budgets=DEFAULT_BUDGETS) -> IdealHandle:
+def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I intersect J: eliminate w from w*I + (1-w)*J."""
     if not I.ring.same_ambient(J.ring):
         raise RingMismatch("cannot intersect ideals in different rings")
     order, p = _w_order(I.ring), I.ring.p.p
     raws = [_w_times(order, p, (0, 1), g) for g in I.effective_generators() if not g.is_zero]
     raws += [_w_times(order, p, (1, -1), g) for g in J.effective_generators() if not g.is_zero]
-    return IdealHandle(I.ring, _w_free(I.ring, order, raws, budgets))
+    return IdealHandle(I.ring, _w_free(I.ring, order, raws))
 
 
 def _exact_div_multi(g: MultiPoly, f: MultiPoly) -> MultiPoly:
@@ -416,7 +415,7 @@ def _exact_div_multi(g: MultiPoly, f: MultiPoly) -> MultiPoly:
     return q
 
 
-def colon(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> IdealHandle:
+def colon(I: IdealHandle, f: MultiPoly) -> IdealHandle:
     """I : f, the reduced basis of I intersect (f) (w eliminated from
     w*rGB(I) + (1-w)*f) divided exactly by f.  As LM(g/f) = LM(g)/LM(f),
     the quotients, monic and interreduced, are I : f's reduced basis.
@@ -429,7 +428,7 @@ def colon(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> IdealHandle:
         return I.extended(())
     ring, order, p = I.ring, _w_order(I.ring), I.ring.p.p
     raws = [_w_times(order, p, (1, -1), f)]
-    gens = _w_free(ring, order, raws, budgets, _w_basis(I, order, 1, budgets))
+    gens = _w_free(ring, order, raws, _w_basis(I, order, 1))
     J = IdealHandle(ring, [_exact_div_multi(g, f) for g in gens])
     dflt = ring.default_order
     quotients = [_BasisElt(dflt, _make_monic(_to_raw(g, dflt), p)) for g in J.generators]
@@ -437,23 +436,23 @@ def colon(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> IdealHandle:
     return J
 
 
-def saturate(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> SaturationResult:
+def saturate(I: IdealHandle, f: MultiPoly) -> SaturationResult:
     """Iterated colon until stabilization; the exponent N satisfies
     I : f^N = I : f^(N+1) = I : f^infinity.  One colon and one reduced
     basis per step: no production caller, this chain is the tests'
     independent reference for `saturation_exponent`."""
     if f.is_zero:
         raise InputError("saturation by zero")
-    current = I
-    for n in range(budgets.saturation_steps):
-        nxt = colon(current, f, budgets)
-        if ideal_equal(nxt, current, budgets):
-            return SaturationResult(current, n)
-        current = nxt
-    raise BudgetExceeded("saturation_steps", budgets.saturation_steps)
+    steps, J = current().saturation_steps, I
+    for n in range(steps):
+        nxt = colon(J, f)
+        if ideal_equal(nxt, J):
+            return SaturationResult(J, n)
+        J = nxt
+    raise BudgetExceeded("saturation_steps", steps)
 
 
-def saturation_exponent(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -> int:
+def saturation_exponent(I: IdealHandle, f: MultiPoly) -> int:
     """The stabilization exponent N of `saturate`, without the colon chain.
 
     The chain I : f^n ascends and is stable from its first repeat on, at
@@ -463,10 +462,11 @@ def saturation_exponent(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -
     keeps the nonzero normal forms of f^n * g modulo I's reduced basis,
     as raw terms, and multiplies them by f as key sums:
     NF(f * h) = NF(f * NF(h)).  Each step checks the wall-clock deadline;
-    N >= budgets.saturation_steps raises BudgetExceeded, where the chain
-    would."""
-    gens = _saturation_gens(I, f, budgets)
-    order, basis = _basis_for(I, budgets)
+    N >= the saturation_steps budget raises BudgetExceeded, where the
+    chain would."""
+    steps = current().saturation_steps
+    gens = _saturation_gens(I, f)
+    order, basis = _basis_for(I)
     p, one = I.ring.p.p, order.one
     fraw = _to_raw(f, order)
 
@@ -477,9 +477,9 @@ def saturation_exponent(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -
     n = 0
     while survivors:
         n += 1
-        if n >= budgets.saturation_steps:
-            raise BudgetExceeded("saturation_steps", budgets.saturation_steps)
-        budgets_mod.check_deadline()
+        if n >= steps:
+            raise BudgetExceeded("saturation_steps", steps)
+        check_deadline()
         survivors = [
             r
             for h in survivors
@@ -488,7 +488,7 @@ def saturation_exponent(I: IdealHandle, f: MultiPoly, budgets=DEFAULT_BUDGETS) -
     return n
 
 
-def eliminate(I: IdealHandle, front, budgets=DEFAULT_BUDGETS) -> IdealHandle:
+def eliminate(I: IdealHandle, front) -> IdealHandle:
     """Generators of I intersected with the subring on the kept
     variables, via a block order eliminating `front`."""
     ring = I.ring
@@ -500,17 +500,17 @@ def eliminate(I: IdealHandle, front, budgets=DEFAULT_BUDGETS) -> IdealHandle:
             raise InputError(f"variable index {i} out of range")
     order = orders.block(ring.weights, front_idx)
     raws = [_to_raw(g, order) for g in I.effective_generators() if not g.is_zero]
-    kept = _eliminated(raws, order, ring.p.p, front_idx, budgets)
+    kept = _eliminated(raws, order, ring.p.p, front_idx)
     return IdealHandle(ring, [_from_raw(ring, order, g.terms) for g in kept])
 
 
-def power_containment(P: IdealHandle, Q: IdealHandle, budgets=DEFAULT_BUDGETS, tau=None) -> int:
+def power_containment(P: IdealHandle, Q: IdealHandle, tau=None) -> int:
     """Least k >= 1 with P^k, or (P + (tau))^k with a tau, inside Q, by
     fpoly's ascending search over products of P's generators, split by
     x-degree with a tau.  Its survivors are normal forms modulo Q's
     reduced basis, raw term tuples: NF(g*f) = NF(g*NF(f)), and a product
     of terms is a key sum, so no MultiPoly is built per product."""
-    order, basis = _basis_for(Q, budgets)
+    order, basis = _basis_for(Q)
     p = P.ring.p.p
     one = order.one
 
@@ -520,7 +520,7 @@ def power_containment(P: IdealHandle, Q: IdealHandle, budgets=DEFAULT_BUDGETS, t
 
     gens = [_to_raw(g, order) for g in P.generators if not g.is_zero]
     t = None if tau is None else _to_raw(tau, order)
-    return _least_power(((one, 1),), gens, step, budgets.power_products, t)
+    return _least_power(((one, 1),), gens, step, current().power_products, t)
 
 
 def _in_span_mod_p(columns, target: dict, p: int) -> bool:
@@ -558,7 +558,6 @@ def member_bounded_oracle(
     I: IdealHandle,
     t_bound: int,
     x_bound: int,
-    budgets=DEFAULT_BUDGETS,
 ) -> bool:
     """Decide whether f = sum c_i g_i with multipliers of t-degree at most
     t_bound and weighted x-degree at most x_bound, by solving one F_p
@@ -567,7 +566,7 @@ def member_bounded_oracle(
     if t_bound < 0 or x_bound < 0:
         raise InputError("oracle bounds must be non-negative")
     ring = I.ring
-    p = ring.p.p
+    p, dim = ring.p.p, current().oracle_dim
     w1 = ring.weight1_indices()
     w0 = ring.weight0_indices()
 
@@ -592,13 +591,13 @@ def member_bounded_oracle(
         for m in support:
             col = {}
             columns.append(col)
-            if len(columns) > budgets.oracle_dim:
-                raise BudgetExceeded("oracle_dim", budgets.oracle_dim)
+            if len(columns) > dim:
+                raise BudgetExceeded("oracle_dim", dim)
             for gm, gc in g._terms.items():
                 prod = tuple(a + b for a, b in zip(m, gm))
                 r = row_index.setdefault(prod, len(row_index))
-                if len(row_index) > budgets.oracle_dim:
-                    raise BudgetExceeded("oracle_dim", budgets.oracle_dim)
+                if len(row_index) > dim:
+                    raise BudgetExceeded("oracle_dim", dim)
                 col[r] = gc
     target = {row_index.setdefault(m, len(row_index)): c for m, c in f._terms.items()}
     return _in_span_mod_p(columns, target, p)

@@ -49,7 +49,7 @@ from math import comb
 from operator import add, ge
 
 from ._kernels import uni_add, uni_divmod, uni_mul, uni_rem, uni_sub
-from .budgets import DEFAULT as DEFAULT_BUDGETS, check_deadline
+from .budgets import DEFAULT as DEFAULT_BUDGETS, check_deadline, current
 from .errors import InputError
 from .fpoly import (
     FactorList,
@@ -509,15 +509,10 @@ class HqCertificate:
         }
 
 
-def h_q(
-    ring: RingSpec,
-    q: PrimePower,
-    budget: int = DEFAULT_BUDGETS.minor_subsets,
-    seed: int = 0,
-) -> HqCertificate:
+def h_q(ring: RingSpec, q: PrimePower) -> HqCertificate:
     """The monic lcm of the nonzero minors of every M_d, factored and
-    bounded.  Each M_d has its own `budget` of positions; all scans of
-    one call share one table of values.
+    bounded.  Each M_d has its own budget of positions, the minor_subsets
+    budget; all scans of one call share one table of values.
 
     Only the window [q-1, hi] (`_window`) can change h.  The entry at
     (u, (i, w)) depends only on u - w and grevlex order is translation
@@ -546,7 +541,7 @@ def h_q(
         raise InputError(
             f"characteristic mismatch: q is a power of {q.p.p}, ring has {ring.p.p}"
         )
-    n = len(ring.weight1_indices())
+    n, budget = len(ring.weight1_indices()), current().minor_subsets
     fold = _LcmFold(ring.p)
     examined = 0
     partial = False
@@ -583,7 +578,7 @@ def h_q(
         if product.degree > 0:
             fold.merge(product)
     acc = fold.lcm
-    factorization = uni_factor(acc, seed)
+    factorization = uni_factor(acc)
     s_max = factorization.max_multiplicity
     return HqCertificate(
         q=q,

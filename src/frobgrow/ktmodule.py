@@ -36,7 +36,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import NamedTuple
 
-from .budgets import DEFAULT as DEFAULT_BUDGETS, check_deadline
+from .budgets import check_deadline, current
 from .errors import InputError
 from .fpoly import (
     MultiPoly,
@@ -508,7 +508,7 @@ def slice_power_containment(radical_gens, cache: SliceCache) -> int:
 
     one = MultiPoly.const(cache.ideal.ring, 1)
     gens = [g for g in radical_gens if not g.is_zero]
-    return _least_power(one, gens, step, DEFAULT_BUDGETS.power_products)
+    return _least_power(one, gens, step, current().power_products)
 
 
 def univariate_colon_trivial_panel(

@@ -88,7 +88,7 @@ class Census:
     max_multiplicity: int
 
 
-def factor_census(polys, seed: int) -> Census:
+def factor_census(polys) -> Census:
     """Factor every (label, polynomial) pair and merge the supports."""
     entries = []
     support = set()
@@ -101,7 +101,7 @@ def factor_census(polys, seed: int) -> Census:
             modulus = poly.p
         elif poly.p != modulus:
             raise ModulusMismatch("census polynomials must share a modulus")
-        fl: FactorList = uni_factor(poly, seed)
+        fl: FactorList = uni_factor(poly)
         entries.append((str(label), fl))
         for irr, mult in fl:
             support.add(irr)

@@ -180,7 +180,7 @@ def test_criterion_05_ss5_closed_form_decompositions():
                 if comp.measured_exponent > 4 * q.q + comp.tau[1]:
                     ok, bad = False, f"p={pv} q={q.q} exponent"
                     break
-            s_max = max((s for _, s in uni_factor(h.monic(), 0)), default=0)
+            s_max = max((s for _, s in uni_factor(h.monic())), default=0)
             ratios.append(Fraction(s_max, q.q))
             if not ok:
                 break
@@ -213,7 +213,7 @@ def test_criterion_07_census_strictly_increasing():
     seen = set()
     for e in range(2, 6):
         poly = p_seq(spec, 2**e - 2)
-        census = factor_census([(f"P_{2**e - 2}", poly)], 0)
+        census = factor_census([(f"P_{2**e - 2}", poly)])
         seen.update(census.distinct_irreducibles)
         counts.append(len(seen))
     ok = all(a < b for a, b in zip(counts, counts[1:]))

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import time
 from dataclasses import fields
 
@@ -6,14 +8,20 @@ import pytest
 from click.testing import CliRunner
 
 from frobgrow import hq, ktmodule
-from frobgrow.budgets import Budgets, check_deadline, wall_clock
+from frobgrow.budgets import Budgets, check_deadline, limits
 from frobgrow.cli import main
 from frobgrow.decomposer import family
 from frobgrow.errors import BudgetExceeded, InputError
 from frobgrow.fpoly import PrimeModulus, PrimePower, RingSpec, UniPoly, parse_poly, parse_unipoly
-from frobgrow.groebner import IdealHandle, power_containment, saturation_exponent
+from frobgrow.groebner import (
+    IdealHandle,
+    member_bounded_oracle,
+    power_containment,
+    saturate,
+    saturation_exponent,
+)
 from frobgrow.hq import MinorMatrix, minors_lcm
-from frobgrow.ktmodule import DegreeSlice, SliceCache
+from frobgrow.ktmodule import DegreeSlice, SliceCache, slice_power_containment
 
 SMALL = Budgets(gb_pairs=3, gb_basis=7, minor_subsets=10, oracle_dim=1,
                 saturation_steps=5, power_products=100, wall_seconds=2.0)
@@ -81,16 +89,94 @@ def test_environment_scale_applies_to_cli_runs():
     assert json.loads(tiny.stdout)["certificate"]["partial"]
 
 
+R3 = RingSpec(PrimeModulus(3), (("t", 0), ("x", 1), ("y", 1)))
+KATZMAN_2 = family("katzman", 2).ring
+
+
+def _basis():
+    # its Buchberger run reduces several S-pairs and adds basis elements
+    return IdealHandle(R3, ["x^2+t*x*y+y^2", "x^3+y^3", "t^2*x*y^2+x^2*y"]).groebner_basis()
+
+
+def _square(search):
+    # (x, y)^2 lies in (x^2, xy, y^2), found after six products
+    P, Q = IdealHandle(R3, ["x", "y"]), IdealHandle(R3, ["x^2", "x*y", "y^2"])
+    return search(P, Q)
+
+
+def _by_y(saturation):
+    # (x^2 y) : y^infinity = (x^2), reached at exponent 1
+    return saturation(IdealHandle(R3, ["x^2*y"]), parse_poly("y", R3))
+
+
+# the calls each Budgets field bounds, none of them given a budget
+CHECK_SITES = {
+    "gb_pairs": [_basis],
+    "gb_basis": [_basis],
+    "minor_subsets": [lambda: hq.h_q(KATZMAN_2, PrimePower(PrimeModulus(2), 2))],
+    "oracle_dim": [
+        lambda: member_bounded_oracle(parse_poly("x*y", R3), IdealHandle(R3, ["x", "y"]), 1, 1)
+    ],
+    "saturation_steps": [lambda: _by_y(saturate), lambda: _by_y(saturation_exponent)],
+    "power_products": [
+        lambda: _square(power_containment),
+        lambda: _square(lambda P, Q: slice_power_containment(P.generators, SliceCache(Q))),
+    ],
+    "wall_seconds": [
+        _basis,
+        lambda: _square(power_containment),
+        lambda: _by_y(saturation_exponent),
+        lambda: hq.h_q(KATZMAN_2, PrimePower(PrimeModulus(2), 2)),
+        lambda: SliceCache(IdealHandle(R3, ["x^2+t*x*y", "y^2"])).at(2),
+    ],
+}
+
+
+def _exhausted(call):
+    """The budget a call exhausts: the one it raises, minor_subsets for
+    a PARTIAL certificate, None when it finishes."""
+    try:
+        result = call()
+    except BudgetExceeded as exc:
+        return exc.budget_name
+    return "minor_subsets" if getattr(result, "partial", False) else None
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Budgets)])
+def test_limits_reach_their_check_sites(name):
+    # each call finishes under DEFAULT outside any block, and exhausts
+    # the field inside a limits block that sets only that field tiny
+    tiny = Budgets(**{name: 1e-9 if name == "wall_seconds" else 1})
+    for call in CHECK_SITES[name]:
+        assert _exhausted(call) is None
+        with limits(tiny):
+            time.sleep(0.001)  # past a 1e-9 s deadline
+            assert _exhausted(call) == name
+
+
+def test_no_function_takes_budgets():
+    # limits reach their check sites from the enclosing block only
+    taken = []
+    for path in sorted(pathlib.Path(hq.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(arg is not None and arg.arg == "budgets" for arg in params):
+                    taken.append(f"{path.name}:{node.lineno}")
+    assert taken == []
+
+
 class TestWallClock:
     def test_deadline_holds_only_inside_its_block(self):
         check_deadline()  # no deadline: a no-op
-        with wall_clock(Budgets(wall_seconds=1e-9)):
+        with limits(Budgets(wall_seconds=1e-9)):
             time.sleep(0.001)
             with pytest.raises(BudgetExceeded) as exc:
                 check_deadline()
             assert exc.value.budget_name == "wall_seconds"
         check_deadline()
-        with wall_clock(Budgets(wall_seconds=60.0)):
+        with limits(Budgets(wall_seconds=60.0)):
             check_deadline()
 
     def test_groebner_engine_checks_it(self):
@@ -98,7 +184,7 @@ class TestWallClock:
         gens = ["x^2+t*x*y+y^2", "x^3+y^3", "t^2*x*y^2+x^2*y"]
         P, Q = IdealHandle(R, ["x", "y"]), IdealHandle(R, ["x^2", "y^2"])
         Q.groebner_basis()
-        with wall_clock(Budgets(wall_seconds=1e-9)):
+        with limits(Budgets(wall_seconds=1e-9)):
             time.sleep(0.001)
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 IdealHandle(R, gens).groebner_basis()
@@ -112,21 +198,23 @@ class TestWallClock:
         R = RingSpec(PrimeModulus(3), (("t", 0), ("x", 1), ("y", 1)))
         P, Q, t = IdealHandle(R, []), IdealHandle(R, ["x", "y", "t^5"]), parse_poly("t", R)
         Q.groebner_basis()
-        with wall_clock(Budgets(wall_seconds=1e-9)):
+        with limits(Budgets(wall_seconds=1e-9)):
             time.sleep(0.001)
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 power_containment(P, Q, tau=t)
         assert power_containment(P, Q, tau=t) == 5
         # the chain 1, t, ..., t^5 takes five products
-        assert power_containment(P, Q, Budgets(power_products=5), tau=t) == 5
-        with pytest.raises(BudgetExceeded, match="power_products"):
-            power_containment(P, Q, Budgets(power_products=4), tau=t)
+        with limits(Budgets(power_products=5)):
+            assert power_containment(P, Q, tau=t) == 5
+        with limits(Budgets(power_products=4)):
+            with pytest.raises(BudgetExceeded, match="power_products"):
+                power_containment(P, Q, tau=t)
 
     def test_saturation_exponent_checks_it(self):
         # I^[8] of the cone's ruling (x, z) in k[x,y,z]/(z^2 + xy), by y
         R = RingSpec(PrimeModulus(2), (("x", 1), ("y", 1), ("z", 1)), ("z^2+x*y",))
         I, y = IdealHandle(R, ["x^8", "z^8"]), parse_poly("y", R)
-        with wall_clock(Budgets(wall_seconds=1e-9)):
+        with limits(Budgets(wall_seconds=1e-9)):
             time.sleep(0.001)
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 saturation_exponent(I, y)
@@ -138,7 +226,7 @@ class TestWallClock:
         # every degree-2 monomial of (x^2, xy, y^2) is covered, so `at`
         # meets no row component there and only its per-degree check can fire
         full = SliceCache(IdealHandle(R, ["x^2", "x*y", "y^2"]))
-        with wall_clock(Budgets(wall_seconds=1e-9)):
+        with limits(Budgets(wall_seconds=1e-9)):
             time.sleep(0.001)
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 DegreeSlice(I, 2, [(1, 1)])
@@ -172,7 +260,7 @@ class TestWallClock:
         P3 = PrimeModulus(3)
         t, t1 = parse_unipoly("t", P3), parse_unipoly("t+1", P3)
         M = MinorMatrix(P3, 0, (0, 1), (0, 1), {(0, 0): t, (0, 1): t1, (1, 1): t})
-        with wall_clock(Budgets(wall_seconds=1e-9)):
+        with limits(Budgets(wall_seconds=1e-9)):
             time.sleep(0.001)
             with pytest.raises(BudgetExceeded, match="wall_seconds"):
                 minors_lcm(M)

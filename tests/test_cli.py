@@ -226,9 +226,9 @@ class TestDecompose:
 
         seen = []
 
-        def counting(a, seed):
+        def counting(a):
             seen.append(a)
-            return fpoly.uni_factor(a, seed)
+            return fpoly.uni_factor(a)
 
         monkeypatch.setattr(hq, "uni_factor", counting)
         monkeypatch.setattr(decomposer, "uni_factor", counting)

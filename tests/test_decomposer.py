@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from frobgrow.budgets import Budgets
+from frobgrow.budgets import Budgets, limits
 from frobgrow.cli import main
 from frobgrow.decomposer import (
     FamilySpec,
@@ -206,7 +206,7 @@ class TestStableDecomposition:
         fam = family("katzman", 2)
         real = decomposer.uni_factor
         monkeypatch.setattr(
-            decomposer, "uni_factor", lambda a, seed: list(real(a, seed))[:-1]
+            decomposer, "uni_factor", lambda a: list(real(a))[:-1]
         )
         with pytest.raises(VerificationError):
             stable_decomposition(
@@ -304,11 +304,11 @@ class TestGrowthExponent:
         fam = family(name, p)
         q = q_of(fam, e)
         h = named_h(fam, q, h)
-        rep = stable_decomposition(fam, q, h, measure=False, method="groebner")
+        rep = stable_decomposition(fam, q, h, method="groebner")
         assert rep.embedded
         for comp in rep.embedded:
             whole = IdealHandle(fam.ring, list(comp.radical_generators))
-            assert growth_exponent(comp) == groebner.power_containment(whole, comp.ideal)
+            assert comp.measured_exponent == groebner.power_containment(whole, comp.ideal)
 
 
 def random_cap3_ideal(rng, R):
@@ -406,7 +406,7 @@ class TestRouteAgreement:
     """The slice-invariant formulas against the searches they replace."""
 
     def assert_K_agrees(self, fam, q, h):
-        rep = stable_decomposition(fam, q, h, method="certified", measure=False)
+        rep = stable_decomposition(fam, q, h, method="certified")
         Iq = frobenius_generators(fam.ideal, q)
         K, uncovered = searched_K(Iq, h)
         assert rep.isolated.cap_degree == K
@@ -466,7 +466,7 @@ class TestRouteAgreement:
         fam = family(name, p)
         q = q_of(fam, e)
         h = named_h(fam, q, h)
-        rep = stable_decomposition(fam, q, h, measure=False)
+        rep = stable_decomposition(fam, q, h)
         for comp in [rep.isolated] + rep.embedded:
             assert comp.slices is rep.isolated.slices is not None
             slow = dataclasses.replace(comp, cap_degree=None)
@@ -495,7 +495,7 @@ class TestRouteAgreement:
         q = q_of(fam, e)
         h = named_h(fam, q, h)
         cert, gb = (
-            stable_decomposition(fam, q, h, measure=False, method=m)
+            stable_decomposition(fam, q, h, method=m)
             for m in ("certified", "groebner")
         )
         assert [c.tau for c in cert.embedded] == [c.tau for c in gb.embedded]
@@ -571,7 +571,7 @@ class TestSplittingLemma:
     """The Groebner route's Q : h = Q against the chain of intersections."""
 
     def assert_agrees_with_chain(self, fam, q, h):
-        rep = stable_decomposition(fam, q, h, method="groebner", measure=False)
+        rep = stable_decomposition(fam, q, h, method="groebner")
         Iq = frobenius_generators(fam.ideal, q)
         assert rep.intersection_verified == chain_verdict(rep, Iq)
         if rep.intersection_verified:
@@ -706,12 +706,12 @@ class TestPrimarySanity:
         if p == P2:
             fam = family("katzman", 2)
             components.append(stable_decomposition(
-                fam, q_of(fam, 2), parse_unipoly("t", P2), measure=False, method="groebner"
+                fam, q_of(fam, 2), parse_unipoly("t", P2), method="groebner"
             ).isolated)
         taken = []
         real_colon = decomposer.colon
         monkeypatch.setattr(
-            decomposer, "colon", lambda C, f, b: taken.append(f) or real_colon(C, f, b)
+            decomposer, "colon", lambda C, f: taken.append(f) or real_colon(C, f)
         )
         outcomes = []
         for C in components:
@@ -722,7 +722,7 @@ class TestPrimarySanity:
                 product = functools.reduce(operator.mul, panel)
                 first = taken[0].to_unipoly(C.ideal.ring.index_of("t"))
                 assert first.monic() == functools.reduce(
-                    operator.mul, (g for g, _ in uni_factor(product, 0)), UniPoly.one(first.p)
+                    operator.mul, (g for g, _ in uni_factor(product)), UniPoly.one(first.p)
                 )
                 with monkeypatch.context() as m:
                     m.setattr(decomposer, "_squarefree_decomposition", lambda f: [(f, 1)])
@@ -796,7 +796,7 @@ class TestPrimarySanity:
         fam = family(name, p)
         q = q_of(fam, e)
         h = ss_hq_closed_form(fam.seq, q) if closed_form else h_q(fam.ring, q).h
-        rep = stable_decomposition(fam, q, h, measure=False, method="groebner")
+        rep = stable_decomposition(fam, q, h, method="groebner")
         assert rep.embedded
         for comp in rep.embedded:
             assert primary_sanity(comp, 10) == SanityVerdict(True)
@@ -944,7 +944,7 @@ class TestRadicalEscape:
             p = fam.ring.p
             h = UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 3))] + [1])
             rep = stable_decomposition(
-                fam, PrimePower(p, rng.randint(1, 2)), h, method=method, measure=False
+                fam, PrimePower(p, rng.randint(1, 2)), h, method=method
             )
             for comp in [rep.isolated] + rep.embedded:
                 assert self.assert_agrees(comp, monkeypatch) is None
@@ -1010,10 +1010,11 @@ class TestSaturationGrowth:
         # N_8 = 4: raised exactly when N >= saturation_steps, as the chain does
         fam = cone_family()
         y = parse_poly("y", fam.ring)
-        with pytest.raises(BudgetExceeded) as exc:
-            saturation_growth(fam, y, [8], Budgets(saturation_steps=4))
+        with limits(Budgets(saturation_steps=4)), pytest.raises(BudgetExceeded) as exc:
+            saturation_growth(fam, y, [8])
         assert exc.value.budget_name == "saturation_steps"
-        rows, _ = saturation_growth(fam, y, [8], Budgets(saturation_steps=5))
+        with limits(Budgets(saturation_steps=5)):
+            rows, _ = saturation_growth(fam, y, [8])
         assert [(q.q, n) for q, n in rows] == [(8, 4)]
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from frobgrow.budgets import DEFAULT as DEFAULT_BUDGETS, Budgets
+from frobgrow.budgets import Budgets, limits
 from frobgrow.errors import BudgetExceeded, InputError, RingMismatch
 from frobgrow.fpoly import (
     MultiPoly,
@@ -115,10 +115,8 @@ class TestGroebnerBasis:
     def test_budget_exceeded_distinguishable(self):
         R = ring_txy(P3)
         tiny = Budgets().override(gb_pairs=1)
-        with pytest.raises(BudgetExceeded):
-            IdealHandle(R, ["x^2+t*x*y+y^2", "x^3+y^3", "t^2*x*y^2+x^2*y"]).groebner_basis(
-                budgets=tiny
-            )
+        with limits(tiny), pytest.raises(BudgetExceeded):
+            IdealHandle(R, ["x^2+t*x*y+y^2", "x^3+y^3", "t^2*x*y^2+x^2*y"]).groebner_basis()
 
 
 class TestSeededBuchberger:
@@ -136,7 +134,7 @@ class TestSeededBuchberger:
 
                     def basis(gens, seed=()):
                         raws = [_to_raw(g, order) for g in gens]
-                        return _buchberger(raws, order, p.p, DEFAULT_BUDGETS, seed)
+                        return _buchberger(raws, order, p.p, seed)
 
                     seed = [g.terms for g in basis(first)]
                     plain = basis(first + rest)
@@ -149,10 +147,11 @@ class TestSeededBuchberger:
         I = IdealHandle(R, ["x^2+t*x*y+y^2", "x^3+y^3", "t^2*x*y^2+x^2*y"])
         order, tiny = R.default_order, Budgets(gb_pairs=1)
         seed = [g.terms for g in _buchberger(
-            [_to_raw(g, order) for g in I.generators], order, 3, DEFAULT_BUDGETS)]
-        assert [g.terms for g in _buchberger([], order, 3, tiny, seed)] == seed
+            [_to_raw(g, order) for g in I.generators], order, 3)]
         gb = I.groebner_basis()
-        assert I.extended([]).groebner_basis(tiny) == gb
+        with limits(tiny):
+            assert [g.terms for g in _buchberger([], order, 3, seed)] == seed
+            assert I.extended([]).groebner_basis() == gb
 
     def test_extended_handle_with_relations(self, rng):
         # the base's basis already holds the ring's relations
@@ -482,14 +481,15 @@ class TestSaturationExponent:
         # the chain is the reference: the same exponent or the same
         # error, the same saturated ideal, and the same verdict under a
         # saturation_steps of 1, 2 or 3, on either side of the exponent
-        def outcome(fn, *args):
+        def outcome(fn, *args, steps=Budgets().saturation_steps):
             try:
-                return fn(*args)
+                with limits(Budgets(saturation_steps=steps)):
+                    return fn(*args)
             except (BudgetExceeded, InputError) as e:
                 return type(e), str(e)
 
-        def chain(*args):
-            res = outcome(saturate, *args)
+        def chain(*args, steps):
+            res = outcome(saturate, *args, steps=steps)
             return res if isinstance(res, tuple) else res.stabilization_exponent
 
         exponents = set()
@@ -500,10 +500,10 @@ class TestSaturationExponent:
             else:
                 exponents.add(ref.stabilization_exponent)
                 assert saturation_exponent(I, f) == ref.stabilization_exponent, name
-                J = IdealHandle(I.ring, _saturation_gens(I, f, DEFAULT_BUDGETS))
+                J = IdealHandle(I.ring, _saturation_gens(I, f))
                 assert ideal_equal(J, ref.ideal), name
-            small = Budgets(saturation_steps=1 + k % 3)
-            assert outcome(saturation_exponent, I, f, small) == chain(I, f, small), name
+            small = 1 + k % 3
+            assert outcome(saturation_exponent, I, f, steps=small) == chain(I, f, steps=small), name
         assert exponents >= {0, 1, 2, 3, 4}
 
 
@@ -541,15 +541,17 @@ class TestPowerContainment:
         # t^k never lies in (x): one product per degree until the budget
         R = ring_txy()
         P, C = IdealHandle(R, ["t"]), IdealHandle(R, ["x"])
-        with pytest.raises(BudgetExceeded) as exc:
-            power_containment(P, C, Budgets(power_products=100))
+        with limits(Budgets(power_products=100)), pytest.raises(BudgetExceeded) as exc:
+            power_containment(P, C)
         assert exc.value.budget_name == "power_products"
         # (x, y)^2 in (x^2, xy, y^2): x and y survive degree 1, and
         # their four products end the search, 6 products in all
         P, C = IdealHandle(R, ["x", "y"]), IdealHandle(R, ["x^2", "x*y", "y^2"])
-        assert power_containment(P, C, Budgets(power_products=6)) == 2
-        with pytest.raises(BudgetExceeded, match="power_products"):
-            power_containment(P, C, Budgets(power_products=5))
+        with limits(Budgets(power_products=6)):
+            assert power_containment(P, C) == 2
+        with limits(Budgets(power_products=5)):
+            with pytest.raises(BudgetExceeded, match="power_products"):
+                power_containment(P, C)
 
 
 class TestMemberBoundedOracle:

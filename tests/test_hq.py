@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from frobgrow import hq
+from frobgrow.budgets import Budgets, limits
 from frobgrow.decomposer import family
 from frobgrow.errors import InputError
 from frobgrow.fpoly import (
@@ -558,7 +559,8 @@ class TestDegreeWindow:
         for kind, budget in budgets.items():
             if sum(min(x, budget) for x in positions.values()) > cap:
                 continue
-            cert = h_q(ring, q, budget)
+            with limits(Budgets(minor_subsets=budget)):
+                cert = h_q(ring, q)
             want = all_degree_scan(ring, q, budget)
             assert (cert.h, cert.minors_examined, cert.partial) == want, (kind, budget)
             assert cert.partial == (kind != "none")
@@ -738,7 +740,8 @@ class TestBlocksFromComponents:
 
         monkeypatch.setattr(hq, "_row_components", walk)
         monkeypatch.setattr(hq._LcmFold, "__init__", init)
-        h_q(ring, q, budget)
+        with limits(Budgets(minor_subsets=budget)):
+            h_q(ring, q)
         monkeypatch.undo()
         return walked, len(scans)
 
@@ -890,7 +893,8 @@ class TestHq:
         h = UniPoly.one(fam.ring.p)
         for scan in scans:
             h = uni_lcm(h, scan.lcm)
-        cert = h_q(fam.ring, q, budget)
+        with limits(Budgets(minor_subsets=budget)):
+            cert = h_q(fam.ring, q)
         assert cert.h == h and cert.h.degree > 0
         assert cert.minors_examined == sum(s.examined for s in scans)
         assert cert.partial
@@ -944,7 +948,8 @@ class TestHq:
         monkeypatch.setattr(hq._LcmFold, "merge", merging)
         monkeypatch.setattr(hq, "minors_lcm", scanning)
         monkeypatch.setattr(hq, "uni_rem", recording)
-        cert = h_q(fam.ring, q, budget)
+        with limits(Budgets(minor_subsets=budget)):
+            cert = h_q(fam.ring, q)
         monkeypatch.undo()
         for fold in folds:
             expected = {c for f, c in products if f is fold} | {

@@ -657,7 +657,7 @@ def certified_reads(cache, h, cap, reference):
     the isolated exponent, each embedded exponent, and the torsion
     exponent below K; with the degrees the store computed."""
     one = UniPoly.one(cache.ideal.ring.p)
-    taus = uni_factor(h, 0) if h.degree > 0 else []
+    taus = uni_factor(h) if h.degree > 0 else []
     if reference:
         K = reference_K(cache, h, cap)
         cache.at(K)
@@ -683,7 +683,7 @@ class TestInvariantTable:
         p = I.ring.p
         one = UniPoly.one(p)
         h_min = reference_torsion_exponent(SliceCache(I), cap + 1)
-        taus = [tau for tau, _ in uni_factor(h_min, 0)] if h_min.degree > 0 else []
+        taus = [tau for tau, _ in uni_factor(h_min)] if h_min.degree > 0 else []
         taus += [UniPoly.t(p), parse_unipoly("t+1", p)]
         gs = [one, UniPoly.t(p), h_min, h_min * UniPoly.t(p)] + taus
         gs += [UniPoly(p, [rng.randrange(p.p) for _ in range(rng.randint(1, 4))] + [1])
@@ -865,7 +865,7 @@ class TestUnivariateColonTrivial:
         for _ in range(16):
             gens = cap + [rand_homog(rng, R, rng.randint(1, 2)) for _ in range(2)]
             I = IdealHandle(R, [g for g in gens if not g.is_zero])
-            factors = list(uni_factor(SliceCache(I).torsion_exponent(3), 0))
+            factors = list(uni_factor(SliceCache(I).torsion_exponent(3)))
             panel = [f for f, _ in factors] + [
                 g
                 for g in (
